@@ -298,9 +298,13 @@ class Simulation:
                 block.llc_references, block.llc_misses)
         exact = self.platform.uncore.exact()
         self._ddio_last = (exact.hits, exact.misses)
-        for traffic in self.traffic:
-            self._vf_last[traffic.vf.name] = (traffic.vf.delivered,
-                                              traffic.vf.drops)
+        for vf in self._fed_vfs():
+            self._vf_last[vf.name] = (vf.delivered, vf.drops)
+
+    def _fed_vfs(self) -> "list[VirtualFunction]":
+        """Every VF with attached traffic, once — a VF may be fed by
+        several streams (e.g. the KVS GET and SET streams)."""
+        return list({id(b.vf): b.vf for b in self.traffic}.values())
 
     def _record_quantum(self, window_bytes: "tuple[int, int]",
                         tracer=None) -> QuantumRecord:
@@ -331,12 +335,12 @@ class Simulation:
                                ddio_mask=self.platform.ddio.mask,
                                mem_read_bytes=read_bytes,
                                mem_write_bytes=write_bytes)
-        for traffic in self.traffic:
-            name = traffic.vf.name
+        for vf in self._fed_vfs():
+            name = vf.name
             last = self._vf_last.get(name, (0, 0))
-            record.vf_delivered[name] = traffic.vf.delivered - last[0]
-            record.vf_dropped[name] = traffic.vf.drops - last[1]
-            self._vf_last[name] = (traffic.vf.delivered, traffic.vf.drops)
+            record.vf_delivered[name] = vf.delivered - last[0]
+            record.vf_dropped[name] = vf.drops - last[1]
+            self._vf_last[name] = (vf.delivered, vf.drops)
         self.metrics.append(record)
         self._engine_delta = None
         if tracer.enabled or REGISTRY.enabled:

@@ -96,12 +96,23 @@ class FlowTables:
         return self.megaflow_capacity * MEGAFLOW_ENTRY_BYTES
 
     def lookup(self, port: CorePort, flow_id: int) -> LookupResult:
-        """Look one packet up, issuing the table's memory accesses."""
+        """Look one packet up, issuing the table's memory accesses;
+        ``cycles`` is their latency plus the lookup's fixed cost."""
+        hit, cycles = self.probe(port, flow_id, 0.0)
+        return LookupResult(hit, cycles + (EMC_HIT_CYCLES if hit
+                                           else MEGAFLOW_CYCLES))
+
+    def probe(self, port: CorePort, flow_id: int,
+              cycles: float) -> "tuple[bool, float]":
+        """Issue one lookup's memory accesses, adding each latency onto
+        ``cycles`` in issue order; returns ``(emc_hit, cycles)`` without
+        the fixed cost (:data:`EMC_HIT_CYCLES` on a hit, else
+        :data:`MEGAFLOW_CYCLES`), which callers add last."""
         slot = flow_id % self.emc_entries
-        cycles = port.access(self._emc_base + slot * EMC_ENTRY_BYTES)
+        cycles += port.access(self._emc_base + slot * EMC_ENTRY_BYTES)
         if self._emc_tags[slot] == flow_id:
             self.emc_hits += 1
-            return LookupResult(True, cycles + EMC_HIT_CYCLES)
+            return True, cycles
         # EMC miss: wildcard lookup, then install into the EMC slot.
         self.emc_misses += 1
         if self._journal is not None:
@@ -113,7 +124,7 @@ class FlowTables:
             cycles += port.access(entry + (probe % 2) * 64)
         cycles += port.access(self._emc_base + slot * EMC_ENTRY_BYTES,
                               write=True)
-        return LookupResult(False, cycles + MEGAFLOW_CYCLES)
+        return False, cycles
 
     def plan_lookup(self, plan: AccessPlan, flow_id: int,
                     pkt: int) -> float:

@@ -23,7 +23,8 @@ from ..net.packet import lines_per_packet
 from ..pci.ring import DescRing, PacketRecord
 from ..workloads.base import AccessPlan, CorePort, VectorPlan
 from ..workloads.netbase import BUFFER_MLP, RingConsumer
-from .flowtable import MEGAFLOW_CYCLES, MEGAFLOW_PROBES, FlowTables
+from .flowtable import (EMC_HIT_CYCLES, MEGAFLOW_CYCLES, MEGAFLOW_PROBES,
+                        FlowTables)
 
 #: Fixed per-packet cost: vhost descriptor handling + return-path Tx.
 OVS_INSTRUCTIONS = 450.0
@@ -92,10 +93,10 @@ class OvsDataplane(RingConsumer):
                 return record
         return None
 
-    def packet_cost(self, port: CorePort, record: PacketRecord,
-                    now: float) -> "tuple[float, float]":
-        lookup = self.tables.lookup(port, record.flow_id)
-        cycles = OVS_CYCLES + lookup.cycles
+    def packet_cost(self, port: CorePort, record: PacketRecord, now: float,
+                    cycles: float) -> "tuple[float, float]":
+        hit, cycles = self.tables.probe(port, record.flow_id, cycles)
+        fixed = OVS_CYCLES + (EMC_HIT_CYCLES if hit else MEGAFLOW_CYCLES)
         dests = self.routes[self._consumed_from]
         dest = dests[record.flow_id % len(dests)]
         # Preserve the NIC arrival stamp so the tenant's latency is
@@ -103,7 +104,7 @@ class OvsDataplane(RingConsumer):
         out = dest.post(record.size, record.flow_id, record.arrival)
         if out is None:
             self.output_drops += 1
-            return OVS_INSTRUCTIONS, cycles
+            return OVS_INSTRUCTIONS, cycles + fixed
         # Copy payload into the virtio buffer through the switch's mask
         # (streaming stores overlap, hence the buffer MLP).
         addr = out.buf_addr
@@ -111,7 +112,7 @@ class OvsDataplane(RingConsumer):
             cycles += port.access(addr, write=True, mlp=BUFFER_MLP)
             addr += 64
         self.forwarded += 1
-        return OVS_INSTRUCTIONS, cycles
+        return OVS_INSTRUCTIONS, cycles + fixed
 
     def plan_packet(self, plan: AccessPlan, port: CorePort,
                     record: PacketRecord, ring_idx: int, pkt: int,
@@ -234,18 +235,19 @@ class OvsDataplane(RingConsumer):
     # rewritten before they ever become readable.
     def _spec_state(self):
         self.tables.snapshot()
-        return (self.forwarded, self.output_drops,
+        return (super()._spec_state(), self.forwarded, self.output_drops,
                 tuple((r._head, r._rd, r._count, r.enqueued, r.dequeued,
                        r.dropped) for r in self._dest_rings))
 
     def _spec_restore(self, state) -> None:
         self.tables.rollback()
-        self.forwarded, self.output_drops, ring_states = state
+        base, self.forwarded, self.output_drops, ring_states = state
+        super()._spec_restore(base)
         for ring, s in zip(self._dest_rings, ring_states):
             (ring._head, ring._rd, ring._count, ring.enqueued,
              ring.dequeued, ring.dropped) = s
 
-    def _spec_commit_extra(self) -> None:
+    def _spec_commit(self) -> None:
         self.tables.commit()
 
     def transmit(self, port: CorePort, record: PacketRecord) -> None:

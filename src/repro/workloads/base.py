@@ -34,6 +34,23 @@ L2_HIT_CYCLES = 14.0
 #: Cycles for an access served by the LLC.
 LLC_HIT_CYCLES = 44.0
 
+#: Fraction of the EMA-predicted budget fit admitted per run-ahead
+#: chunk (:meth:`Workload._run_ahead`).  Slightly under 1 so a
+#: well-predicted chunk *commits* and the drain converges on the
+#: boundary with a couple of shrinking chunks; rollback then only pays
+#: for genuine prediction error (cost spikes, e.g. a leaked buffer
+#: turning buffer reads into DRAM misses).  Sweeping 0.7–1.25 on the
+#: Fig. 8 workload: ≥1 rolls back ~10–50% of chunks and re-executes up
+#: to ~60% of packets; 0.95 commits >99% of chunks at the same wall time
+#: with the largest mean chunk of the no-waste settings.
+SPEC_HEADROOM = 0.95
+
+#: Run-ahead chunk size tried before any cost observation exists.
+SPEC_BOOTSTRAP = 32
+
+#: EMA smoothing factor for the observed mean per-item service cost.
+SPEC_ALPHA = 0.25
+
 
 class CorePort:
     """One core's path into the memory hierarchy.
@@ -157,7 +174,21 @@ class CorePort:
         flat = plan.materialize()
         if flat is None:
             return np.zeros(npackets)
-        addrs, write, mlp_inv, device, pkt = flat
+        if prof:
+            tracer.profile_add("engine.workloads.plan", tracer.clock() - t0)
+        return self.run_lines(*flat, npackets)
+
+    def run_lines(self, addrs, write, mlp_inv, device, pkt,
+                  npackets: int) -> "np.ndarray":
+        """Execute materialized plan lines as one LLC batch.
+
+        The arrays are :meth:`VectorPlan.materialize`'s (or any
+        contiguous slice of them); returns the charged cycles per packet
+        slot ``0 .. npackets - 1``, each slot's line latencies summed
+        from 0.0 in issue order.
+        """
+        tracer = current_tracer()
+        prof = tracer.profiling
         t1 = tracer.clock() if prof else 0.0
         # The way mask only governs fills and device lines never
         # allocate, so the core mask can be passed as a scalar for the
@@ -177,9 +208,7 @@ class CorePort:
             block.llc_references += int(np.count_nonzero(core))
             block.llc_misses += int(np.count_nonzero(core & ~hit))
         if prof:
-            t2 = tracer.clock()
-            tracer.profile_add("engine.workloads.plan", t1 - t0)
-            tracer.profile_add("engine.workloads.llc", t2 - t1)
+            tracer.profile_add("engine.workloads.llc", tracer.clock() - t1)
         miss_total = out.misses
         if miss_total:
             self._mem.add_read(self._line * miss_total)
@@ -311,10 +340,13 @@ def seq_accumulate(initial: float, values: "np.ndarray") -> float:
 class EngineStats:
     """Process-wide chunk/speculation accounting (observability only).
 
-    The vectorized ring drains record every executed chunk here: chunk
-    sizes into a power-of-two histogram, speculative executions and
-    rollbacks, and the approximate NumPy kernel-launch count of the
-    plan pipeline.  The engine samples per-quantum deltas into the
+    Every chunk the run-ahead helper (:meth:`Workload._run_ahead`)
+    executes is recorded here — ring drains count packets, the
+    closed-loop RocksDB and X-Mem drains count ops, and the
+    ``*packets`` fields hold both: chunk sizes into a power-of-two
+    histogram, speculative executions and rollbacks, and the
+    approximate NumPy kernel-launch count of those same drains' plan
+    and execute stages.  The engine samples per-quantum deltas into the
     tracer and the metrics registry, ``repro trace`` prints the totals
     at exit, and the perf benchmarks read the means directly.  Like
     ``repro.obs.metrics.REGISTRY`` this is process-global state shared
@@ -334,16 +366,16 @@ class EngineStats:
 
     def reset(self) -> None:
         self.chunks = 0           # chunk executions (replays included)
-        self.packets = 0          # packets admitted and committed
-        self.exec_packets = 0     # packets executed (rolled back included)
+        self.packets = 0          # items admitted and committed
+        self.exec_packets = 0     # items executed (rolled back included)
         self.spec_chunks = 0      # chunks executed under a snapshot
         self.rollbacks = 0        # mispredicted admissions rolled back
-        self.wasted_packets = 0   # packets executed and then rolled back
-        self.kernel_launches = 0  # NumPy launches in the plan pipeline
+        self.wasted_packets = 0   # items executed and then rolled back
+        self.kernel_launches = 0  # NumPy launches in the drain pipeline
         self.size_buckets = [0] * len(self.SIZE_BUCKETS)
 
     def record_chunk(self, k: int) -> None:
-        """Account one executed chunk of ``k`` packets."""
+        """Account one executed chunk of ``k`` items."""
         self.chunks += 1
         self.exec_packets += k
         buckets = self.size_buckets
@@ -816,7 +848,10 @@ class Workload(ABC):
     #: plans, the default), ``"batch"`` (per-packet plan building executed
     #: as LLC batches), or ``"scalar"`` (the per-access reference loop).
     #: All three produce identical simulation results; the engine
-    #: propagates its own mode here at run time.
+    #: propagates its own mode here at run time.  Workloads without a
+    #: batch tier (RocksDB, X-Mem) run their scalar loop in ``"batch"``
+    #: mode, and in ``"vector"`` mode too when the LLC backend cannot
+    #: journal (see :meth:`_run_ahead`).
     exec_mode: str = "vector"
 
     def __init__(self, name: str) -> None:
@@ -830,6 +865,10 @@ class Workload(ABC):
         #: cycles, so waits measured in simulated seconds convert to
         #: cycles through this factor.
         self.time_scale = 1.0
+        # Run-ahead chunk sizing: running mean of per-item service
+        # cycles (pure chunk-sizing state — it never influences
+        # simulation results).
+        self._spec_ema = 0.0
 
     def bind(self, ports: "list[CorePort]", region_base: int,
              rng: "np.random.Generator") -> None:
@@ -892,6 +931,103 @@ class Workload(ABC):
     def run_core(self, port: CorePort, budget_cycles: float,
                  now: float) -> None:
         """Consume up to ``budget_cycles`` on one core."""
+
+    # -- journaled run-ahead admission ------------------------------------
+    # A drain whose scalar loop admits item i iff the budget is not yet
+    # spent before it cannot know chunk membership until the chunk has
+    # run.  ``_run_ahead`` executes a predicted chunk under a checkpoint,
+    # lets the caller's admission test pick the prefix the scalar loop
+    # would have run, and either commits or rolls back and replays that
+    # prefix.  Replays are bit-identical to the first execution's prefix
+    # (batched access is sequential-order exact), so speculation only
+    # changes how many items execute per NumPy batch.
+
+    def _spec_state(self):
+        """Workload state a chunk's ``execute`` mutates beyond the LLC,
+        the port's counters and the memory controller (default: none)."""
+        return None
+
+    def _spec_restore(self, state) -> None:
+        """Undo the extra state back to :meth:`_spec_state`'s snapshot."""
+
+    def _spec_commit(self) -> None:
+        """Discard any extra journal after a committed speculation."""
+
+    def _spec_size(self, budget_left: float) -> int:
+        """Run-ahead chunk size: the EMA-predicted number of items that
+        fit ``budget_left``, shrunk by :data:`SPEC_HEADROOM`."""
+        ema = self._spec_ema
+        if ema > 0.0:
+            return int(budget_left / ema * SPEC_HEADROOM) + 1
+        return SPEC_BOOTSTRAP
+
+    def _admit_budget(self, service: "np.ndarray", used: float,
+                      budget_cycles: float) -> int:
+        """Prefix of a speculative chunk the scalar loop admits.
+
+        Item ``i`` runs iff ``i == 0`` or the cycles used before it are
+        under budget — the scalar ``while used < budget`` test, on the
+        same left-to-right float sums.  Also folds the chunk's mean
+        per-item cost into the sizing EMA.
+        """
+        k = service.shape[0]
+        cum = np.empty(k + 1)
+        cum[0] = used
+        cum[1:] = service
+        np.cumsum(cum, out=cum)
+        mean = (float(cum[k]) - used) / k
+        ema = self._spec_ema
+        self._spec_ema = mean if ema <= 0.0 else ema + SPEC_ALPHA * (
+            mean - ema)
+        return 1 + int(np.searchsorted(cum[1:k], budget_cycles,
+                                       side="left"))
+
+    def _run_ahead(self, port: CorePort, k: int, execute, admit):
+        """Execute ``k`` items and keep the prefix the scalar loop admits.
+
+        ``execute(n)`` runs the caller's first ``n`` items and returns
+        their result; it may mutate only the LLC, ``port``'s reference
+        and miss counters, the memory controller's byte counters, and
+        what :meth:`_spec_state` snapshots.  ``admit(result)`` returns
+        how many leading items (at least one) the scalar loop would have
+        run.  With ``admit=None`` (the caller already knows all ``k``
+        are admitted) or ``k == 1`` the chunk runs unjournaled.  Returns
+        ``(n, result)`` for the committed prefix, and records every
+        executed chunk, rollback and wasted item in
+        :data:`ENGINE_STATS`.
+        """
+        estats = ENGINE_STATS
+        if admit is not None and k > 1:
+            llc = port._llc
+            block = port.block
+            mem = port._mem
+            llc.snapshot()
+            counters = (block.llc_references, block.llc_misses,
+                        mem.read_bytes, mem.write_bytes,
+                        mem._window_read, mem._window_write)
+            state = self._spec_state()
+            estats.spec_chunks += 1
+            result = execute(k)
+            n = admit(result)
+            if n < k:
+                llc.rollback()
+                (block.llc_references, block.llc_misses,
+                 mem.read_bytes, mem.write_bytes,
+                 mem._window_read, mem._window_write) = counters
+                self._spec_restore(state)
+                estats.record_chunk(k)
+                estats.rollbacks += 1
+                estats.wasted_packets += k
+                k = n
+                result = execute(n)
+            else:
+                llc.commit()
+                self._spec_commit()
+        else:
+            result = execute(k)
+        estats.record_chunk(k)
+        estats.packets += k
+        return k, result
 
     # -- helpers ---------------------------------------------------------
     def l2_hit_prob(self, working_set_bytes: int) -> float:

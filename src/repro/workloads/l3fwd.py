@@ -53,10 +53,10 @@ class L3Fwd(RingConsumer):
 
     batchable = True
 
-    def packet_cost(self, port: CorePort, record: PacketRecord,
-                    now: float) -> "tuple[float, float]":
-        lookup = port.access(self._entry_addr(record.flow_id))
-        return L3FWD_INSTRUCTIONS, L3FWD_CYCLES + lookup
+    def packet_cost(self, port: CorePort, record: PacketRecord, now: float,
+                    cycles: float) -> "tuple[float, float]":
+        cycles += port.access(self._entry_addr(record.flow_id))
+        return L3FWD_INSTRUCTIONS, cycles + L3FWD_CYCLES
 
     def plan_packet(self, plan: AccessPlan, port: CorePort,
                     record: PacketRecord, ring_idx: int, pkt: int,

@@ -18,8 +18,8 @@ import numpy as np
 
 from ..net.packet import lines_per_packet
 from ..pci.ring import DescRing, PacketRecord
-from .base import (AccessPlan, CorePort, ENGINE_STATS, LLC_HIT_CYCLES,
-                   PKT_IOTA, VectorPlan, Workload, seq_accumulate)
+from .base import (AccessPlan, CorePort, LLC_HIT_CYCLES, PKT_IOTA,
+                   VectorPlan, Workload, seq_accumulate)
 
 #: Cycles burned per empty poll of a ring (tight DPDK rx_burst loop).
 EMPTY_POLL_CYCLES = 40.0
@@ -51,22 +51,6 @@ _PKT_ARANGE = PKT_IOTA[:CHUNK_PACKETS]
 #: reference; results are bit-identical either way (speculation only
 #: changes how many packets execute per NumPy batch).
 SPECULATION = True
-
-#: Fraction of the EMA-predicted budget fit admitted per speculative
-#: chunk.  Slightly under 1 so a well-predicted chunk *commits* and the
-#: drain converges on the boundary with a couple of shrinking chunks;
-#: rollback then only pays for genuine prediction error (cost spikes,
-#: e.g. a leaked buffer turning buffer reads into DRAM misses).  Sweeping
-#: 0.7–1.25 on the Fig. 8 workload: ≥1 rolls back ~10–50% of chunks and
-#: re-executes up to ~60% of packets; 0.95 commits >99% of chunks at the
-#: same wall time with the largest mean chunk of the no-waste settings.
-SPEC_HEADROOM = 0.95
-
-#: Speculative chunk size tried before any cost observation exists.
-SPEC_BOOTSTRAP = 32
-
-#: EMA smoothing factor for the observed mean per-packet service cost.
-SPEC_ALPHA = 0.25
 
 
 class RingConsumer(Workload):
@@ -100,11 +84,8 @@ class RingConsumer(Workload):
         self._stall_index = 0
         #: 1-in-N latency sampling to bound memory.
         self.latency_sample_stride = 7
-        # Vector-drain scratch: a reusable plan and the speculation
-        # heuristic's running mean of per-packet service cycles (pure
-        # chunk-sizing state — it never influences simulation results).
+        # Vector-drain scratch: one plan reused chunk after chunk.
         self._vplan = VectorPlan()
-        self._spec_ema = 0.0
 
     def begin_quantum(self, now: float) -> None:
         super().begin_quantum(now)
@@ -130,13 +111,17 @@ class RingConsumer(Workload):
     #: Plan rank used for the Tx device reads (runs after all app stages).
     TX_RANK = VectorPlan.MAX_RANK - 1
 
-    def packet_cost(self, port: CorePort, record: PacketRecord,
-                    now: float) -> "tuple[float, float]":
+    def packet_cost(self, port: CorePort, record: PacketRecord, now: float,
+                    cycles: float) -> "tuple[float, float]":
         """App-specific work for one packet: ``(instructions, cycles)``.
 
-        Called after the buffer lines have been read; implementations
-        issue their own table accesses through ``port`` and return the
-        incremental cost.
+        Called after the buffer lines have been read, with ``cycles``
+        their summed latency; implementations issue their own table
+        accesses through ``port``, add each latency onto ``cycles`` in
+        issue order, add their fixed cost last, and return the total.
+        That is the order the vector drain sums a packet in (line
+        latencies from 0.0, then the fixed cost), so both produce the
+        same float.
         """
         raise NotImplementedError
 
@@ -256,6 +241,7 @@ class RingConsumer(Workload):
         instructions = 0.0
         empty_polls = 0
         line = 64
+        freq_scale = self.core_freq_hz * self.time_scale
         while used < budget_cycles:
             record = self._next_packet()
             if record is None:
@@ -278,8 +264,7 @@ class RingConsumer(Workload):
             for _ in range(lines_per_packet(record.size, line)):
                 service += port.access(addr, mlp=BUFFER_MLP)
                 addr += line
-            instr, extra = self.packet_cost(port, record, now)
-            service += extra
+            instr, service = self.packet_cost(port, record, now, service)
             instructions += instr
             self.transmit(port, record)
             used += service
@@ -288,8 +273,7 @@ class RingConsumer(Workload):
             # Queue wait in *elapsed cycles*: a simulated second carries
             # freq * time_scale cycles, so this is the real-equivalent
             # sojourn (ring sizes are unscaled, rates are scaled).
-            queue_cycles = max(0.0, (now - record.arrival)
-                               * self.core_freq_hz * self.time_scale)
+            queue_cycles = max(0.0, (now - record.arrival) * freq_scale)
             self.stats.record_op(
                 queue_cycles + service,
                 sample=self.stats.ops % self.latency_sample_stride == 0)
@@ -366,68 +350,24 @@ class RingConsumer(Workload):
         port.charge(instructions, used)
 
     # -- speculation support ---------------------------------------------
-    # Subclasses whose ``plan_chunk`` mutates state beyond the base
-    # checkpoint (rings, counters, WorkloadStats) override these three
-    # hooks; see OvsDataplane for the EMC/destination-ring example.
+    # A speculative chunk consumes ring slots and bumps the forwarding
+    # counters; the LLC, core counters and memory traffic are covered by
+    # :meth:`Workload._run_ahead` itself.  Subclasses whose ``plan_chunk``
+    # mutates more extend these hooks; see OvsDataplane for the
+    # EMC/destination-ring example.  Ring *slot* writes need no undo —
+    # slots past the restored count are rewritten before they ever
+    # become readable.
     def _spec_state(self):
-        """Extra state snapshot taken at a speculative checkpoint."""
-        return None
+        return (tuple((r._head, r._rd, r._count, r.enqueued, r.dequeued,
+                       r.dropped) for r in self.rings),
+                self._ring_cursor, self.packets_processed, self.tx_bytes)
 
     def _spec_restore(self, state) -> None:
-        """Undo the extra state back to :meth:`_spec_state`'s snapshot."""
-
-    def _spec_commit_extra(self) -> None:
-        """Discard any extra journal after a committed speculation."""
-
-    def _spec_checkpoint(self, port: CorePort):
-        """Checkpoint everything a speculative chunk may mutate.
-
-        The LLC itself journals copy-on-write (``SlicedLLC.snapshot``);
-        everything else touched by ``_exec_chunk`` is a handful of
-        scalars: core counters, memory-controller traffic, this
-        workload's ring cursors/counters and stats.  Ring *slot* writes
-        need no undo — slots past the restored count are rewritten
-        before they ever become readable.
-        """
-        port._llc.snapshot()
-        mem = port._mem
-        block = port.block
-        stats = self.stats
-        return (
-            (block.llc_references, block.llc_misses),
-            (mem.read_bytes, mem.write_bytes,
-             mem._window_read, mem._window_write),
-            tuple((r._head, r._rd, r._count, r.enqueued, r.dequeued,
-                   r.dropped) for r in self.rings),
-            self._ring_cursor,
-            (self.packets_processed, self.tx_bytes),
-            (stats.ops, stats.busy_cycles, stats.latency_sum_cycles,
-             len(stats.latency_samples)),
-            self._spec_state(),
-        )
-
-    def _spec_rollback(self, port: CorePort, ckpt) -> None:
-        """Restore every side effect since :meth:`_spec_checkpoint`."""
-        port._llc.rollback()
-        blk, memc, ring_states, cursor, pkts, st, extra = ckpt
-        block = port.block
-        block.llc_references, block.llc_misses = blk
-        mem = port._mem
-        (mem.read_bytes, mem.write_bytes,
-         mem._window_read, mem._window_write) = memc
+        ring_states, self._ring_cursor, self.packets_processed, \
+            self.tx_bytes = state
         for ring, s in zip(self.rings, ring_states):
             (ring._head, ring._rd, ring._count, ring.enqueued,
              ring.dequeued, ring.dropped) = s
-        self._ring_cursor = cursor
-        self.packets_processed, self.tx_bytes = pkts
-        stats = self.stats
-        stats.ops, stats.busy_cycles, stats.latency_sum_cycles, nsamp = st
-        del stats.latency_samples[nsamp:]
-        self._spec_restore(extra)
-
-    def _spec_commit(self, port: CorePort) -> None:
-        port._llc.commit()
-        self._spec_commit_extra()
 
     def _exec_chunk(self, port: CorePort, start: int, k: int, sizes,
                     flows, addrs, arrivals, ring_idx, nlines,
@@ -470,7 +410,6 @@ class RingConsumer(Workload):
                                  counts)
         service = port.run_plan(plan, k) + fixed
         self.packets_processed += k
-        ENGINE_STATS.record_chunk(k)
         return instr, service
 
     def _run_core_vector(self, port: CorePort, budget_cycles: float,
@@ -486,22 +425,15 @@ class RingConsumer(Workload):
         cursor.  Empty polls then only ever happen as a trailing phase,
         exactly the order the per-packet loop produces.
 
-        Admission is *speculative run-ahead* when the LLC backend can
-        journal (:data:`SPECULATION`): a large chunk sized from the EMA
-        of observed per-packet cost executes under a copy-on-write
-        checkpoint, then the *actual* accumulated cost decides how many
-        of its packets the scalar loop would have admitted (packet ``i``
-        runs iff the cost before it is below the budget — exactly the
-        scalar ``while used < budget`` test, which worst-case admission
-        only approximated from below).  A fully admitted chunk commits;
-        an overshoot rolls every side effect back and replays exactly
-        the admitted prefix, which is bit-identical to its speculative
-        execution because batched access is sequential-order exact.
-        Either way the admitted set, execution order, and left-to-right
-        float accounting match the scalar loop bit-for-bit; speculation
-        only changes how many packets execute per NumPy batch.  Without
-        a journaling backend the worst-case cumulative-bound guard
-        (first packet unconditional) is used, as before.
+        Admission is journaled run-ahead (:meth:`Workload._run_ahead`)
+        when the LLC backend can journal (:data:`SPECULATION`): a chunk
+        sized from the EMA of observed per-packet cost executes, then
+        the *actual* accumulated cost decides how many of its packets
+        the scalar loop would have admitted.  Either way the admitted
+        set, execution order, and left-to-right float accounting match
+        the scalar loop bit-for-bit.  Without a journaling backend the
+        worst-case cumulative-bound guard (first packet unconditional)
+        is used.
         """
         rings = self.rings
         nrings = len(rings)
@@ -532,86 +464,47 @@ class RingConsumer(Workload):
         used = 0.0
         instructions = 0.0
         stats = self.stats
-        estats = ENGINE_STATS
         freq_scale = self.core_freq_hz * self.time_scale
         stride = self.latency_sample_stride
         speculate = SPECULATION and port._llc.can_snapshot
         start = 0
         if backlog:
             nlines = -(-sizes // 64)
-            miss = LLC_HIT_CYCLES + port.dram_cycles
             queue_cycles = np.maximum(0.0, (now - arrivals) * freq_scale)
             if not speculate:
                 # Same float expression, left to right, as
                 # :meth:`_worst_packet_cycles` — bit-equal bounds give
                 # bit-equal chunk boundaries.
+                miss = LLC_HIT_CYCLES + port.dram_cycles
                 worst = (nlines * miss / BUFFER_MLP
                          + self.worst_cost_vec(sizes, nlines, miss))
-        cum_buf = np.empty(CHUNK_PACKETS + 1)
+
+        def execute(n: int):
+            return self._exec_chunk(port, start, n, sizes, flows, addrs,
+                                    arrivals, ring_idx, nlines, now)
+
+        def admit(result) -> int:
+            return self._admit_budget(result[1], used, budget_cycles)
+
         while used < budget_cycles and start < backlog:
             if speculate:
-                ema = self._spec_ema
-                guess = (int((budget_cycles - used) / ema * SPEC_HEADROOM)
-                         + 1 if ema > 0.0 else SPEC_BOOTSTRAP)
-                k_spec = min(guess, CHUNK_PACKETS, backlog - start)
-                if k_spec > 1:
-                    ckpt = self._spec_checkpoint(port)
-                    estats.spec_chunks += 1
-                    instr, service = self._exec_chunk(
-                        port, start, k_spec, sizes, flows, addrs,
-                        arrivals, ring_idx, nlines, now)
-                    cum = cum_buf[:k_spec + 1]
-                    cum[0] = used
-                    cum[1:] = service
-                    np.cumsum(cum, out=cum)
-                    # Packet i admitted iff i == 0 or the actual cost
-                    # before it is under budget — the scalar condition.
-                    k = 1 + int(np.searchsorted(cum[1:k_spec],
-                                                budget_cycles,
-                                                side="left"))
-                    mean = (float(cum[k_spec]) - used) / k_spec
-                    self._spec_ema = (mean if self._spec_ema <= 0.0
-                                      else self._spec_ema + SPEC_ALPHA
-                                      * (mean - self._spec_ema))
-                    if k < k_spec:
-                        self._spec_rollback(port, ckpt)
-                        estats.rollbacks += 1
-                        estats.wasted_packets += k_spec
-                        # Replay exactly the admitted prefix from the
-                        # restored state — bit-identical to its
-                        # speculative execution.
-                        instr, service = self._exec_chunk(
-                            port, start, k, sizes, flows, addrs,
-                            arrivals, ring_idx, nlines, now)
-                    else:
-                        self._spec_commit(port)
-                else:
-                    # One packet is unconditionally admitted (the loop
-                    # guard already holds) — nothing to roll back.
-                    k = 1
-                    instr, service = self._exec_chunk(
-                        port, start, 1, sizes, flows, addrs, arrivals,
-                        ring_idx, nlines, now)
+                k, (instr, service) = self._run_ahead(
+                    port, min(self._spec_size(budget_cycles - used),
+                              CHUNK_PACKETS, backlog - start),
+                    execute, admit)
             else:
-                limit = min(backlog, start + CHUNK_PACKETS)
-                seg = worst[start:limit]
-                cum = cum_buf[:seg.shape[0] + 1]
-                cum[0] = used
-                cum[1:] = seg
-                np.cumsum(cum, out=cum)
-                # Relative packet i is admitted iff i == 0
-                # (unconditional, like the scalar loop) or
-                # bound-so-far + worst_i < budget.
+                seg = worst[start:min(backlog, start + CHUNK_PACKETS)]
+                k = 1
                 if seg.shape[0] > 1:
-                    k = 1 + int(np.searchsorted(cum[2:], budget_cycles,
-                                                side="left"))
-                else:
-                    k = 1
-                instr, service = self._exec_chunk(
-                    port, start, k, sizes, flows, addrs, arrivals,
-                    ring_idx, nlines, now)
+                    # Relative packet i is admitted iff i == 0
+                    # (unconditional, like the scalar loop) or
+                    # bound-so-far + worst_i < budget.
+                    cum = np.cumsum(np.concatenate(([used], seg)))
+                    k += int(np.searchsorted(cum[2:], budget_cycles,
+                                             side="left"))
+                k, (instr, service) = self._run_ahead(port, k, execute,
+                                                      None)
             instructions += instr
-            estats.packets += k
             used = seq_accumulate(used, service)
             stats.busy_cycles = seq_accumulate(stats.busy_cycles, service)
             lat = queue_cycles[start:start + k] + service

@@ -59,9 +59,8 @@ class NfvChain(RingConsumer):
         # Firewall: scan half the rule lines on average.
         self._scan_lines = max(1, rule_lines // 2)
 
-    def packet_cost(self, port: CorePort, record: PacketRecord,
-                    now: float) -> "tuple[float, float]":
-        cycles = NFV_CYCLES
+    def packet_cost(self, port: CorePort, record: PacketRecord, now: float,
+                    cycles: float) -> "tuple[float, float]":
         addr = self._rules_base
         for _ in range(self._scan_lines):
             cycles += port.access(addr)
@@ -72,7 +71,7 @@ class NfvChain(RingConsumer):
                               write=True)
         # NAPT: translation lookup.
         cycles += port.access(self._napt_base + flow * NAPT_ENTRY_BYTES)
-        return NFV_INSTRUCTIONS, cycles
+        return NFV_INSTRUCTIONS, cycles + NFV_CYCLES
 
     def plan_packet(self, plan: AccessPlan, port: CorePort,
                     record: PacketRecord, ring_idx: int, pkt: int,

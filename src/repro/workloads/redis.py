@@ -76,11 +76,10 @@ class RedisServer(RingConsumer):
     def _value_addr(self, key: int) -> int:
         return self._values_base + (key % self.n_records) * self.value_bytes
 
-    def packet_cost(self, port: CorePort, record: PacketRecord,
-                    now: float) -> "tuple[float, float]":
+    def packet_cost(self, port: CorePort, record: PacketRecord, now: float,
+                    cycles: float) -> "tuple[float, float]":
         key = record.flow_id % self.n_records
         op = self._op_for(record)
-        cycles = REDIS_OVERHEAD_CYCLES
         # Hashtable probe: one bucket line.
         cycles += port.access(self.region_base + key * BUCKET_BYTES)
         write = op in (OpType.UPDATE, OpType.INSERT, OpType.RMW)
@@ -97,7 +96,7 @@ class RedisServer(RingConsumer):
             for _ in range(nlines):
                 cycles += port.access(scan, write=True, mlp=VALUE_MLP)
                 scan += 64
-        return REDIS_INSTRUCTIONS_PER_OP, cycles
+        return REDIS_INSTRUCTIONS_PER_OP, cycles + REDIS_OVERHEAD_CYCLES
 
     def transmit(self, port: CorePort, record: PacketRecord) -> None:
         """Reply Tx: the NIC pulls the response (header-sized here; the

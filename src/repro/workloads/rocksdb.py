@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (CorePort, LLC_HIT_CYCLES, VectorPlan, Workload,
+from .base import (CorePort, PKT_IOTA, VectorPlan, Workload,
                    seq_accumulate)
 from .streams import uniform_lines
 from .ycsb import OpType, SCAN_LENGTH, YcsbMix, YcsbOpStream
@@ -69,6 +69,9 @@ class RocksDb(Workload):
 
     def on_bind(self) -> None:
         self._stream = YcsbOpStream(self.mix, self.n_records, self.rng)
+        # (read passes, write passes) per draw_arrays op index.
+        self._passes = np.array([self._OP_PASSES[op]
+                                 for op in self._stream.ops], dtype=np.int64)
         # Region layout: skiplist nodes first, then values.
         self._nodes_bytes = 2 * self.n_records * NODE_BYTES
         self._values_base = self.region_base + self._nodes_bytes
@@ -84,8 +87,9 @@ class RocksDb(Workload):
     #: Streaming MLP of a contiguous 1 KB value copy.
     VALUE_MLP = 4.0
 
-    def _touch_value(self, port: CorePort, key: int, *, write: bool) -> float:
-        cycles = 0.0
+    def _touch_value(self, port: CorePort, key: int, cycles: float, *,
+                     write: bool) -> float:
+        """Copy one value, adding each line's latency onto ``cycles``."""
         addr = self._value_addr(key)
         for _ in range(-(-self.value_bytes // 64)):
             cycles += port.access(addr, write=write, mlp=self.VALUE_MLP)
@@ -94,21 +98,23 @@ class RocksDb(Workload):
 
     def _one_op(self, port: CorePort, op: OpType, key: int,
                 walk_addrs: "np.ndarray") -> float:
-        """One op against pre-drawn skiplist addresses.  Memory cycles
-        accumulate from zero with the fixed overhead added last — the
-        same float grouping the vectorized plan execution produces."""
+        """One op against pre-drawn skiplist addresses.  Every line's
+        latency accumulates from zero in issue order with the fixed
+        overhead added last — the float grouping the vectorized plan
+        execution produces."""
         cycles = 0.0
         for addr in walk_addrs.tolist():
             cycles += port.access(int(addr))
         if op in (OpType.READ, OpType.SCAN):
             reads = SCAN_LENGTH if op is OpType.SCAN else 1
             for i in range(reads):
-                cycles += self._touch_value(port, key + i, write=False)
+                cycles = self._touch_value(port, key + i, cycles,
+                                           write=False)
         elif op in (OpType.UPDATE, OpType.INSERT):
-            cycles += self._touch_value(port, key, write=True)
+            cycles = self._touch_value(port, key, cycles, write=True)
         else:  # read-modify-write
-            cycles += self._touch_value(port, key, write=False)
-            cycles += self._touch_value(port, key, write=True)
+            cycles = self._touch_value(port, key, cycles, write=False)
+            cycles = self._touch_value(port, key, cycles, write=True)
         return cycles + ROCKSDB_OVERHEAD_CYCLES
 
     #: Value passes per op type: (read passes, write passes).
@@ -116,22 +122,26 @@ class RocksDb(Workload):
                   OpType.UPDATE: (0, 1), OpType.INSERT: (0, 1),
                   OpType.RMW: (1, 1)}
 
+    def _draw(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Pre-draw one batch of ops and their skiplist walks.  Both
+        loops draw whole batches, so the RNG stream is mode-independent
+        (ops a sub-step's budget cuts off are discarded)."""
+        op_idx, keys = self._stream.draw_arrays(_BATCH)
+        walks = uniform_lines(self.rng, self.region_base,
+                              self._nodes_bytes, _BATCH * self.skiplist_depth)
+        return op_idx, keys, walks
+
     def run_core(self, port: CorePort, budget_cycles: float,
                  now: float) -> None:
-        if self.exec_mode == "vector":
-            self._run_core_vector(port, budget_cycles, now)
+        if self.exec_mode == "vector" and port._llc.can_snapshot:
+            self._run_core_vector(port, budget_cycles)
             return
         used = 0.0
         ops = 0
-        stream = self._stream
-        op_types = stream.ops
+        op_types = self._stream.ops
         depth = self.skiplist_depth
         while used < budget_cycles:
-            # Ops and skiplist walks are pre-drawn per batch in every
-            # exec mode, so the RNG stream is mode-independent.
-            op_idx, keys = stream.draw_arrays(_BATCH)
-            walks = uniform_lines(self.rng, self.region_base,
-                                  self._nodes_bytes, _BATCH * depth)
+            op_idx, keys, walks = self._draw()
             for i in range(_BATCH):
                 op = op_types[int(op_idx[i])]
                 latency = self._one_op(
@@ -147,76 +157,81 @@ class RocksDb(Workload):
                     break
         port.charge(ops * ROCKSDB_INSTRUCTIONS_PER_OP, used)
 
-    def _run_core_vector(self, port: CorePort, budget_cycles: float,
-                         now: float) -> None:
-        """Vectorized twin of the scalar loop: identical draws, access
-        order, and float accumulation, with budget-guarded chunk
-        admission (first op unconditional; a worst-case cumulative bound
-        decides the rest, so any op executed here has actual
-        ``used-before < budget`` exactly like the scalar check)."""
-        used = 0.0
-        ops = 0
-        stream = self._stream
-        op_types = stream.ops
+    def _plan_draw(self, op_idx, keys, walks):
+        """Materialize a whole draw's line stream, op-major in the scalar
+        loop's issue order; returns the flat plan arrays and each op's
+        first line (``bounds[i] .. bounds[i + 1]`` are op ``i``'s lines).
+
+        The plan is built fresh per draw: op mixes never repeat, so a
+        reused plan would only fill its layout cache with dead entries.
+        """
         depth = self.skiplist_depth
         value_lines = -(-self.value_bytes // 64)
-        miss = LLC_HIT_CYCLES + port.dram_cycles
-        passes = np.array([self._OP_PASSES[op] for op in op_types],
-                          dtype=np.int64)
+        passes = self._passes[op_idx]
+        reads = passes[:, 0]
+        writes = passes[:, 1]
+        ops = PKT_IOTA[:_BATCH]
+        plan = VectorPlan()
+        plan.add_batch(walks, 1, pkts=np.repeat(ops, depth), rank=0)
+        total_reads = int(reads.sum())
+        if total_reads:
+            starts = np.cumsum(reads) - reads
+            within = np.arange(total_reads, dtype=np.int64) \
+                - np.repeat(starts, reads)
+            scan_keys = np.repeat(keys, reads) + within
+            plan.add_batch(self._values_base
+                           + (scan_keys % self.n_records) * self.value_bytes,
+                           value_lines, pkts=np.repeat(ops, reads),
+                           rank=1, mlp=self.VALUE_MLP)
+        writers = np.nonzero(writes)[0]
+        if writers.shape[0]:
+            plan.add_batch(self._values_base
+                           + (keys[writers] % self.n_records)
+                           * self.value_bytes,
+                           value_lines, pkts=writers, rank=2, write=True,
+                           mlp=self.VALUE_MLP)
+        bounds = np.zeros(_BATCH + 1, dtype=np.int64)
+        np.cumsum(depth + (reads + writes) * value_lines, out=bounds[1:])
+        return plan.materialize(), bounds.tolist()
+
+    def _run_core_vector(self, port: CorePort, budget_cycles: float) -> None:
+        """Vectorized twin of the scalar loop: identical draws, access
+        order, and float accumulation.  Each draw's line stream is
+        planned once; its ops then run as journaled run-ahead chunks
+        (:meth:`Workload._run_ahead`) admitted by the scalar loop's own
+        test — op ``i`` runs iff the cycles used before it are under
+        budget — so a chunk is one contiguous slice of the draw's
+        lines."""
+        used = 0.0
+        ops = 0
+        op_types = self._stream.ops
         stats = self.stats
+
+        def execute(n: int) -> "np.ndarray":
+            lo = bounds[start]
+            hi = bounds[start + n]
+            # Bins below ``start`` stay empty; the slice is the chunk's
+            # per-op memory cycles.
+            cycles = port.run_lines(addrs[lo:hi], write[lo:hi],
+                                    mlp_inv[lo:hi], None, pkt[lo:hi],
+                                    start + n)
+            return cycles[start:] + ROCKSDB_OVERHEAD_CYCLES
+
+        def admit(service) -> int:
+            return self._admit_budget(service, used, budget_cycles)
+
         while used < budget_cycles:
-            op_idx, keys = stream.draw_arrays(_BATCH)
-            walks = uniform_lines(self.rng, self.region_base,
-                                  self._nodes_bytes, _BATCH * depth)
-            reads = passes[op_idx, 0]
-            writes = passes[op_idx, 1]
-            # +1.0 keeps the bound a true upper bound despite the
-            # different rounding of the product form.
-            worst = (ROCKSDB_OVERHEAD_CYCLES + depth * miss
-                     + (reads + writes)
-                     * (value_lines * miss / self.VALUE_MLP) + 1.0)
+            op_idx, keys, walks = self._draw()
+            (addrs, write, mlp_inv, _, pkt), bounds = self._plan_draw(
+                op_idx, keys, walks)
             start = 0
             while start < _BATCH and used < budget_cycles:
-                remaining = _BATCH - start
-                cum = np.empty(remaining + 1)
-                cum[0] = used
-                cum[1:] = worst[start:]
-                np.cumsum(cum, out=cum)
-                if remaining > 1:
-                    k = 1 + int(np.searchsorted(cum[2:], budget_cycles,
-                                                side="left"))
-                else:
-                    k = 1
-                sl = slice(start, start + k)
-                pkts = np.arange(k, dtype=np.int64)
-                plan = VectorPlan()
-                plan.add_batch(walks[start * depth:(start + k) * depth], 1,
-                               pkts=np.repeat(pkts, depth), rank=0)
-                chunk_keys = keys[sl]
-                nrec = self.n_records
-                read_counts = reads[sl]
-                total_reads = int(read_counts.sum())
-                if total_reads:
-                    starts = np.cumsum(read_counts) - read_counts
-                    within = np.arange(total_reads, dtype=np.int64) \
-                        - np.repeat(starts, read_counts)
-                    scan_keys = np.repeat(chunk_keys, read_counts) + within
-                    plan.add_batch(self._values_base
-                                   + (scan_keys % nrec) * self.value_bytes,
-                                   value_lines,
-                                   pkts=np.repeat(pkts, read_counts),
-                                   rank=1, mlp=self.VALUE_MLP)
-                writers = np.nonzero(writes[sl])[0]
-                if writers.shape[0]:
-                    plan.add_batch(self._values_base
-                                   + (chunk_keys[writers] % nrec)
-                                   * self.value_bytes,
-                                   value_lines, pkts=writers, rank=2,
-                                   write=True, mlp=self.VALUE_MLP)
-                service = port.run_plan(plan, k) + ROCKSDB_OVERHEAD_CYCLES
+                k, service = self._run_ahead(
+                    port, min(self._spec_size(budget_cycles - used),
+                              _BATCH - start), execute, admit)
                 used = seq_accumulate(used, service)
                 ops += k
-                chunk_ops = op_idx[sl]
+                chunk_ops = op_idx[start:start + k]
                 for idx, op in enumerate(op_types):
                     mask = chunk_ops == idx
                     count = int(np.count_nonzero(mask))

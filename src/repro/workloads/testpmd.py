@@ -27,9 +27,9 @@ class TestPmd(RingConsumer):
 
     batchable = True
 
-    def packet_cost(self, port: CorePort, record: PacketRecord,
-                    now: float) -> "tuple[float, float]":
-        return TESTPMD_INSTRUCTIONS, TESTPMD_CYCLES
+    def packet_cost(self, port: CorePort, record: PacketRecord, now: float,
+                    cycles: float) -> "tuple[float, float]":
+        return TESTPMD_INSTRUCTIONS, cycles + TESTPMD_CYCLES
 
     def plan_packet(self, plan: AccessPlan, port: CorePort,
                     record: PacketRecord, ring_idx: int, pkt: int,

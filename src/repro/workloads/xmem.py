@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import CorePort, L2_HIT_CYCLES, LLC_HIT_CYCLES, Workload
+from .base import (CorePort, ENGINE_STATS, L2_HIT_CYCLES, LLC_HIT_CYCLES,
+                   Workload)
 from .streams import sequential_lines, uniform_lines
 
 #: Loop overhead per access operation.
@@ -48,8 +49,24 @@ class XMem(Workload):
             raise ValueError("working set must hold at least one line")
         self.working_set_bytes = working_set_bytes
 
+    def _draw(self, p_l2: float) -> "tuple[np.ndarray, np.ndarray]":
+        """One batch of probe addresses and their L2-hit draws (both
+        loops draw whole batches, so the RNG stream is mode-independent;
+        ops a sub-step's budget cuts off are discarded)."""
+        if self.pattern == "random_read":
+            addrs = uniform_lines(self.rng, self.region_base,
+                                  self.working_set_bytes, _BATCH)
+        else:
+            addrs, self._cursor = sequential_lines(
+                self.region_base, self.working_set_bytes, self._cursor,
+                _BATCH)
+        return addrs, self.rng.random(_BATCH) < p_l2
+
     def run_core(self, port: CorePort, budget_cycles: float,
                  now: float) -> None:
+        if self.exec_mode == "vector" and port._llc.can_snapshot:
+            self._run_core_vector(port, budget_cycles)
+            return
         used = 0.0
         ops = 0
         p_l2 = self.l2_hit_prob(self.working_set_bytes)
@@ -57,16 +74,8 @@ class XMem(Workload):
         # Budget guard for vectorized segments: the cost of one op if it
         # went all the way to DRAM.
         worst = XMEM_OVERHEAD_CYCLES + LLC_HIT_CYCLES + port.dram_cycles
-        random_read = self.pattern == "random_read"
         while used < budget_cycles:
-            if random_read:
-                addrs = uniform_lines(self.rng, self.region_base,
-                                      self.working_set_bytes, _BATCH)
-            else:
-                addrs, self._cursor = sequential_lines(
-                    self.region_base, self.working_set_bytes, self._cursor,
-                    _BATCH)
-            l2_hits = self.rng.random(_BATCH) < p_l2
+            addrs, l2_hits = self._draw(p_l2)
             start = 0
             while start < _BATCH and used < budget_cycles:
                 safe = int((budget_cycles - used) // worst)
@@ -101,6 +110,75 @@ class XMem(Workload):
                 stats.ops += count
                 stats.latency_sum_cycles += seg_sum
                 start = stop
+        port.charge(ops * XMEM_INSTRUCTIONS_PER_OP, used)
+
+    def _run_core_vector(self, port: CorePort, budget_cycles: float) -> None:
+        """Vectorized twin of the scalar loop, one LLC batch per draw.
+
+        Each draw's LLC-bound ops (those missing the modelled L2) run
+        as one journaled :meth:`Workload._run_ahead` chunk.  Admission
+        then replays the scalar loop's chunk recurrence on the resulting
+        latencies — the same ``(budget - used) // worst`` slices, the
+        same NumPy ``sum`` per slice, the same single-op tail.  The
+        scalar loop sums per slice (pairwise), so its slice boundaries
+        are part of the model's float results and cannot be dropped in
+        favour of one running sum.  When the budget ends inside the
+        draw, the chunk rolls back and reissues only the admitted ops'
+        LLC accesses.
+        """
+        used = 0.0
+        ops = 0
+        p_l2 = self.l2_hit_prob(self.working_set_bytes)
+        stats = self.stats
+        worst = XMEM_OVERHEAD_CYCLES + LLC_HIT_CYCLES + port.dram_cycles
+        latency_sum = stats.latency_sum_cycles
+        after = None
+
+        def execute(n: int) -> "np.ndarray":
+            # One LLC batch plus its latency select.
+            ENGINE_STATS.kernel_launches += 2
+            if n < _BATCH:
+                return port.access_batch(
+                    llc_addrs[:int(np.searchsorted(to_llc, n))])
+            return port.access_batch(llc_addrs)
+
+        def admit(llc_latencies) -> int:
+            # The scalar recurrence over this draw; its end state is kept
+            # for the caller (a replayed prefix has the same latencies,
+            # so it stays valid after a rollback).
+            nonlocal after
+            latencies = np.full(_BATCH, L2_HIT_CYCLES)
+            latencies[to_llc] = llc_latencies
+            u, total = used, latency_sum
+            start = slices = 0
+            while start < _BATCH and u < budget_cycles:
+                safe = int((budget_cycles - u) // worst)
+                if safe < 1:
+                    latency = float(latencies[start])
+                    u += XMEM_OVERHEAD_CYCLES + latency
+                    total += latency
+                    start += 1
+                    continue
+                stop = min(_BATCH, start + safe)
+                seg_sum = float(latencies[start:stop].sum())
+                u += (stop - start) * XMEM_OVERHEAD_CYCLES + seg_sum
+                total += seg_sum
+                start = stop
+                slices += 1
+            after = u, total
+            # Latency fill + scatter, then one sum per slice.
+            ENGINE_STATS.kernel_launches += 2 + slices
+            return start
+
+        while used < budget_cycles:
+            addrs, l2_hits = self._draw(p_l2)
+            to_llc = np.flatnonzero(~l2_hits)
+            llc_addrs = addrs[to_llc]
+            n, _ = self._run_ahead(port, _BATCH, execute, admit)
+            used, latency_sum = after
+            ops += n
+        stats.ops += ops
+        stats.latency_sum_cycles = latency_sum
         port.charge(ops * XMEM_INSTRUCTIONS_PER_OP, used)
 
     # -- reporting ---------------------------------------------------------

@@ -1,8 +1,9 @@
 """Copy-on-write rollback correctness for speculative chunk admission.
 
-The run-ahead engine (:meth:`repro.workloads.netbase.RingConsumer
-._run_core_vector`) admits chunks on *predicted* cost and undoes any
-overshoot with the LLC's copy-on-write journal plus counter snapshots.
+The run-ahead engine (:meth:`repro.workloads.base.Workload._run_ahead`,
+shared by the ring, RocksDB and X-Mem drains) admits chunks on
+*predicted* cost and undoes any overshoot with the LLC's copy-on-write
+journal plus counter snapshots.
 These tests attack that machinery from three sides:
 
 * **journal fuzz** — randomized mixed mutation streams against
@@ -35,7 +36,7 @@ from repro.sim.engine import Simulation
 from repro.sim.platform import Platform
 from repro.tenants.tenant import Priority, Tenant
 from repro.vswitch.flowtable import FlowTables
-from repro.workloads import netbase
+from repro.workloads import base, netbase
 from repro.workloads.base import ENGINE_STATS, VectorPlan
 from repro.workloads.testpmd import TestPmd
 from repro.workloads.xmem import XMem
@@ -289,7 +290,7 @@ class TestForcedMisprediction:
         """Crank the run-ahead headroom so nearly every speculative chunk
         overshoots its quantum budget: the engine must roll back and
         replay constantly, and every record must still equal scalar."""
-        monkeypatch.setattr(netbase, "SPEC_HEADROOM", 2.5)
+        monkeypatch.setattr(base, "SPEC_HEADROOM", 2.5)
         ENGINE_STATS.reset()
         vec = _run_leaky("vector", seed)
         assert ENGINE_STATS.rollbacks > 0, \
@@ -300,7 +301,7 @@ class TestForcedMisprediction:
         assert vec == _run_leaky("scalar", seed)
 
     def test_xmem_mix_cost_spikes_match_scalar(self, monkeypatch):
-        monkeypatch.setattr(netbase, "SPEC_HEADROOM", 2.0)
+        monkeypatch.setattr(base, "SPEC_HEADROOM", 2.0)
         ENGINE_STATS.reset()
         vec_metrics, vec_history = _run_pmd_xmem("vector", 42)
         assert ENGINE_STATS.rollbacks > 0
