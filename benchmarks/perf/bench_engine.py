@@ -26,7 +26,6 @@ import time
 from repro.experiments.common import leaky_dma_scenario
 from repro.obs import Tracer, tracing
 from repro.sim.config import TINY_PLATFORM, XEON_6140
-from repro.workloads import netbase
 from repro.workloads.base import ENGINE_STATS
 
 
@@ -117,26 +116,14 @@ def _stage_shares(scale: str) -> dict:
 
 def run_engine(scale: str = "default") -> dict:
     """Time fig. 8 leaky-DMA, vectorized array backend vs. the scalar
-    per-packet reference; returns one result dict.
-
-    The vectorized run is timed twice: with speculative run-ahead
-    admission (the default) and with the worst-case-bound admission it
-    replaced (``netbase.SPECULATION = False``), so the committed
-    document records both the end-to-end speedup and how much of it
-    speculation contributes (``spec_speedup``, plus the chunk-size and
-    rollback statistics from :data:`ENGINE_STATS`).
+    per-packet reference; returns one result dict, with the vectorized
+    run's chunk-size and rollback statistics from :data:`ENGINE_STATS`.
     """
     array_s, array_fp, params = _run_backend("array", scale=scale)
     spec_stats = ENGINE_STATS.snapshot()
     chunk_mean = ENGINE_STATS.mean_chunk()
     rollback_rate = ENGINE_STATS.rollback_rate()
     launches = ENGINE_STATS.launches_per_chunk()
-    netbase.SPECULATION = False
-    try:
-        nospec_s, nospec_fp, _ = _run_backend("array", scale=scale)
-    finally:
-        netbase.SPECULATION = True
-    chunk_mean_nospec = ENGINE_STATS.mean_chunk()
     scalar_s, scalar_fp, _ = _run_backend("scalar", scale=scale,
                                           exec_mode="scalar")
     return {
@@ -145,14 +132,9 @@ def run_engine(scale: str = "default") -> dict:
         "scalar_s": scalar_s,
         "array_s": array_s,
         "speedup": scalar_s / array_s if array_s else 0.0,
-        "metrics_match": scalar_fp == array_fp == nospec_fp,
+        "metrics_match": scalar_fp == array_fp,
         "quanta": len(array_fp),
-        # Speculative admission vs. the worst-case-bound reference
-        # (same array backend, same vector pipeline).
-        "array_nospec_s": nospec_s,
-        "spec_speedup": nospec_s / array_s if array_s else 0.0,
         "chunk_packets_mean": chunk_mean,
-        "chunk_packets_mean_nospec": chunk_mean_nospec,
         "spec": {
             "spec_chunks": spec_stats["spec_chunks"],
             "rollbacks": spec_stats["rollbacks"],

@@ -81,9 +81,8 @@ def validate(doc: dict) -> None:
         assert key in engine, f"engine result missing {key}"
     assert engine["metrics_match"] is True, "backends diverged"
     if "spec" in engine:  # absent in pre-speculation documents (additive)
-        for key in ("array_nospec_s", "spec_speedup", "chunk_packets_mean",
-                    "chunk_packets_mean_nospec"):
-            assert key in engine, f"engine result missing {key}"
+        assert "chunk_packets_mean" in engine, \
+            "engine result missing chunk_packets_mean"
         for key in ("spec_chunks", "rollbacks", "rollback_rate",
                     "wasted_packets", "kernel_launches_per_chunk"):
             assert key in engine["spec"], f"engine spec missing {key}"
@@ -177,10 +176,7 @@ def main(argv=None) -> int:
           f"  metrics_match={engine['metrics_match']}")
     if "spec" in engine:
         spec = engine["spec"]
-        print(f"       spec: nospec {engine['array_nospec_s']:.3f}s"
-              f" ({engine['spec_speedup']:.2f}x from run-ahead)"
-              f"  chunk mean {engine['chunk_packets_mean']:.1f}"
-              f" (vs {engine['chunk_packets_mean_nospec']:.1f} worst-case)"
+        print(f"       spec: chunk mean {engine['chunk_packets_mean']:.1f}"
               f"  rollbacks {spec['rollbacks']}/{spec['spec_chunks']}"
               f" ({spec['rollback_rate']:.1%})")
     stages = engine.get("stages", {})

@@ -72,23 +72,23 @@ class _Event:
 
 
 #: Valid workload execution modes (see :attr:`Workload.exec_mode`):
-#: ``vector`` is the fully array-native pipeline, ``batch`` the chunked
-#: per-packet-planned drain, ``scalar`` the per-packet reference loop.
-EXEC_MODES = ("vector", "batch", "scalar")
+#: ``vector`` is the fully array-native pipeline, ``scalar`` the
+#: per-packet reference loop.
+EXEC_MODES = ("vector", "scalar")
 
 
 class Simulation:
     """Builds and runs one multi-tenant scenario on a platform.
 
-    ``exec_mode`` selects how workloads execute each sub-quantum; all
+    ``exec_mode`` selects how workloads execute each sub-quantum; both
     modes simulate the same machine and are kept equivalent by the
     engine-level equivalence suite (``tests/test_engine_batch_equiv``).
+    The vector drains need an LLC that can journal, so on the scalar
+    LLC backend every workload runs its scalar loop whatever the mode.
     """
 
     def __init__(self, platform: Platform, *, seed: int = 2021,
                  exec_mode: str = "vector") -> None:
-        if exec_mode not in EXEC_MODES:
-            raise ValueError(f"exec_mode must be one of {EXEC_MODES}")
         self.exec_mode = exec_mode
         self.platform = platform
         self.bindings: "list[TenantBinding]" = []
@@ -112,6 +112,17 @@ class Simulation:
         # Fairness export: per-tenant slowdown estimates fed to the
         # metrics registry each quantum (LFOC-style, peak-IPC proxy).
         self._slowdowns = SlowdownTracker()
+
+    @property
+    def exec_mode(self) -> str:
+        return self._exec_mode
+
+    @exec_mode.setter
+    def exec_mode(self, mode: str) -> None:
+        if mode not in EXEC_MODES:
+            raise ValueError(f"exec_mode must be one of {EXEC_MODES}, "
+                             f"not {mode!r}")
+        self._exec_mode = mode
 
     # ------------------------------------------------------------------
     # Scenario construction
@@ -163,8 +174,10 @@ class Simulation:
     def run(self, duration_s: float) -> MetricsRecorder:
         """Advance the simulation by ``duration_s`` simulated seconds."""
         spec = self.platform.spec
+        mode = self.exec_mode if self.platform.llc.can_snapshot \
+            else "scalar"
         for binding in self.bindings:
-            binding.workload.exec_mode = self.exec_mode
+            binding.workload.exec_mode = mode
         if self.now == 0.0:
             for controller in self.controllers:
                 controller.on_start(0.0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..workloads.base import AccessPlan, CorePort, VectorPlan
+from ..workloads.base import CorePort, VectorPlan
 
 #: OVS default EMC size.
 EMC_ENTRIES = 8192
@@ -126,31 +126,11 @@ class FlowTables:
                               write=True)
         return False, cycles
 
-    def plan_lookup(self, plan: AccessPlan, flow_id: int,
-                    pkt: int) -> float:
-        """Batched twin of :meth:`lookup`: appends the same accesses (in
-        the same order, with identical EMC state updates) to ``plan`` and
-        returns the lookup's fixed cycle cost."""
-        slot = flow_id % self.emc_entries
-        plan.add(self._emc_base + slot * EMC_ENTRY_BYTES, 1, pkt=pkt)
-        if self._emc_tags[slot] == flow_id:
-            self.emc_hits += 1
-            return EMC_HIT_CYCLES
-        self.emc_misses += 1
-        if self._journal is not None:
-            self._journal.append((slot, int(self._emc_tags[slot])))
-        self._emc_tags[slot] = flow_id
-        entry = self._mega_base + (flow_id % self.megaflow_capacity) \
-            * MEGAFLOW_ENTRY_BYTES
-        for probe in range(MEGAFLOW_PROBES):
-            plan.add(entry + (probe % 2) * 64, 1, pkt=pkt)
-        plan.add(self._emc_base + slot * EMC_ENTRY_BYTES, 1, write=True,
-                 pkt=pkt)
-        return MEGAFLOW_CYCLES
-
     def lookup_chunk(self, plan: VectorPlan, flow_ids: "np.ndarray",
                      pkts: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
-        """Vectorized twin of :meth:`plan_lookup` over a whole chunk.
+        """Vectorized twin of :meth:`probe` over a whole chunk: stages the
+        same accesses, in the same per-packet order and with the same EMC
+        state updates, into ``plan`` instead of issuing them.
 
         Sequential EMC semantics are reproduced with a prev-occurrence
         scan: packet ``p`` hits iff the tag its slot holds just before

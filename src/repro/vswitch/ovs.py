@@ -21,10 +21,9 @@ import numpy as np
 
 from ..net.packet import lines_per_packet
 from ..pci.ring import DescRing, PacketRecord
-from ..workloads.base import AccessPlan, CorePort, VectorPlan
+from ..workloads.base import CorePort, VectorPlan
 from ..workloads.netbase import BUFFER_MLP, RingConsumer
-from .flowtable import (EMC_HIT_CYCLES, MEGAFLOW_CYCLES, MEGAFLOW_PROBES,
-                        FlowTables)
+from .flowtable import EMC_HIT_CYCLES, MEGAFLOW_CYCLES, FlowTables
 
 #: Fixed per-packet cost: vhost descriptor handling + return-path Tx.
 OVS_INSTRUCTIONS = 450.0
@@ -79,8 +78,6 @@ class OvsDataplane(RingConsumer):
         self.tables = FlowTables(self.region_base,
                                  emc_entries=self._emc_entries)
 
-    batchable = True
-
     # The base class round-robins rings; remember which ring the current
     # packet came from so we can route it.
     def _next_packet(self) -> "PacketRecord | None":
@@ -113,32 +110,6 @@ class OvsDataplane(RingConsumer):
             addr += 64
         self.forwarded += 1
         return OVS_INSTRUCTIONS, cycles + fixed
-
-    def plan_packet(self, plan: AccessPlan, port: CorePort,
-                    record: PacketRecord, ring_idx: int, pkt: int,
-                    now: float) -> "tuple[float, float]":
-        cycles = OVS_CYCLES + self.tables.plan_lookup(plan, record.flow_id,
-                                                      pkt)
-        dests = self.routes[ring_idx]
-        dest = dests[record.flow_id % len(dests)]
-        out = dest.post(record.size, record.flow_id, record.arrival)
-        if out is None:
-            self.output_drops += 1
-            return OVS_INSTRUCTIONS, cycles
-        plan.add(out.buf_addr, lines_per_packet(record.size), write=True,
-                 mlp=BUFFER_MLP, pkt=pkt)
-        self.forwarded += 1
-        return OVS_INSTRUCTIONS, cycles
-
-    def worst_cost_cycles(self, record: PacketRecord,
-                          miss_cycles: float) -> float:
-        # Worst case is the EMC-miss path: EMC read, megaflow probes,
-        # EMC install write, plus the forwarding copy all missing.
-        lookup = (2 + MEGAFLOW_PROBES) * miss_cycles + MEGAFLOW_CYCLES
-        copy = lines_per_packet(record.size) * miss_cycles / BUFFER_MLP
-        return OVS_CYCLES + lookup + copy
-
-    supports_vector = True
 
     def plan_chunk(self, plan: VectorPlan, port: CorePort, pkts, sizes,
                    flows, addrs, arrivals, rings, now):
@@ -223,10 +194,6 @@ class OvsDataplane(RingConsumer):
                            pkts=where[:accepted], rank=6, write=True,
                            mlp=BUFFER_MLP)
 
-    def worst_cost_vec(self, sizes, nlines, miss_cycles):
-        lookup = (2 + MEGAFLOW_PROBES) * miss_cycles + MEGAFLOW_CYCLES
-        return OVS_CYCLES + lookup + nlines * miss_cycles / BUFFER_MLP
-
     # -- speculation support ---------------------------------------------
     # Beyond the base checkpoint, a speculative OVS chunk mutates the EMC
     # (journaled inside FlowTables) and the destination virtio rings:
@@ -252,10 +219,6 @@ class OvsDataplane(RingConsumer):
 
     def transmit(self, port: CorePort, record: PacketRecord) -> None:
         """Forwarding replaces Tx; nothing leaves via the switch here."""
-
-    def plan_transmit(self, plan: AccessPlan, record: PacketRecord,
-                      pkt: int) -> None:
-        """Forwarding replaces Tx (see :meth:`transmit`)."""
 
     def plan_transmit_chunk(self, plan: VectorPlan, pkts, sizes, addrs,
                             nlines) -> None:

@@ -97,8 +97,8 @@ class CorePort:
     def dram_cycles(self) -> float:
         """Current per-miss DRAM penalty (refreshed by ``begin_quantum``).
 
-        Batched callers use this to compute worst-case cycle bounds for
-        budget-guarded chunking.
+        X-Mem sizes its scalar loop's access slices by the cost of an op
+        that goes all the way to DRAM.
         """
         return self._dram_cycles
 
@@ -157,7 +157,7 @@ class CorePort:
         if not out.hit:
             self._mem.add_read(self._line)
 
-    def run_plan(self, plan: "AccessPlan", npackets: int) -> "np.ndarray":
+    def run_plan(self, plan: "VectorPlan", npackets: int) -> "np.ndarray":
         """Execute a mixed core/device access plan as one LLC batch.
 
         Core accesses pay hit/miss latencies scaled by their segment's
@@ -236,77 +236,6 @@ class CorePort:
     def charge(self, instructions: float, cycles: float) -> None:
         """Credit retired instructions and consumed cycles to the core."""
         self.block.credit(instructions=int(instructions), cycles=int(cycles))
-
-
-class AccessPlan:
-    """Builder for a batched memory-access sequence.
-
-    Callers append *segments* — runs of consecutive-stride lines sharing
-    one (write, mlp, device) profile and attributed to one packet slot —
-    in exactly the order a scalar implementation would have issued the
-    accesses.  :meth:`CorePort.run_plan` materializes the segments into
-    flat per-line arrays and executes them as a single LLC batch.
-    """
-
-    __slots__ = ("_base", "_count", "_stride", "_write", "_mlp_inv",
-                 "_device", "_pkt")
-
-    def __init__(self) -> None:
-        self._base: "list[int]" = []
-        self._count: "list[int]" = []
-        self._stride: "list[int]" = []
-        self._write: "list[bool]" = []
-        self._mlp_inv: "list[float]" = []
-        self._device: "list[bool]" = []
-        self._pkt: "list[int]" = []
-
-    def add(self, base: int, count: int, *, stride: int = 64,
-            write: bool = False, mlp: float = 1.0, pkt: int = 0) -> None:
-        """Append ``count`` core accesses starting at ``base``."""
-        if count <= 0:
-            return
-        self._base.append(base)
-        self._count.append(count)
-        self._stride.append(stride)
-        self._write.append(write)
-        self._mlp_inv.append(1.0 / mlp)
-        self._device.append(False)
-        self._pkt.append(pkt)
-
-    def add_device(self, base: int, count: int, *, stride: int = 64,
-                   pkt: int = 0) -> None:
-        """Append ``count`` device (Tx DMA) reads starting at ``base``."""
-        if count <= 0:
-            return
-        self._base.append(base)
-        self._count.append(count)
-        self._stride.append(stride)
-        self._write.append(False)
-        self._mlp_inv.append(0.0)
-        self._device.append(True)
-        self._pkt.append(pkt)
-
-    def materialize(self):
-        """Flatten segments to per-line arrays (None if the plan is empty).
-
-        Returns ``(addrs, write, mlp_inv, device, pkt)``, line order
-        preserved: segment-major, ascending stride within a segment.
-        """
-        if not self._count:
-            return None
-        count = np.asarray(self._count, dtype=np.int64)
-        total = int(count.sum())
-        starts = np.concatenate(([0], np.cumsum(count)[:-1]))
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, count)
-        addrs = np.repeat(np.asarray(self._base, dtype=np.int64), count) \
-            + within * np.repeat(np.asarray(self._stride, dtype=np.int64),
-                                 count)
-        write = np.repeat(np.asarray(self._write, dtype=bool), count)
-        mlp_inv = np.repeat(np.asarray(self._mlp_inv), count)
-        device = (np.repeat(np.asarray(self._device, dtype=bool), count)
-                  if any(self._device) else None)
-        pkt = np.repeat(np.asarray(self._pkt, dtype=np.int64), count)
-        return addrs, write, mlp_inv, device, pkt
 
 
 def seq_accumulate(initial: float, values: "np.ndarray") -> float:
@@ -439,8 +368,8 @@ class VectorPlan:
     ``rank``.  Materialization orders lines packet-major, then by rank,
     then insertion order — exactly the per-packet interleave the scalar
     loop (buffer lines, app stages in order, transmit) would issue, so
-    :meth:`CorePort.run_plan` sees the same line stream as an
-    :class:`AccessPlan` built packet by packet.
+    :meth:`CorePort.run_plan` sees the line stream the scalar loop
+    would have issued access by access.
 
     Ranks must stay below :data:`VectorPlan.MAX_RANK` (the sort key packs
     ``pkt * MAX_RANK + rank`` into one int64 argsort).
@@ -761,9 +690,13 @@ class VectorPlan:
 
     def materialize(self):
         """Flatten stages to per-line arrays ordered (pkt, rank,
-        insertion); same return contract as :meth:`AccessPlan.materialize`,
-        but the address array is a scratch view and the static arrays
-        belong to the cached layout (see class docstring).
+        insertion), or None when no stage has a line.
+
+        Returns ``(addrs, write, mlp_inv, device, pkt)``: the line
+        addresses, write flags, inverse MLP (0.0 for device lines),
+        device flags (None when no stage is a device stage), and packet
+        slots.  The address array is a scratch view and the static
+        arrays belong to the cached layout (see class docstring).
         """
         if not self._parts:
             return None
@@ -844,14 +777,12 @@ class Workload(ABC):
     #: Modelled per-core L2 capacity (Table I: 1 MB).
     l2_bytes: int = 1 << 20
 
-    #: Execution mode for the hot loop: ``"vector"`` (whole-chunk array
-    #: plans, the default), ``"batch"`` (per-packet plan building executed
-    #: as LLC batches), or ``"scalar"`` (the per-access reference loop).
-    #: All three produce identical simulation results; the engine
-    #: propagates its own mode here at run time.  Workloads without a
-    #: batch tier (RocksDB, X-Mem) run their scalar loop in ``"batch"``
-    #: mode, and in ``"vector"`` mode too when the LLC backend cannot
-    #: journal (see :meth:`_run_ahead`).
+    #: Execution mode for the hot loop: ``"vector"`` (journaled
+    #: run-ahead chunks, the default) or ``"scalar"`` (the per-access
+    #: reference loop).  Both produce identical simulation results.  The
+    #: engine sets it at run time — ``"scalar"`` whenever its LLC cannot
+    #: journal, since the vector drains need :meth:`_run_ahead`'s
+    #: rollback — so a drain only tests this attribute.
     exec_mode: str = "vector"
 
     def __init__(self, name: str) -> None:
@@ -990,14 +921,13 @@ class Workload(ABC):
         and miss counters, the memory controller's byte counters, and
         what :meth:`_spec_state` snapshots.  ``admit(result)`` returns
         how many leading items (at least one) the scalar loop would have
-        run.  With ``admit=None`` (the caller already knows all ``k``
-        are admitted) or ``k == 1`` the chunk runs unjournaled.  Returns
-        ``(n, result)`` for the committed prefix, and records every
-        executed chunk, rollback and wasted item in
+        run.  A one-item chunk is always admitted, so it runs
+        unjournaled.  Returns ``(n, result)`` for the committed prefix,
+        and records every executed chunk, rollback and wasted item in
         :data:`ENGINE_STATS`.
         """
         estats = ENGINE_STATS
-        if admit is not None and k > 1:
+        if k > 1:
             llc = port._llc
             block = port.block
             mem = port._mem

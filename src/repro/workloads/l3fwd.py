@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..pci.ring import DescRing, PacketRecord
-from .base import AccessPlan, CorePort, VectorPlan
+from .base import CorePort, VectorPlan
 from .netbase import RingConsumer
 
 #: Header parse + hash + route update per packet.
@@ -51,24 +51,10 @@ class L3Fwd(RingConsumer):
     def _entry_addr(self, flow_id: int) -> int:
         return self.region_base + (flow_id % self.n_flows) * FLOW_ENTRY_BYTES
 
-    batchable = True
-
     def packet_cost(self, port: CorePort, record: PacketRecord, now: float,
                     cycles: float) -> "tuple[float, float]":
         cycles += port.access(self._entry_addr(record.flow_id))
         return L3FWD_INSTRUCTIONS, cycles + L3FWD_CYCLES
-
-    def plan_packet(self, plan: AccessPlan, port: CorePort,
-                    record: PacketRecord, ring_idx: int, pkt: int,
-                    now: float) -> "tuple[float, float]":
-        plan.add(self._entry_addr(record.flow_id), 1, pkt=pkt)
-        return L3FWD_INSTRUCTIONS, L3FWD_CYCLES
-
-    def worst_cost_cycles(self, record: PacketRecord,
-                          miss_cycles: float) -> float:
-        return L3FWD_CYCLES + miss_cycles
-
-    supports_vector = True
 
     def plan_chunk(self, plan: VectorPlan, port: CorePort, pkts, sizes,
                    flows, addrs, arrivals, rings, now):
@@ -76,6 +62,3 @@ class L3Fwd(RingConsumer):
         entries = self.region_base + (flows % self.n_flows) * FLOW_ENTRY_BYTES
         plan.add_batch(entries, 1, pkts=pkts, rank=1)
         return L3FWD_INSTRUCTIONS * k, np.full(k, L3FWD_CYCLES)
-
-    def worst_cost_vec(self, sizes, nlines, miss_cycles):
-        return L3FWD_CYCLES + miss_cycles

@@ -18,8 +18,7 @@ import numpy as np
 
 from ..net.packet import lines_per_packet
 from ..pci.ring import DescRing, PacketRecord
-from .base import (AccessPlan, CorePort, LLC_HIT_CYCLES, PKT_IOTA,
-                   VectorPlan, Workload, seq_accumulate)
+from .base import CorePort, PKT_IOTA, VectorPlan, Workload, seq_accumulate
 
 #: Cycles burned per empty poll of a ring (tight DPDK rx_burst loop).
 EMPTY_POLL_CYCLES = 40.0
@@ -38,19 +37,13 @@ MAX_EMPTY_POLLS = 4
 #: when LLC-resident, hundreds when leaked to DRAM).
 BUFFER_MLP = 8.0
 
-#: Maximum packets per batched drain chunk (bounds plan array sizes).
+#: Maximum packets per vector drain chunk (bounds plan array sizes).
 CHUNK_PACKETS = 256
 
 #: Shared 0..CHUNK_PACKETS-1 ramp; chunks slice read-only views of it.
 #: A view of the canonical ``PKT_IOTA`` so VectorPlan recognizes chunk
 #: packet ids structurally (enabling the stage-template fast path).
 _PKT_ARANGE = PKT_IOTA[:CHUNK_PACKETS]
-
-#: Speculative run-ahead switch for the vector drain.  Module-level so
-#: benchmarks/tests can flip it to measure the worst-case-admission
-#: reference; results are bit-identical either way (speculation only
-#: changes how many packets execute per NumPy batch).
-SPECULATION = True
 
 
 class RingConsumer(Workload):
@@ -97,16 +90,11 @@ class RingConsumer(Workload):
             self._next_stall += self.stall_period
 
     # -- subclass interface ----------------------------------------------
-    #: Subclasses whose per-packet accesses are address-deterministic
-    #: (addresses never depend on a prior access's hit/miss outcome) opt
-    #: in to the chunked batched drain by setting this True and
-    #: implementing :meth:`plan_packet` / :meth:`worst_cost_cycles`.
-    batchable = False
-
-    #: Batchable subclasses whose per-chunk planning is itself expressible
-    #: with array ops opt in to the fully vectorized drain by setting this
-    #: True and implementing :meth:`plan_chunk` / :meth:`worst_cost_vec`.
-    supports_vector = False
+    # Subclasses implement both halves of each packet's work: the scalar
+    # :meth:`packet_cost` (the oracle) and the array :meth:`plan_chunk`
+    # (the vector drain).  Per-packet accesses must be
+    # address-deterministic — no address may depend on a prior access's
+    # hit/miss outcome — so a whole chunk can be planned before it runs.
 
     #: Plan rank used for the Tx device reads (runs after all app stages).
     TX_RANK = VectorPlan.MAX_RANK - 1
@@ -125,42 +113,22 @@ class RingConsumer(Workload):
         """
         raise NotImplementedError
 
-    def plan_packet(self, plan: AccessPlan, port: CorePort,
-                    record: PacketRecord, ring_idx: int, pkt: int,
-                    now: float) -> "tuple[float, float]":
-        """Batched twin of :meth:`packet_cost`: append the packet's
-        accesses to ``plan`` (slot ``pkt``) instead of issuing them, and
-        return ``(instructions, fixed_cycles)`` — the memory-access
-        cycles are attributed later by the plan execution.
-        """
-        raise NotImplementedError
-
-    def worst_cost_cycles(self, record: PacketRecord,
-                          miss_cycles: float) -> float:
-        """Upper bound on :meth:`plan_packet` cycles if every access
-        missed (``miss_cycles`` = LLC hit + current DRAM penalty)."""
-        raise NotImplementedError
-
     def plan_chunk(self, plan: VectorPlan, port: CorePort,
                    pkts: "np.ndarray", sizes: "np.ndarray",
                    flows: "np.ndarray", addrs: "np.ndarray",
                    arrivals: "np.ndarray", rings: "np.ndarray | None",
                    now: float) -> "tuple[float, np.ndarray]":
-        """Vectorized twin of :meth:`plan_packet` for a whole chunk.
+        """Vectorized twin of :meth:`packet_cost` for a whole chunk.
 
         ``pkts`` is ``arange(k)``; ``rings`` is the per-packet source ring
         index, or None when the workload polls a single ring.  Append the
-        chunk's app accesses to ``plan`` (buffer reads are already staged
-        at rank 0) and return ``(instructions_total, fixed_cycles)`` with
-        ``fixed_cycles`` a per-packet float array.
+        chunk's app accesses to ``plan`` in the order :meth:`packet_cost`
+        issues them (buffer reads are already staged at rank 0), apply
+        the same state updates, and return ``(instructions_total,
+        fixed_cycles)`` with ``fixed_cycles`` a per-packet float array —
+        the memory-access cycles are attributed later by the plan
+        execution.
         """
-        raise NotImplementedError
-
-    def worst_cost_vec(self, sizes: "np.ndarray", nlines: "np.ndarray",
-                       miss_cycles: float):
-        """Vectorized twin of :meth:`worst_cost_cycles`: per-packet upper
-        bound (array, or scalar to broadcast) using the *same* float
-        expression so the chunk boundaries match the batched drain."""
         raise NotImplementedError
 
     def transmit(self, port: CorePort, record: PacketRecord) -> None:
@@ -172,19 +140,13 @@ class RingConsumer(Workload):
             addr += line
         self.tx_bytes += record.size
 
-    def plan_transmit(self, plan: AccessPlan, record: PacketRecord,
-                      pkt: int) -> None:
-        """Batched twin of :meth:`transmit` (device reads charge no
-        core cycles, so only the plan entries are needed)."""
-        plan.add_device(record.buf_addr, lines_per_packet(record.size),
-                        pkt=pkt)
-        self.tx_bytes += record.size
-
     def plan_transmit_chunk(self, plan: VectorPlan, pkts: "np.ndarray",
                             sizes: "np.ndarray", addrs: "np.ndarray",
                             nlines) -> None:
-        """Vectorized twin of :meth:`plan_transmit` for a whole chunk
-        (``nlines`` is per-packet buffer line counts, scalar or array)."""
+        """Vectorized twin of :meth:`transmit` for a whole chunk (device
+        reads charge no core cycles, so only the plan entries are
+        needed; ``nlines`` is per-packet buffer line counts, scalar or
+        array)."""
         plan.add_batch(addrs, nlines, pkts=pkts, rank=self.TX_RANK,
                        device=True)
         self.tx_bytes += int(sizes.sum())
@@ -200,42 +162,14 @@ class RingConsumer(Workload):
                 return record
         return None
 
-    def _peek_packet(self) -> "tuple[PacketRecord, int] | None":
-        """Next packet :meth:`_next_packet` would return, without
-        consuming it; also returns its ring index."""
-        for offset in range(len(self.rings)):
-            idx = (self._ring_cursor + offset) % len(self.rings)
-            record = self.rings[idx].peek()
-            if record is not None:
-                return record, idx
-        return None
-
-    def _accept_packet(self, ring_idx: int) -> PacketRecord:
-        """Consume a just-peeked packet, advancing the round-robin
-        cursor exactly as :meth:`_next_packet` would."""
-        record = self.rings[ring_idx].consume()
-        self._ring_cursor = (ring_idx + 1) % len(self.rings)
-        return record
-
-    def _worst_packet_cycles(self, port: CorePort,
-                             record: PacketRecord) -> float:
-        """Upper bound on one packet's charged cycles (every access a
-        miss); used by the budget guard of the batched drain."""
-        miss = LLC_HIT_CYCLES + port.dram_cycles
-        return (lines_per_packet(record.size) * miss / BUFFER_MLP
-                + self.worst_cost_cycles(record, miss))
-
     def run_core(self, port: CorePort, budget_cycles: float,
                  now: float) -> None:
         if now < self._stalled_until:
             # Scheduled out: the ring keeps filling while we're away.
             port.charge(0, budget_cycles)
             return
-        if self.batchable and self.exec_mode != "scalar":
-            if self.exec_mode == "vector" and self.supports_vector:
-                self._run_core_vector(port, budget_cycles, now)
-            else:
-                self._run_core_batched(port, budget_cycles, now)
+        if self.exec_mode == "vector":
+            self._run_core_vector(port, budget_cycles, now)
             return
         used = 0.0
         instructions = 0.0
@@ -279,76 +213,6 @@ class RingConsumer(Workload):
                 sample=self.stats.ops % self.latency_sample_stride == 0)
         port.charge(instructions, used)
 
-    def _run_core_batched(self, port: CorePort, budget_cycles: float,
-                          now: float) -> None:
-        """Chunked drain: pop packets in scalar order, but execute their
-        accesses as large LLC batches.
-
-        Equivalence with the scalar loop: a packet is chunked only while
-        the *worst-case* cumulative service (every access a miss) still
-        fits the budget, so any packet batched here would also have been
-        polled by the scalar loop; once the bound no longer fits, the
-        drain degrades to one-packet chunks gated by the actual ``used <
-        budget`` check — exactly the scalar condition.  Ring pops,
-        empty-poll accounting, flow-table state updates and latency
-        sampling all happen in the same order as the scalar loop.
-        """
-        used = 0.0
-        instructions = 0.0
-        empty_polls = 0
-        stats = self.stats
-        freq_scale = self.core_freq_hz * self.time_scale
-        stride = self.latency_sample_stride
-        while used < budget_cycles:
-            # Gather a chunk under the worst-case budget guard.  The
-            # first packet is unconditional, like the scalar loop.
-            chunk: "list[tuple[PacketRecord, int]]" = []
-            bound = used
-            while len(chunk) < CHUNK_PACKETS:
-                head = self._peek_packet()
-                if head is None:
-                    break
-                record, ring_idx = head
-                worst = self._worst_packet_cycles(port, record)
-                if chunk and bound + worst >= budget_cycles:
-                    break
-                self._accept_packet(ring_idx)
-                chunk.append((record, ring_idx))
-                bound += worst
-            if not chunk:
-                empty_polls += 1
-                used += EMPTY_POLL_CYCLES
-                instructions += EMPTY_POLL_INSTR
-                if empty_polls >= MAX_EMPTY_POLLS:
-                    remaining = budget_cycles - used
-                    if remaining > 0:
-                        used = budget_cycles
-                        instructions += (remaining / EMPTY_POLL_CYCLES
-                                         * EMPTY_POLL_INSTR)
-                    break
-                continue
-            empty_polls = 0
-            plan = AccessPlan()
-            fixed = np.zeros(len(chunk))
-            for pkt, (record, ring_idx) in enumerate(chunk):
-                plan.add(record.buf_addr, lines_per_packet(record.size),
-                         mlp=BUFFER_MLP, pkt=pkt)
-                instr, fixed_cycles = self.plan_packet(
-                    plan, port, record, ring_idx, pkt, now)
-                instructions += instr
-                fixed[pkt] = fixed_cycles
-                self.plan_transmit(plan, record, pkt)
-            service = port.run_plan(plan, len(chunk)) + fixed
-            self.packets_processed += len(chunk)
-            for pkt, (record, _) in enumerate(chunk):
-                cycles = float(service[pkt])
-                used += cycles
-                stats.busy_cycles += cycles
-                queue_cycles = max(0.0, (now - record.arrival) * freq_scale)
-                stats.record_op(queue_cycles + cycles,
-                                sample=stats.ops % stride == 0)
-        port.charge(instructions, used)
-
     # -- speculation support ---------------------------------------------
     # A speculative chunk consumes ring slots and bumps the forwarding
     # counters; the LLC, core counters and memory traffic are covered by
@@ -381,8 +245,9 @@ class RingConsumer(Workload):
         rings = self.rings
         nrings = len(rings)
         sl = slice(start, start + k)
-        # Consume before planning, as the gather loop does (matters
-        # only if an app stage posts back into a polled ring).
+        # Consume before planning, as the scalar loop consumes a packet
+        # before its app stage runs (matters only if an app stage posts
+        # back into a polled ring).
         if nrings == 1:
             rings[0].consume_batch(k)
             chunk_rings = None
@@ -417,23 +282,20 @@ class RingConsumer(Workload):
         """Fully vectorized drain: snapshot the backlog once, then run
         budget-guarded chunks with no per-packet Python.
 
-        Equivalent to :meth:`_run_core_batched` (and hence the scalar
-        loop): nothing posts to this workload's rings while it runs, so
-        the round-robin pop order over the whole drain is a pure function
-        of the starting backlog — each ring's packets in FIFO order,
-        ties at the same queue depth broken by ring distance from the
-        cursor.  Empty polls then only ever happen as a trailing phase,
-        exactly the order the per-packet loop produces.
+        Equivalent to the scalar loop in :meth:`run_core`: nothing posts
+        to this workload's rings while it runs, so the round-robin pop
+        order over the whole drain is a pure function of the starting
+        backlog — each ring's packets in FIFO order, ties at the same
+        queue depth broken by ring distance from the cursor.  Empty
+        polls then only ever happen as a trailing phase, exactly the
+        order the per-packet loop produces.
 
-        Admission is journaled run-ahead (:meth:`Workload._run_ahead`)
-        when the LLC backend can journal (:data:`SPECULATION`): a chunk
-        sized from the EMA of observed per-packet cost executes, then
-        the *actual* accumulated cost decides how many of its packets
-        the scalar loop would have admitted.  Either way the admitted
-        set, execution order, and left-to-right float accounting match
-        the scalar loop bit-for-bit.  Without a journaling backend the
-        worst-case cumulative-bound guard (first packet unconditional)
-        is used.
+        Admission is journaled run-ahead (:meth:`Workload._run_ahead`):
+        a chunk sized from the EMA of observed per-packet cost executes,
+        then the *actual* accumulated cost decides how many of its
+        packets the scalar loop would have admitted.  The admitted set,
+        execution order, and left-to-right float accounting match the
+        scalar loop bit-for-bit.
         """
         rings = self.rings
         nrings = len(rings)
@@ -466,18 +328,10 @@ class RingConsumer(Workload):
         stats = self.stats
         freq_scale = self.core_freq_hz * self.time_scale
         stride = self.latency_sample_stride
-        speculate = SPECULATION and port._llc.can_snapshot
         start = 0
         if backlog:
             nlines = -(-sizes // 64)
             queue_cycles = np.maximum(0.0, (now - arrivals) * freq_scale)
-            if not speculate:
-                # Same float expression, left to right, as
-                # :meth:`_worst_packet_cycles` — bit-equal bounds give
-                # bit-equal chunk boundaries.
-                miss = LLC_HIT_CYCLES + port.dram_cycles
-                worst = (nlines * miss / BUFFER_MLP
-                         + self.worst_cost_vec(sizes, nlines, miss))
 
         def execute(n: int):
             return self._exec_chunk(port, start, n, sizes, flows, addrs,
@@ -487,23 +341,10 @@ class RingConsumer(Workload):
             return self._admit_budget(result[1], used, budget_cycles)
 
         while used < budget_cycles and start < backlog:
-            if speculate:
-                k, (instr, service) = self._run_ahead(
-                    port, min(self._spec_size(budget_cycles - used),
-                              CHUNK_PACKETS, backlog - start),
-                    execute, admit)
-            else:
-                seg = worst[start:min(backlog, start + CHUNK_PACKETS)]
-                k = 1
-                if seg.shape[0] > 1:
-                    # Relative packet i is admitted iff i == 0
-                    # (unconditional, like the scalar loop) or
-                    # bound-so-far + worst_i < budget.
-                    cum = np.cumsum(np.concatenate(([used], seg)))
-                    k += int(np.searchsorted(cum[2:], budget_cycles,
-                                             side="left"))
-                k, (instr, service) = self._run_ahead(port, k, execute,
-                                                      None)
+            k, (instr, service) = self._run_ahead(
+                port, min(self._spec_size(budget_cycles - used),
+                          CHUNK_PACKETS, backlog - start),
+                execute, admit)
             instructions += instr
             used = seq_accumulate(used, service)
             stats.busy_cycles = seq_accumulate(stats.busy_cycles, service)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..pci.ring import DescRing, PacketRecord
-from .base import AccessPlan, CorePort, VectorPlan
+from .base import CorePort, VectorPlan
 from .netbase import RingConsumer
 
 #: Firewall rules evaluated per packet (classifier walk).
@@ -49,8 +49,6 @@ class NfvChain(RingConsumer):
         self.n_flows = n_flows
         self.n_rules = n_rules
 
-    batchable = True
-
     def on_bind(self) -> None:
         rule_lines = -(-self.n_rules // RULES_PER_LINE)
         self._rules_base = self.region_base
@@ -73,22 +71,6 @@ class NfvChain(RingConsumer):
         cycles += port.access(self._napt_base + flow * NAPT_ENTRY_BYTES)
         return NFV_INSTRUCTIONS, cycles + NFV_CYCLES
 
-    def plan_packet(self, plan: AccessPlan, port: CorePort,
-                    record: PacketRecord, ring_idx: int, pkt: int,
-                    now: float) -> "tuple[float, float]":
-        plan.add(self._rules_base, self._scan_lines, pkt=pkt)
-        flow = record.flow_id % self.n_flows
-        plan.add(self._flows_base + flow * FLOW_ENTRY_BYTES, 1, write=True,
-                 pkt=pkt)
-        plan.add(self._napt_base + flow * NAPT_ENTRY_BYTES, 1, pkt=pkt)
-        return NFV_INSTRUCTIONS, NFV_CYCLES
-
-    def worst_cost_cycles(self, record: PacketRecord,
-                          miss_cycles: float) -> float:
-        return NFV_CYCLES + (self._scan_lines + 2) * miss_cycles
-
-    supports_vector = True
-
     def plan_chunk(self, plan: VectorPlan, port: CorePort, pkts, sizes,
                    flows, addrs, arrivals, rings, now):
         k = pkts.shape[0]
@@ -100,6 +82,3 @@ class NfvChain(RingConsumer):
         plan.add_batch(self._napt_base + flow * NAPT_ENTRY_BYTES, 1,
                        pkts=pkts, rank=3)
         return NFV_INSTRUCTIONS * k, np.full(k, NFV_CYCLES)
-
-    def worst_cost_vec(self, sizes, nlines, miss_cycles):
-        return NFV_CYCLES + (self._scan_lines + 2) * miss_cycles

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..pci.ring import DescRing, PacketRecord
-from .base import AccessPlan, CorePort, VectorPlan
+from .base import CorePort, VectorPlan
 from .netbase import RingConsumer
 from .ycsb import OpType, YcsbMix
 
@@ -104,34 +104,7 @@ class RedisServer(RingConsumer):
         port.read_line_for_device(record.buf_addr)
         self.tx_bytes += self.value_bytes
 
-    # -- batched/vector drains --------------------------------------------
-    batchable = True
-    supports_vector = True
-
-    def plan_packet(self, plan: AccessPlan, port: CorePort,
-                    record: PacketRecord, ring_idx: int, pkt: int,
-                    now: float) -> "tuple[float, float]":
-        key = record.flow_id % self.n_records
-        plan.add(self.region_base + key * BUCKET_BYTES, 1, pkt=pkt)
-        nlines = -(-self.value_bytes // 64)
-        addr = self._value_addr(key)
-        if self._op_for(record) is OpType.READ:
-            plan.add(addr, nlines, mlp=VALUE_MLP, pkt=pkt)
-        else:
-            plan.add(addr, nlines, write=True, mlp=VALUE_MLP, pkt=pkt)
-        return REDIS_INSTRUCTIONS_PER_OP, REDIS_OVERHEAD_CYCLES
-
-    def worst_cost_cycles(self, record: PacketRecord,
-                          miss_cycles: float) -> float:
-        nlines = -(-self.value_bytes // 64)
-        return (REDIS_OVERHEAD_CYCLES + miss_cycles
-                + nlines * miss_cycles / VALUE_MLP)
-
-    def plan_transmit(self, plan: AccessPlan, record: PacketRecord,
-                      pkt: int) -> None:
-        plan.add_device(record.buf_addr, 1, pkt=pkt)
-        self.tx_bytes += self.value_bytes
-
+    # -- vector drain ------------------------------------------------------
     def plan_chunk(self, plan: VectorPlan, port: CorePort, pkts, sizes,
                    flows, addrs, arrivals, rings, now):
         k = pkts.shape[0]
@@ -151,11 +124,6 @@ class RedisServer(RingConsumer):
                            rank=3, write=True, mlp=VALUE_MLP)
         return REDIS_INSTRUCTIONS_PER_OP * k, np.full(
             k, REDIS_OVERHEAD_CYCLES)
-
-    def worst_cost_vec(self, sizes, nlines, miss_cycles):
-        value_lines = -(-self.value_bytes // 64)
-        return (REDIS_OVERHEAD_CYCLES + miss_cycles
-                + value_lines * miss_cycles / VALUE_MLP)
 
     def plan_transmit_chunk(self, plan: VectorPlan, pkts, sizes, addrs,
                             nlines) -> None:

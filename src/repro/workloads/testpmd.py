@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..pci.ring import PacketRecord
-from .base import AccessPlan, CorePort, VectorPlan
+from .base import CorePort, VectorPlan
 from .netbase import RingConsumer
 
 #: Fixed per-packet descriptor/mbuf handling cost.
@@ -25,27 +25,11 @@ class TestPmd(RingConsumer):
     #: Not a pytest class despite the DPDK-given name.
     __test__ = False
 
-    batchable = True
-
     def packet_cost(self, port: CorePort, record: PacketRecord, now: float,
                     cycles: float) -> "tuple[float, float]":
         return TESTPMD_INSTRUCTIONS, cycles + TESTPMD_CYCLES
-
-    def plan_packet(self, plan: AccessPlan, port: CorePort,
-                    record: PacketRecord, ring_idx: int, pkt: int,
-                    now: float) -> "tuple[float, float]":
-        return TESTPMD_INSTRUCTIONS, TESTPMD_CYCLES
-
-    def worst_cost_cycles(self, record: PacketRecord,
-                          miss_cycles: float) -> float:
-        return TESTPMD_CYCLES
-
-    supports_vector = True
 
     def plan_chunk(self, plan: VectorPlan, port: CorePort, pkts, sizes,
                    flows, addrs, arrivals, rings, now):
         k = pkts.shape[0]
         return TESTPMD_INSTRUCTIONS * k, np.full(k, TESTPMD_CYCLES)
-
-    def worst_cost_vec(self, sizes, nlines, miss_cycles):
-        return TESTPMD_CYCLES

@@ -64,7 +64,7 @@ class XMem(Workload):
 
     def run_core(self, port: CorePort, budget_cycles: float,
                  now: float) -> None:
-        if self.exec_mode == "vector" and port._llc.can_snapshot:
+        if self.exec_mode == "vector":
             self._run_core_vector(port, budget_cycles)
             return
         used = 0.0

@@ -1,13 +1,14 @@
 """Engine-level execution-mode equivalence.
 
-The quantum pipeline runs each workload in one of three modes
-(:data:`repro.sim.engine.EXEC_MODES`): the fully vectorized drain, the
-chunked per-packet-planned drain, and the scalar per-packet reference
-loop.  These tests pin the contract the vectorization relies on: all
-three modes are *the same simulation* — every recorded metric field and
-every controller decision must be identical, across seeds and scenario
-shapes (fig. 8's OVS forwarding chain, fig. 9's many-flow variant, and
-a fig. 11-style managed run with the IAT daemon in the loop).
+The quantum pipeline runs each workload in one of two modes
+(:data:`repro.sim.engine.EXEC_MODES`): the fully vectorized drain and
+the scalar per-packet reference loop.  These tests pin the contract the
+vectorization relies on: both modes are *the same simulation* — every
+recorded metric field and every controller decision must be identical,
+across seeds and scenario shapes (fig. 8's OVS forwarding chain, fig.
+9's many-flow variant, a fig. 11-style managed run with the IAT daemon
+in the loop, fig. 3's jittered l3fwd, and fig. 12's NFV chains beside
+RocksDB and X-Mem).
 """
 
 from __future__ import annotations
@@ -17,16 +18,21 @@ import dataclasses
 import pytest
 
 from repro.core import ControlPlane, IATDaemon, IATParams
-from repro.experiments.common import leaky_dma_scenario
+from repro.experiments.common import (l3fwd_scenario, leaky_dma_scenario,
+                                      nfv_scenario)
 from repro.net.traffic import TrafficSpec
 from repro.sim.config import TINY_PLATFORM
 from repro.sim.engine import EXEC_MODES, Simulation
 from repro.sim.platform import Platform
 from repro.tenants.tenant import Priority, Tenant
+from repro.workloads.base import ENGINE_STATS
 from repro.workloads.testpmd import TestPmd
 from repro.workloads.xmem import XMem
 
 ARRAY_TINY = dataclasses.replace(TINY_PLATFORM, llc_backend="array")
+
+#: Seven cores fit the four NFV chains, RocksDB and two X-Mem tenants.
+NFV_TINY = dataclasses.replace(ARRAY_TINY, cores=7)
 
 
 def _records(metrics) -> list:
@@ -34,11 +40,24 @@ def _records(metrics) -> list:
     return [dataclasses.asdict(record) for record in metrics.records]
 
 
-def _run_leaky(exec_mode: str, seed: int, *, n_flows: int = 1) -> list:
-    scen = leaky_dma_scenario(packet_size=512, n_flows=n_flows,
-                              ring_entries=128, spec=ARRAY_TINY, seed=seed)
+def _run(build, exec_mode: str, seed: int, duration: float = 0.5) -> dict:
+    """Run ``build(seed)``'s scenario in one mode; returns its records
+    and each workload's op count, busy cycles and latency sum."""
+    scen = build(seed)
     scen.sim.exec_mode = exec_mode
-    return _records(scen.sim.run(0.5))
+    metrics = scen.sim.run(duration)
+    return {
+        "records": _records(metrics),
+        "workloads": {name: (w.stats.ops, w.stats.busy_cycles,
+                             w.stats.latency_sum_cycles)
+                      for name, w in scen.workloads.items()},
+    }
+
+
+def _leaky(seed: int, n_flows: int = 1):
+    """Fig. 8's OVS forwarding chain (fig. 9's with many flows)."""
+    return leaky_dma_scenario(packet_size=512, n_flows=n_flows,
+                              ring_entries=128, spec=ARRAY_TINY, seed=seed)
 
 
 def _run_iat(exec_mode: str, seed: int) -> "tuple[list, list]":
@@ -67,28 +86,75 @@ def _run_iat(exec_mode: str, seed: int) -> "tuple[list, list]":
                                for h in daemon.history]
 
 
-class TestExecModeEquivalence:
-    @pytest.mark.parametrize("seed", [8, 21, 1234])
-    def test_vector_equals_batch_fig8(self, seed):
-        assert _run_leaky("vector", seed) == _run_leaky("batch", seed)
+def _l3fwd(seed: int):
+    """Fig. 3's l3fwd with scheduling jitter, offered a little more than
+    it serves: stalls overflow the ring, and the backlog they leave
+    makes the budget, not the ring, end most drains."""
+    scen = l3fwd_scenario(ring_entries=512, n_flows=4096, stall_period=0.2,
+                          spec=ARRAY_TINY, seed=seed)
+    scen.sim.attach_traffic(scen.nics[0], scen.vfs["vf0"],
+                            TrafficSpec(pps=12000.0, packet_size=64,
+                                        n_flows=4096, zipf_theta=0.5,
+                                        burstiness=0.3))
+    return scen
 
-    @pytest.mark.parametrize("seed", [8, 77])
+
+def _nfv(seed: int):
+    """Fig. 12's NFV co-run: four FastClick chains, RocksDB, two X-Mem."""
+    return nfv_scenario(app="rocksdb", spec=NFV_TINY, seed=seed)
+
+
+class TestExecModeEquivalence:
+    @pytest.mark.parametrize("seed", [8, 21, 77, 1234])
     def test_vector_equals_scalar_fig8(self, seed):
-        assert _run_leaky("vector", seed) == _run_leaky("scalar", seed)
+        assert _run(_leaky, "vector", seed) == _run(_leaky, "scalar", seed)
 
     def test_all_modes_match_fig9_many_flows(self):
-        runs = [_run_leaky(mode, 11, n_flows=128) for mode in EXEC_MODES]
-        assert runs[0] == runs[1] == runs[2]
-
-    @pytest.mark.parametrize("seed", [7, 42])
-    def test_vector_equals_batch_with_iat_daemon(self, seed):
-        vec_metrics, vec_history = _run_iat("vector", seed)
-        bat_metrics, bat_history = _run_iat("batch", seed)
-        assert vec_metrics == bat_metrics
-        assert vec_history == bat_history
+        runs = [_run(lambda seed: _leaky(seed, n_flows=128), mode, 11)
+                for mode in EXEC_MODES]
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_vector_equals_scalar_with_iat_daemon(self):
-        vec_metrics, vec_history = _run_iat("vector", 7)
-        sca_metrics, sca_history = _run_iat("scalar", 7)
-        assert vec_metrics == sca_metrics
-        assert vec_history == sca_history
+        for seed in (7, 42):
+            vec_metrics, vec_history = _run_iat("vector", seed)
+            sca_metrics, sca_history = _run_iat("scalar", seed)
+            assert vec_metrics == sca_metrics, f"seed {seed}"
+            assert vec_history == sca_history, f"seed {seed}"
+
+    @pytest.mark.parametrize("build", [_l3fwd, _nfv],
+                             ids=["l3fwd", "nfv"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_vector_equals_scalar_ring_drains(self, build, seed):
+        chunks = ENGINE_STATS.spec_chunks
+        vec = _run(build, "vector", seed, 0.6)
+        assert ENGINE_STATS.spec_chunks > chunks, \
+            "the vector run executed no run-ahead chunk"
+        assert all(ops > 0 for ops, _, _ in vec["workloads"].values())
+        sca = _run(build, "scalar", seed, 0.6)
+        # Workload sums first, so a failure names what diverged.
+        assert vec["workloads"] == sca["workloads"]
+        assert vec["records"] == sca["records"]
+
+
+class TestExecModeValidation:
+    def test_unknown_mode_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="exec_mode"):
+            Simulation(Platform(ARRAY_TINY), exec_mode="batch")
+
+    def test_unknown_mode_rejected_on_assignment(self):
+        scen = leaky_dma_scenario(packet_size=512, spec=ARRAY_TINY)
+        with pytest.raises(ValueError, match="exec_mode"):
+            scen.sim.exec_mode = "bogus"
+        assert scen.sim.exec_mode == "vector"
+
+    def test_scalar_backend_runs_scalar_drains(self):
+        """The vector drains need a journaling LLC, so the engine hands
+        its workloads the scalar loop on the scalar backend."""
+        spec = dataclasses.replace(TINY_PLATFORM, llc_backend="scalar")
+        scen = leaky_dma_scenario(packet_size=512, spec=spec)
+        chunks = ENGINE_STATS.chunks
+        scen.sim.run(0.1)
+        assert scen.sim.exec_mode == "vector"
+        assert all(w.exec_mode == "scalar"
+                   for w in scen.workloads.values())
+        assert ENGINE_STATS.chunks == chunks

@@ -9,8 +9,11 @@ from repro.cache.llc import SlicedLLC
 SMALL_GEO = CacheGeometry(ways=4, sets_per_slice=8, slices=2)
 
 addresses = st.integers(min_value=0, max_value=1 << 20).map(lambda a: a * 64)
-masks = st.integers(min_value=1, max_value=SMALL_GEO.full_mask).filter(
-    is_contiguous)
+# Every contiguous mask, built directly: a filter over all masks would
+# reject most draws and starve the health check.
+masks = st.integers(0, SMALL_GEO.ways - 1).flatmap(
+    lambda first: st.integers(1, SMALL_GEO.ways - first).map(
+        lambda count: ways_to_mask(first, count)))
 
 
 @st.composite

@@ -36,7 +36,7 @@ from repro.sim.engine import Simulation
 from repro.sim.platform import Platform
 from repro.tenants.tenant import Priority, Tenant
 from repro.vswitch.flowtable import FlowTables
-from repro.workloads import base, netbase
+from repro.workloads import base
 from repro.workloads.base import ENGINE_STATS, VectorPlan
 from repro.workloads.testpmd import TestPmd
 from repro.workloads.xmem import XMem
@@ -315,11 +315,3 @@ class TestForcedMisprediction:
         assert ENGINE_STATS.spec_chunks > 0
         assert ENGINE_STATS.mean_chunk() >= 8.0
         assert ENGINE_STATS.kernel_launches > 0
-
-    def test_speculation_kill_switch_matches_scalar(self, monkeypatch):
-        monkeypatch.setattr(netbase, "SPECULATION", False)
-        ENGINE_STATS.reset()
-        vec = _run_leaky("vector", 8)
-        assert ENGINE_STATS.spec_chunks == 0
-        assert ENGINE_STATS.rollbacks == 0
-        assert vec == _run_leaky("scalar", 8)
