@@ -74,15 +74,16 @@ _STAMP_HI = 1 << 62
 #: on the array backend — NumPy kernel-launch overhead dominates under it.
 _VECTOR_MIN = 8
 
-#: Same-set follower groups smaller than this are applied with the
-#: per-access loop instead of further vectorized rounds.
+#: Followers left after the repeat collapse (those in mixed-tag sets, or
+#: in sets whose first access missed without allocating) are applied
+#: with the per-access loop when fewer than this, instead of rank rounds.
 _SEQ_MAX = 24
 
-#: A vectorized follower round must cover at least this many distinct
-#: sets to be worth a kernel launch; below it the whole remainder drains
-#: through the per-access loop (a tiny round means a few sets carry deep
-#: same-set chains, which would otherwise decay into one near-empty
-#: round per chain link).
+#: A rank round over those mixed-set followers must cover at least this
+#: many distinct sets to be worth a kernel launch; below it the whole
+#: remainder drains through the per-access loop (a tiny round means a
+#: few sets carry deep same-set chains, which would otherwise decay into
+#: one near-empty round per chain link).
 _ROUND_MIN = 12
 
 #: Journal entry kinds: a recency/dirty update (hit path) or a full
@@ -222,6 +223,18 @@ def _scalar_or_array(value, n: int, dtype):
 def _pick(value, idx):
     """Index a per-element array, or pass a scalar through."""
     return value[idx] if isinstance(value, np.ndarray) else value
+
+
+def _owner_counts(owners: "np.ndarray"):
+    """``(owner, count)`` pairs of an owner-id vector, ascending by id.
+
+    Owner ids are never below :data:`DDIO_OWNER`, so shifting by it
+    hands ``np.bincount`` the non-negative input it needs; a lower id
+    would make it raise rather than corrupt the counts.
+    """
+    counts = np.bincount(owners - DDIO_OWNER)
+    ids = np.flatnonzero(counts)
+    return zip((ids + DDIO_OWNER).tolist(), counts[ids].tolist())
 
 
 def _element_list(value, n: int, dtype) -> list:
@@ -521,42 +534,9 @@ class SlicedLLC:
         write = _scalar_or_array(write, n, bool)
         owner = _scalar_or_array(owner, n, np.int64)
         allocate = _scalar_or_array(allocate, n, bool)
-        ways = self._nways
-
-        # One snapshot lookup answers every access whose set has not
-        # been filled earlier in the batch: hits never modify the tag
-        # array, so if the whole batch hits we are done after updating
-        # recency, and otherwise the snapshot still resolves the first
-        # access to each set (the bulk of every realistic stream).  The
-        # (n, ways) compare is consumed immediately into the per-access
-        # hit/way vectors shared by every branch below — later passes
-        # work on 1-D gathers of these instead of re-deriving (or
-        # fancy-indexing) the 2-D equality matrix.
-        row_tags = self._tags[index]
-        eq = row_tags == tag[:, None]
-        # ``any(axis=1)`` over 11-wide rows costs more than argmax plus
-        # a flat re-check (axis reductions over short rows are slow), so
-        # derive the hit vector from the winning way instead.
-        way0 = eq.argmax(axis=1)
-        pos = np.arange(n, dtype=np.int64)
-        hit0 = row_tags.reshape(-1)[pos * ways + way0] == tag
-        if hit0.all():
-            out = _empty_batch(n)
-            slot = index * ways + way0
-            journal = self._journal
-            if journal is not None:
-                # Duplicate slots gather the same (pre-batch) pre-image
-                # for every occurrence; reverse replay lands it last, so
-                # rollback is exact without deduplication.
-                journal.append((_J_TOUCH, slot, self._stamp_flat[slot],
-                                self._dirty_flat[slot]))
-            # Fancy assignment keeps the *last* value per repeated index
-            # (documented indexing semantics), which is exactly the
-            # stamp the scalar loop would leave on duplicate slots.
-            self._stamp_flat[slot] = clk
-            self._set_dirty(slot, write)
-            out.hit[:] = True
-            return out
+        out = _empty_batch(n)
+        args = (tag, clk, mask & geom.full_mask, mask, write, owner,
+                allocate, out)
 
         # Group by set, without sorting: scatter each access's batch
         # position into a per-set cell in *reverse* batch order — fancy
@@ -564,55 +544,54 @@ class SlicedLLC:
         # so after the reversed pass each touched cell holds its set's
         # earliest position.  An access is its set's first touch iff
         # the cell holds its own position.  First touches are distinct
-        # sets, hence one conflict-free vectorized round; followers
-        # apply afterwards in batch order, so same-set accesses land in
-        # vector order (cross-set order is irrelevant under LRU because
-        # the pre-assigned clocks already encode batch position).
-        alloc_mask = mask & geom.full_mask
+        # sets, hence one conflict-free round and the batch's only tag
+        # lookup per set; followers apply afterwards, so same-set
+        # accesses land in vector order (cross-set order is irrelevant
+        # under LRU because the pre-assigned clocks encode batch
+        # position).
+        pos = np.arange(n, dtype=np.int64)
         fpos = self._first_scratch
         fpos[index[::-1]] = pos[::-1]
         fsel = fpos[index]
         first = fsel == pos
-        out = _empty_batch(n)
         if first.all():
-            self._apply_round(None, index, way0, hit0, tag, clk,
-                              alloc_mask, mask, write, owner, allocate,
-                              out, row_tags=row_tags)
+            self._apply_round(None, index, *args)
             return out
         sel0 = np.flatnonzero(first)
-        self._apply_round(sel0, index[sel0], way0[sel0],
-                          hit0[sel0], tag, clk, alloc_mask, mask, write,
-                          owner, allocate, out, row_tags=row_tags[sel0])
+        rows0 = index[sel0]
+        slot0 = self._apply_round(sel0, rows0, *args)
+
+        # Collapse guaranteed repeats.  A follower is a hit on its first
+        # access's slot when that access left the line resident (hit or
+        # fill) and no other tag touches the set in this batch: only a
+        # fill of another tag could evict the line.  The scratch cells
+        # are rewritten to each set's resident slot, with -1 marking a
+        # non-allocating first miss or a mixed-tag set; those followers
+        # go through the rank rounds below.  Collapsed repeats need no
+        # journal entry: they only restamp (and maybe dirty) a slot the
+        # first access already journaled, and rollback replays
+        # newest-first, so that older entry restores the slot last.
         rest = np.flatnonzero(~first)
         rrow = index[rest]
-        # Same-address chains (e.g. one hot flow hammering its EMC
-        # line): when every follower repeats its set's first tag and
-        # that first access left the line resident (hit or fill), every
-        # follower is a guaranteed hit on that line — no other tag
-        # touches these sets inside the batch, so nothing can evict it
-        # mid-chain.  One vectorized touch replaces the per-access
-        # drain; duplicate slots take the latest stamp via last-wins
-        # fancy assignment, matching the scalar loop.
-        fsel_r = fsel[rest]
-        if bool((tag[rest] == tag[fsel_r]).all()) and \
-                bool((out.hit[fsel_r] | out.fill[fsel_r]).all()):
-            eq_r = self._tags[rrow] == tag[rest][:, None]
-            slot = rrow * ways + eq_r.argmax(axis=1)
-            journal = self._journal
-            if journal is not None:
-                # Pre-images are post-first-round values; reverse replay
-                # restores them before the first round's own entries, so
-                # per-slot chronology is preserved.
-                journal.append((_J_TOUCH, slot, self._stamp_flat[slot],
-                                self._dirty_flat[slot]))
-            self._stamp_flat[slot] = clk[rest]
-            self._set_dirty(slot, _pick(write, rest))
-            out.hit[rest] = True
-            return out
+        fpos[rows0] = slot0
+        mixed = tag[rest] != tag[fsel[rest]]
+        if mixed.any():
+            fpos[rrow[mixed]] = -1
+        slot = fpos[rrow]
+        rep = slot >= 0
+        if rep.all():
+            rep_sel, rest = rest, rest[:0]
+        else:
+            rep_sel, slot = rest[rep], slot[rep]
+            keep = ~rep
+            rest, rrow = rest[keep], rrow[keep]
+        # Duplicate slots take the latest stamp via last-wins fancy
+        # assignment, exactly what the scalar loop would leave.
+        self._stamp_flat[slot] = clk[rep_sel]
+        self._set_dirty(slot, _pick(write, rep_sel))
+        out.hit[rep_sel] = True
         if rest.size < _SEQ_MAX:
-            self._apply_sequential(rest.tolist(), index, tag, clk,
-                                   alloc_mask, mask, write, owner,
-                                   allocate, out)
+            self._apply_sequential(rest.tolist(), index, *args)
             return out
         # Mixed-tag collision load: rank rounds over the remainder only
         # (entries with rank r are the (r+2)-th access to their set).
@@ -631,9 +610,7 @@ class SlicedLLC:
         r = 0
         while rest.size:
             if rest.size < _SEQ_MAX:
-                self._apply_sequential(rest.tolist(), index, tag, clk,
-                                       alloc_mask, mask, write, owner,
-                                       allocate, out)
+                self._apply_sequential(rest.tolist(), index, *args)
                 break
             head = rank == r
             sel = rest[head]
@@ -641,15 +618,9 @@ class SlicedLLC:
                 # A tiny round means a few sets carry long chains: the
                 # whole remainder drains faster access-at-a-time than
                 # as dozens of near-empty vectorized rounds.
-                self._apply_sequential(rest.tolist(), index, tag, clk,
-                                       alloc_mask, mask, write, owner,
-                                       allocate, out)
+                self._apply_sequential(rest.tolist(), index, *args)
                 break
-            rows = index[sel]
-            eq_r = self._tags[rows] == tag[sel][:, None]
-            self._apply_round(sel, rows, eq_r.argmax(axis=1),
-                              eq_r.any(axis=1), tag, clk, alloc_mask,
-                              mask, write, owner, allocate, out)
+            self._apply_round(sel, index[sel], *args)
             keep = ~head
             rest = rest[keep]
             rank = rank[keep]
@@ -741,59 +712,65 @@ class SlicedLLC:
             dirty_m[row, victim] = bool(_pick(write, i))
             owner_m[row, victim] = new_owner
 
-    def _apply_round(self, sel, rows, way, hit, tag, clk,
-                     alloc_mask, raw_mask, write, owner, allocate,
-                     out, row_tags=None) -> None:
-        """Apply one conflict-free (distinct-set) group of accesses.
+    def _apply_round(self, sel, rows, tag, clk, alloc_mask, raw_mask,
+                     write, owner, allocate, out) -> "np.ndarray":
+        """Look up and apply one conflict-free (distinct-set) group.
 
         ``sel`` holds the group's batch positions (``None`` meaning the
-        whole batch in position order); ``rows`` the set indices, and
-        ``way``/``hit`` the group's resolved lookup (callers compute
-        them from the batch-entry snapshot for first-touch rounds, or
-        from current state for later rounds).  ``way`` may be ``None``
-        when the group has no hits (it is only consumed on the hit
-        paths).  ``row_tags``, when given, is the group's already
-        gathered ``self._tags[rows]`` — valid for first-touch rounds,
-        where no earlier fill has modified these sets — and spares the
-        miss path a second random gather of the tag table.  Stamps are
-        gathered here for the group's *misses* only — a round that
-        mostly hits never touches the 2-D state at all.
+        whole batch in position order) and ``rows`` their set indices.
+        One ``np.take`` gathers the group's tag rows from current state;
+        the sets are distinct and a hit never changes a tag, so the
+        miss path's victim scan reuses them.  Stamp rows are gathered
+        for the group's *misses* only, and only under a wide way mask.
+
+        Returns the flat slot (``set * ways + way``) each access
+        resolved to — the way it hit, or the victim it filled — and -1
+        where a miss did not allocate.
         """
         ways = self._nways
         m = rows.shape[0]
-        nhit = int(np.count_nonzero(hit))
         journal = self._journal
+        row_tags = np.take(self._tags, rows, axis=0)
+        # A line sits in at most one way of its set, so the compare's
+        # nonzeros are exactly the hits, one per hitting row, in group
+        # order: ``hit_flat`` is ``hit_at * ways + way``.
+        hit_flat = np.flatnonzero(
+            row_tags == (tag if sel is None else tag[sel])[:, None])
+        hit_at = hit_flat // ways
+        nhit = hit_at.shape[0]
         if nhit:
             if nhit == m:
-                slot = rows * ways + way
-                if journal is not None:
-                    journal.append((_J_TOUCH, slot, self._stamp_flat[slot],
-                                    self._dirty_flat[slot]))
-                self._stamp_flat[slot] = clk if sel is None else clk[sel]
-                self._set_dirty(slot, _pick(write, sel)
-                                if sel is not None else write)
-                if sel is None:
-                    out.hit[:] = True
-                else:
-                    out.hit[sel] = True
-                return
-            hit_sel = np.flatnonzero(hit) if sel is None else sel[hit]
-            slot = rows[hit] * ways + way[hit]
+                hit_sel = sel
+                slot = (rows - hit_at) * ways + hit_flat
+            else:
+                hit_sel = hit_at if sel is None else sel[hit_at]
+                slot = (rows[hit_at] - hit_at) * ways + hit_flat
             if journal is not None:
                 journal.append((_J_TOUCH, slot, self._stamp_flat[slot],
                                 self._dirty_flat[slot]))
-            self._stamp_flat[slot] = clk[hit_sel]
-            self._set_dirty(slot, _pick(write, hit_sel))
-            out.hit[hit_sel] = True
-        miss = ~hit
+            if hit_sel is None:
+                self._stamp_flat[slot] = clk
+                self._set_dirty(slot, write)
+                out.hit[:] = True
+            else:
+                self._stamp_flat[slot] = clk[hit_sel]
+                self._set_dirty(slot, _pick(write, hit_sel))
+                out.hit[hit_sel] = True
+            if nhit == m:
+                return slot
+        slots = np.full(m, -1, dtype=np.int64)
+        miss = np.ones(m, dtype=bool)
+        if nhit:
+            slots[hit_at] = slot
+            miss[hit_at] = False
         if isinstance(allocate, np.ndarray):
             miss &= allocate if sel is None else allocate[sel]
         elif not allocate:
-            return
+            return slots
         miss_sel = np.flatnonzero(miss) if sel is None else sel[miss]
         k = miss_sel.shape[0]
         if k == 0:
-            return
+            return slots
         miss_rows = rows if k == m else rows[miss]
         amask = _pick(alloc_mask, miss_sel)
         if isinstance(amask, np.ndarray):
@@ -858,17 +835,12 @@ class SlicedLLC:
                     best = np.where(better, cand, best)
                     fslot = np.where(better, col, fslot)
         else:
-            stamps = self._stamp[miss_rows]
+            stamps = np.take(self._stamp, miss_rows, axis=0)
             if full:
                 key = stamps | dis_row if dis_row is not None else \
                     np.where(allowed, stamps, _STAMP_HI)
             else:
-                if row_tags is None:
-                    # Later rounds: tags may have changed since batch
-                    # entry.
-                    mtags = self._tags[miss_rows]
-                else:
-                    mtags = row_tags if k == m else row_tags[miss]
+                mtags = row_tags if k == m else row_tags[miss]
                 key = np.where(mtags == EMPTY, self._invalid_key, stamps)
                 if aw is None or len(aw) != ways:
                     # Partial mask: push disallowed ways past every
@@ -876,7 +848,10 @@ class SlicedLLC:
                     # trick does not apply here).
                     key = np.where(allowed, key, _STAMP_HI)
             fslot = base + key.argmin(axis=1)
-        tags_flat = self._tags_flat
+        if k == m:
+            slots = fslot
+        else:
+            slots[miss] = fslot
         dirty_flat = self._dirty_flat
         dirty_pre = dirty_flat[fslot]
         victim_owner = self._owner_flat[fslot]
@@ -904,7 +879,7 @@ class SlicedLLC:
             self.stat_evictions += k
             self.stat_writebacks += int(np.count_nonzero(dirty_pre))
             self._occ_update(new_owner, k, victim_owner)
-            return
+            return slots
         writeback = evicted & dirty_pre
         out.evicted[miss_sel] = evicted
         out.writeback[miss_sel] = writeback
@@ -916,6 +891,7 @@ class SlicedLLC:
         # Occupancy bookkeeping.
         self._valid += k - n_evicted
         self._occ_update(new_owner, k, ev_owner)
+        return slots
 
     def _raise_mask_error(self, raw_masks) -> None:
         empty = (bool((raw_masks == 0).any())
@@ -934,8 +910,7 @@ class SlicedLLC:
             if bool((filled_owners == f0).all()):
                 occ[f0] = occ.get(f0, 0) + n_filled
             else:
-                vals, counts = np.unique(filled_owners, return_counts=True)
-                for o, c in zip(vals.tolist(), counts.tolist()):
+                for o, c in _owner_counts(filled_owners):
                     occ[o] = occ.get(o, 0) + c
         if evicted_owners.size:
             e0 = int(evicted_owners[0])
@@ -946,8 +921,7 @@ class SlicedLLC:
                 else:
                     del occ[e0]
                 return
-            vals, counts = np.unique(evicted_owners, return_counts=True)
-            for o, c in zip(vals.tolist(), counts.tolist()):
+            for o, c in _owner_counts(evicted_owners):
                 left = occ[o] - c
                 if left:
                     occ[o] = left

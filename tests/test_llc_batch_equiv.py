@@ -147,6 +147,122 @@ class TestBatchEquivalence:
                                  + np.arange(16) * 64, 0)
 
 
+def lines_in_set(count):
+    """``count`` distinct line addresses that share one TINY_LLC set,
+    plus that set's index."""
+    by_set = {}
+    line = 0
+    while True:
+        index, _ = TINY_LLC.frame_index(line * 64)
+        members = by_set.setdefault(index, [])
+        members.append(line * 64)
+        if len(members) == count:
+            return members, index
+        line += 1
+
+
+def padding_lines(count, avoid):
+    """Addresses of ``count`` distinct sets, none of them in ``avoid``."""
+    seen = set(avoid)
+    out = []
+    line = 1 << 20
+    while len(out) < count:
+        index, _ = TINY_LLC.frame_index(line * 64)
+        if index not in seen:
+            seen.add(index)
+            out.append(line * 64)
+        line += 1
+    return out
+
+
+def check_ops(ops):
+    """Apply ``ops`` to both backends; outcomes and state must match."""
+    scalar = SlicedLLC(TINY_LLC, backend="scalar")
+    array = SlicedLLC(TINY_LLC, backend="array")
+    for op in ops:
+        expected = apply_scalar(scalar, op)
+        got = apply_batch(array, op)
+        for i, out in enumerate(expected):
+            assert out == got.outcome_at(i), (op[0], i)
+    assert_same_state(scalar, array)
+
+
+def mixed_op(accesses):
+    """A per-element ``mixed`` op from (addr, mask, write, owner,
+    allocate) tuples."""
+    addrs, mask, write, owner, allocate = map(list, zip(*accesses))
+    return ("mixed", addrs, dict(mask=mask, write=write, owner=owner,
+                                 allocate=allocate))
+
+
+class TestTargetedBatches:
+    """Hand-built batches aimed at the vector engine's repeat collapse:
+    a set's followers may skip the lookup only when its first access
+    left the line resident and no other tag touches the set."""
+
+    FULL = TINY_LLC.full_mask
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_non_allocating_miss_then_allocating_access(self, warm):
+        (x, y), index = lines_in_set(2)
+        pad = padding_lines(8, [index])
+        f = self.FULL
+        batch = [(x, f, False, 1, False),   # device read: miss, no fill
+                 (x, f, True, 1, True),     # core write: fills X
+                 (x, f, False, 1, False),   # device read: hits X
+                 (x, f, False, 1, True)]
+        batch += [(a, f, False, 2, True) for a in pad]
+        batch += [(a, f, False, 2, False) for a in pad]
+        ops = [mixed_op(batch)]
+        if warm:
+            # Y resident in the set: X's fill must still pick the LRU
+            # victim, not a slot the collapse guessed.
+            ops.insert(0, ("access", [y], dict(mask=f, write=True,
+                                               owner=3)))
+        check_ops(ops)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("b_mask", [0b1, 0b11])
+    def test_same_tag_follower_in_mixed_set_can_miss(self, b_mask, warm):
+        """``[A, C, B, A]`` in one set: B's narrow mask evicts A, so the
+        second A misses even though it repeats the set's first tag."""
+        (a, b, c), index = lines_in_set(3)
+        pad = padding_lines(8, [index])
+        f = self.FULL
+        batch = [(a, f, True, 1, True), (c, f, False, 1, True),
+                 (b, b_mask, False, 2, True), (a, f, False, 1, True)]
+        batch += [(p, f, False, 2, True) for p in pad]
+        ops = [mixed_op(batch)]
+        if warm:
+            # A resident in way 0 beforehand: its first access hits.
+            ops.insert(0, ("access", [a], dict(mask=0b1, write=False,
+                                               owner=1)))
+        check_ops(ops)
+
+    @pytest.mark.parametrize("packets", [1, 4])
+    def test_core_reads_then_device_reads(self, packets):
+        """The Tx shape: DDIO writes packet buffers, then one batch has
+        the core read their lines and the NIC read the same lines back,
+        so every device read repeats a core read's tag."""
+        k = 24
+        rng = random.Random(5)
+        ddio = 0b11 << (TINY_LLC.ways - 2)
+        core = 0b111
+        ops = []
+        for _ in range(6):
+            bufs = [rng.randrange(1 << 14) * 64 * 32 for _ in range(packets)]
+            lines = [buf + 64 * i for buf in bufs for i in range(k)]
+            ops.append(("ddio", lines, dict(mask=ddio)))
+            reads = [(a, core, False, 1, True) for a in lines]
+            reads += [(a, core, False, 1, False) for a in lines]
+            ops.append(mixed_op(reads))
+            # A polluter between packets keeps the sets under eviction.
+            ops.append(("access", [rng.randrange(4096) * 64
+                                   for _ in range(64)],
+                        dict(mask=core, write=True, owner=2)))
+        check_ops(ops)
+
+
 class TestEngineBackendEquivalence:
     def test_quickstart_style_metrics_identical(self):
         """A small two-tenant simulation produces identical metrics on

@@ -71,7 +71,7 @@ def _assert_state_equal(a: tuple, b: tuple) -> None:
 def _mutate(llc: SlicedLLC, rng: np.random.Generator) -> None:
     """One random mutation step mixing every journaled entry point."""
     nlines = GEOMETRY.lines
-    kind = rng.integers(0, 5)
+    kind = rng.integers(0, 6)
     n = int(rng.integers(1, 160))
     # Tight address pool so hits, refills and evictions all happen.
     addrs = rng.integers(0, nlines * 3, size=n) * 64
@@ -89,10 +89,20 @@ def _mutate(llc: SlicedLLC, rng: np.random.Generator) -> None:
         llc.ddio_write_batch(addrs, int(rng.integers(1, full + 1)))
     elif kind == 3:
         llc.device_read_batch(addrs)
-    else:
+    elif kind == 4:
         for addr in addrs[:16]:
             llc.access(int(addr), full, write=bool(rng.integers(0, 2)),
                        owner=int(rng.integers(0, 4)))
+    else:
+        # One batch that re-reads its own lines as device reads (the Tx
+        # shape): the repeats collapse onto their first access's slot
+        # and write no journal entry of their own.
+        core = np.arange(2 * n) < n
+        llc.access_batch(np.concatenate([addrs, addrs]),
+                         int(rng.integers(1, full + 1)),
+                         write=core & rng.integers(0, 2, size=2 * n)
+                         .astype(bool),
+                         owner=int(rng.integers(0, 4)), allocate=core)
 
 
 class TestLLCJournal:
