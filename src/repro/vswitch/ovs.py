@@ -123,7 +123,7 @@ class OvsDataplane(RingConsumer):
             # chunk in order without building a destination vector.
             self._forward(plan, self._dest_rings[0], pkts, sizes, flows,
                           arrivals, nlines)
-            return OVS_INSTRUCTIONS * k, fixed
+            return OVS_INSTRUCTIONS, fixed
         dest = np.empty(k, dtype=np.int64)
         if rings is None:
             ids = self._route_ids[0]
@@ -177,7 +177,7 @@ class OvsDataplane(RingConsumer):
                                nl0 if bool((nl == nl0).all()) else nl,
                                pkts=where_acc, rank=6, write=True,
                                mlp=BUFFER_MLP)
-        return OVS_INSTRUCTIONS * k, fixed
+        return OVS_INSTRUCTIONS, fixed
 
     def _forward(self, plan, ring, where, sizes, flows, arrivals,
                  nlines) -> None:

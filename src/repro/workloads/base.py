@@ -63,7 +63,8 @@ class CorePort:
     """
 
     __slots__ = ("core_id", "owner", "_llc", "_cat", "_mem", "_mba",
-                 "block", "_mask", "_dram_cycles", "_line", "_lat_buf")
+                 "block", "_mask", "_dram_cycles", "_line", "_lat_buf",
+                 "_lines")
 
     def __init__(self, core_id: int, owner: int, llc: SlicedLLC,
                  cat: CatController, mem: MemoryController,
@@ -79,6 +80,8 @@ class CorePort:
         self._mask = cat.mask_of_core(core_id)
         self._dram_cycles = mem.spec.idle_latency_cycles
         self._lat_buf = np.empty(0)
+        # (pkt, device, hit) of the last run_lines batch.
+        self._lines = None
 
     def begin_quantum(self) -> None:
         """Refresh cached mask and DRAM latency at a quantum boundary."""
@@ -92,6 +95,14 @@ class CorePort:
     @property
     def mask(self) -> int:
         return self._mask
+
+    def interchangeable(self, other: "CorePort") -> bool:
+        """Whether an access costs and lands the same from ``other``:
+        same LLC, memory controller, owner, CAT mask and DRAM latency
+        (as of the last :meth:`begin_quantum`)."""
+        return (self._llc is other._llc and self._mem is other._mem
+                and self.owner == other.owner and self._mask == other._mask
+                and self._dram_cycles == other._dram_cycles)
 
     @property
     def dram_cycles(self) -> float:
@@ -185,7 +196,9 @@ class CorePort:
         The arrays are :meth:`VectorPlan.materialize`'s (or any
         contiguous slice of them); returns the charged cycles per packet
         slot ``0 .. npackets - 1``, each slot's line latencies summed
-        from 0.0 in issue order.
+        from 0.0 in issue order.  The batch's references and misses go
+        to this core; :meth:`move_counts` hands a packet range of them
+        to another core afterwards.
         """
         tracer = current_tracer()
         prof = tracer.profiling
@@ -207,6 +220,7 @@ class CorePort:
             hit = out.hit
             block.llc_references += int(np.count_nonzero(core))
             block.llc_misses += int(np.count_nonzero(core & ~hit))
+        self._lines = (pkt, device, hit)
         if prof:
             tracer.profile_add("engine.workloads.llc", tracer.clock() - t1)
         miss_total = out.misses
@@ -232,6 +246,28 @@ class CorePort:
         # plus the latency/bincount kernels above).
         ENGINE_STATS.kernel_launches += 6
         return np.bincount(pkt, weights=lat, minlength=npackets)
+
+    def move_counts(self, dest: "CorePort", lo: int, hi: int) -> None:
+        """Move the LLC references and misses of packet slots ``lo ..
+        hi - 1`` of the last :meth:`run_lines` batch from this core's
+        counters to ``dest``'s.  The batch's packet slots must ascend,
+        as materialized plans' do."""
+        pkt, device, hit = self._lines
+        a, b = np.searchsorted(pkt, (lo, hi)).tolist()
+        if device is None:
+            refs = b - a
+            misses = refs - int(np.count_nonzero(hit[a:b]))
+        else:
+            core = ~device[a:b]
+            refs = int(np.count_nonzero(core))
+            misses = refs - int(np.count_nonzero(core & hit[a:b]))
+        ENGINE_STATS.kernel_launches += 3
+        block = self.block
+        block.llc_references -= refs
+        block.llc_misses -= misses
+        block = dest.block
+        block.llc_references += refs
+        block.llc_misses += misses
 
     def charge(self, instructions: float, cycles: float) -> None:
         """Credit retired instructions and consumed cycles to the core."""
@@ -355,7 +391,7 @@ ENGINE_STATS = EngineStats()
 #: recognizes contiguous zero-based slices of this array as
 #: ``arange(k)`` *structurally* — without inspecting their contents —
 #: which is what lets chunks of different sizes share one cached stage
-#: template (see :meth:`VectorPlan._layout_key`).
+#: template (see :meth:`VectorPlan._template_key`).
 PKT_IOTA = np.arange(4096, dtype=np.int64)
 
 
@@ -364,65 +400,57 @@ class VectorPlan:
 
     The vectorized drain builds one plan per chunk from whole-chunk
     arrays: each :meth:`add_batch` call appends one *stage* — a segment
-    per packet, all sharing a (write, mlp, device) profile and a stage
-    ``rank``.  Materialization orders lines packet-major, then by rank,
-    then insertion order — exactly the per-packet interleave the scalar
-    loop (buffer lines, app stages in order, transmit) would issue, so
-    :meth:`CorePort.run_plan` sees the line stream the scalar loop
-    would have issued access by access.
+    per packet id, all sharing a (write, mlp, device) profile and a
+    stage ``rank``.  Materialization orders lines by packet id, then by
+    stage (rank, then insertion order), then by segment order within
+    the stage, then by stride — exactly the per-packet interleave the
+    scalar loop (buffer lines, app stages in order, transmit) would
+    issue, so :meth:`CorePort.run_plan` sees the line stream the scalar
+    loop would have issued access by access.
 
-    Ranks must stay below :data:`VectorPlan.MAX_RANK` (the sort key packs
-    ``pkt * MAX_RANK + rank`` into one int64 argsort).
+    Ranks are small non-negative ints below :data:`VectorPlan.MAX_RANK`.
 
     Plans are reusable: call :meth:`reset` between chunks instead of
-    constructing a fresh plan.  Materialization writes into persistent
-    scratch arrays (grown geometrically) so a steady-state chunk
-    allocates nothing; the returned arrays are *views* into that
-    scratch (or cached layout arrays), valid only until the next
-    :meth:`materialize` on the same plan — callers consume them within
-    the chunk and must not mutate them.
+    constructing a fresh plan.  Materialization writes the addresses
+    into a persistent scratch array (grown geometrically); the returned
+    arrays are *views* into that scratch or into a cached template,
+    valid only until the next :meth:`materialize` on the same plan —
+    callers consume them within the chunk and must not mutate them.
 
-    Steady-state chunks share their *stage layout*: the ranks, strides,
-    per-packet line counts, and flag profiles repeat chunk after chunk
-    while only the segment base addresses (and occasionally the packet
-    ids) change.  Materialization therefore caches, per structural
-    signature, the final line order as a gather recipe — ``src`` (which
-    staged segment each line belongs to) and ``off`` (the line's
-    stride offset within its segment) — together with the already
-    permuted static ``write``/``mlp_inv``/``device``/``pkt`` arrays.  A
-    layout hit rebuilds the address stream with three kernels
-    (concatenate the stage bases, gather through ``src``, add ``off``)
-    instead of the former per-stage sizing/fill cascade plus argsort;
-    the sort itself is paid once per layout, not once per chunk.
+    Two paths build the line stream:
 
-    Layouts are cached at two levels.  When every stage covers every
-    packet with a fixed line count and identity packet ids (contiguous
-    zero-based :data:`PKT_IOTA` slices — the shape of every steady-state
-    drain chunk), the per-packet line block is identical for all
-    packets, so one *template* keyed only by the stage structure covers
-    every chunk size; the concrete layout for a new ``k`` is stamped out
-    of the template with a handful of tile/repeat kernels, no sort.
-    Ragged or subset stages (e.g. megaflow probes over the EMC-miss
-    packets) fall back to a fully keyed layout build.  All three caches
-    — layouts, templates, and arange steps — are LRU-bounded
-    (:data:`LAYOUT_CACHE_CAP` / :data:`TEMPLATE_CACHE_CAP` /
-    :data:`STEP_CACHE_CAP`) so variable packet mixes cannot grow them
-    without limit.
+    * **Template.**  When every stage covers the same ``k`` identity
+      packet ids (contiguous zero-based :data:`PKT_IOTA` slices) with a
+      fixed line count — the shape of every steady-state drain chunk —
+      each packet's line block is the same.  One template per stage
+      structure records, per block line, the stage it reads (``s_pat``)
+      and its stride offset (``off_pat``), plus the static
+      ``write``/``mlp_inv``/``device``/``pkt`` arrays tiled for a packet
+      capacity that grows geometrically.  A chunk gathers its stage
+      bases as a (k, stages) matrix, takes ``s_pat`` along the stage
+      axis into the scratch, adds ``off_pat``, and returns prefix views
+      of the static arrays: three kernels, whatever ``k`` is.
+    * **Keyed.**  Ragged counts or subset packet ids are built per
+      chunk, uncached: the *segments* (one per staged packet id) are
+      stable-sorted by packet id, then by their stage's (rank,
+      insertion) ordinal, and expanded to lines with one ``np.repeat``
+      of the sorted counts; per-line flags are gathered through a
+      per-line stage index.
+
+    The template and arange-step caches are LRU-bounded
+    (:data:`TEMPLATE_CACHE_CAP` / :data:`STEP_CACHE_CAP`); a template's
+    size is bounded by its structure and the largest chunk it served.
     """
 
     MAX_RANK = 128
 
-    #: Max cached concrete stage layouts per plan (LRU-evicted).
-    LAYOUT_CACHE_CAP = 128
-
-    #: Max cached chunk-size-independent stage templates per plan.
+    #: Max cached stage templates per plan (LRU-evicted).
     TEMPLATE_CACHE_CAP = 64
 
     #: Max cached ``arange(count) * stride`` vectors per plan.
     STEP_CACHE_CAP = 256
 
-    __slots__ = ("_parts", "_cap", "_steps", "_layouts", "_templates",
-                 "_addr")
+    __slots__ = ("_parts", "_cap", "_steps", "_templates", "_addr")
 
     def __init__(self) -> None:
         # (rank, bases, counts, stride, write, mlp_inv, device, pkts,
@@ -430,8 +458,8 @@ class VectorPlan:
         self._parts: "list[tuple]" = []
         self._cap = 0
         self._steps: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._layouts: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._templates: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._templates: "OrderedDict[tuple, _StageTemplate]" = \
+            OrderedDict()
 
     def reset(self) -> None:
         """Drop staged parts, keeping scratch arrays for the next chunk."""
@@ -440,13 +468,16 @@ class VectorPlan:
     def add_batch(self, bases, counts, *, pkts, rank: int,
                   stride: int = 64, write: bool = False, mlp: float = 1.0,
                   device: bool = False) -> None:
-        """Append one stage: per packet ``p`` in ``pkts``, ``counts[p]``
-        lines starting at ``bases[p]``.  ``counts`` may be a scalar."""
+        """Append one stage: per packet ``pkts[i]``, ``counts[i]`` lines
+        starting at ``bases[i]``.  ``counts`` may be a scalar.
+
+        Packet ids may come in any order and repeat; a packet's
+        segments within one stage keep their order here."""
         pkts = np.asarray(pkts, dtype=np.int64)
         # Structural arange detection: a C-contiguous zero-based slice
         # of the canonical PKT_IOTA vector *is* arange(len(pkts)), no
         # content scan needed.  Anything else (fancy-indexed subsets,
-        # caller-built arrays) simply skips the template fast path.
+        # caller-built arrays) simply takes the keyed path.
         iota = pkts is PKT_IOTA or (
             pkts.base is PKT_IOTA and pkts.flags.c_contiguous
             and pkts.shape[0] > 0 and int(pkts[0]) == 0)
@@ -476,169 +507,39 @@ class VectorPlan:
             steps.move_to_end(key)
         return step
 
-    def _layout_key(self) -> "tuple[tuple, tuple | None, int]":
-        """Structural signature of the staged parts.
+    def _template_key(self) -> "tuple[tuple | None, int]":
+        """``(key, k)`` when every stage is a scalar-count stage over the
+        same ``k`` identity packet ids, else ``(None, 0)``.
 
-        Everything that determines the materialized line *order* and the
-        static per-line arrays — ranks, strides, flag profiles, the line
-        counts, and the packet-id vectors — goes into the key; the
-        segment base addresses are deliberately excluded because the
-        cached layout reconstructs addresses from them per chunk.
-
-        Returns ``(key, tkey, k)``: ``key`` addresses the concrete
-        layout cache; when every stage is a scalar-count identity
-        (iota) stage over the same ``k`` packets, ``tkey`` is the
-        chunk-size-independent template key (else ``None``).  Iota
-        stages contribute no per-element bytes to either key — their
-        packet vector is fully described by its length, carried once in
-        the ``k`` suffix — so the steady-state key costs no array
-        scans at all.
+        The key is the stage structure — ranks, counts, strides and
+        flag profiles; base addresses and ``k`` stay out of it, so every
+        chunk size shares one template.  Building it scans no array.
         """
         entries = []
-        lens = []
-        uniform = True
-        k0 = -1
+        k = -1
         for rank, bases, counts, stride, write, mlp_inv, device, pkts, \
                 iota in self._parts:
-            if isinstance(counts, np.ndarray):
-                uniform = False
-                entries.append((1, rank, counts.tobytes(), stride, write,
-                                mlp_inv, device, pkts.tobytes()))
-            elif iota:
-                m = pkts.shape[0]
-                lens.append(m)
-                if k0 < 0:
-                    k0 = m
-                elif m != k0:
-                    uniform = False
-                entries.append((0, rank, counts, stride, write, mlp_inv,
-                                device))
-            else:
-                uniform = False
-                entries.append((2, rank, counts, stride, write, mlp_inv,
-                                device, pkts.tobytes()))
-        entries = tuple(entries)
-        key = (entries, tuple(lens))
-        if uniform and k0 > 0:
-            return key, entries, k0
-        return key, None, k0
+            if not iota or isinstance(counts, np.ndarray):
+                return None, 0
+            m = pkts.shape[0]
+            if k < 0:
+                k = m
+            elif m != k:
+                return None, 0
+            entries.append((rank, counts, stride, write, mlp_inv, device))
+        return tuple(entries), k
 
-    def _build_layout(self) -> tuple:
-        """Build (and launch-account) the layout for the staged parts.
-
-        Returns ``()`` when every stage is empty, else ``(grand,
-        part_idx, src, off, write, mlp_inv, device, pkt)`` where ``src``
-        indexes into the concatenation of the staged parts' base
-        vectors and ``off`` carries each line's within-segment stride
-        offset, both already permuted into the final (pkt, rank,
-        insertion) order alongside the static arrays.
-        """
-        stats = ENGINE_STATS
-        # Sizing pass: per-stage line totals (ragged cumsums cached for
-        # the fill pass below).
-        staged = []
-        grand = 0
-        for idx, part in enumerate(self._parts):
-            counts = part[2]
-            if isinstance(counts, np.ndarray):
-                csum = np.cumsum(counts)
-                total = int(csum[-1]) if csum.shape[0] else 0
-                stats.kernel_launches += 1
-            elif counts == 1:
-                csum = None
-                total = part[1].shape[0]
-            else:
-                csum = None
-                total = part[1].shape[0] * counts
-            if total:
-                staged.append((idx, csum, total))
-                grand += total
-        if not staged:
-            return ()
-        multi = len(staged) > 1
-        has_dev = any(self._parts[idx][6] for idx, _, _ in staged)
-        srcs, offs, writes, mlps, devs, pkts_l, keys_l = \
-            [], [], [], [], [], [], []
-        boff = 0
-        for idx, csum, total in staged:
-            rank, bases, counts, stride, write, mlp_inv, device, pkts, \
-                _ = self._parts[idx]
-            m = bases.shape[0]
-            seg = np.arange(boff, boff + m, dtype=np.int64)
-            if csum is not None:
-                starts = np.empty_like(csum)
-                starts[0] = 0
-                starts[1:] = csum[:-1]
-                within = np.arange(total, dtype=np.int64)
-                within -= np.repeat(starts, counts)
-                np.multiply(within, stride, out=within)
-                src = np.repeat(seg, counts)
-                pkt_part = np.repeat(pkts, counts)
-                stats.kernel_launches += 7
-            elif counts == 1:
-                within = np.zeros(m, dtype=np.int64)
-                src = seg
-                pkt_part = pkts.copy()
-                stats.kernel_launches += 2
-            else:
-                within = np.tile(self._step(counts, stride), m)
-                src = np.repeat(seg, counts)
-                pkt_part = np.repeat(pkts, counts)
-                stats.kernel_launches += 3
-            srcs.append(src)
-            offs.append(within)
-            writes.append(np.full(total, write))
-            mlps.append(np.full(total, mlp_inv))
-            stats.kernel_launches += 2
-            if has_dev:
-                devs.append(np.full(total, device))
-                stats.kernel_launches += 1
-            pkts_l.append(pkt_part)
-            if multi:
-                keys_l.append(pkt_part * self.MAX_RANK + rank)
-                stats.kernel_launches += 2
-            boff += m
-        part_idx = tuple(idx for idx, _, _ in staged)
-        if not multi:
-            # Single stage: already packet-major and rank-uniform.
-            return (grand, part_idx, srcs[0], offs[0], writes[0],
-                    mlps[0], devs[0] if has_dev else None, pkts_l[0])
-        src = np.concatenate(srcs)
-        off = np.concatenate(offs)
-        write_a = np.concatenate(writes)
-        mlp_a = np.concatenate(mlps)
-        dev_a = np.concatenate(devs) if has_dev else None
-        pkt_a = np.concatenate(pkts_l)
-        order = np.argsort(np.concatenate(keys_l), kind="stable")
-        stats.kernel_launches += 8
-        src = src[order]
-        off = off[order]
-        write_a = write_a[order]
-        mlp_a = mlp_a[order]
-        pkt_a = pkt_a[order]
-        stats.kernel_launches += 5
-        if dev_a is not None:
-            dev_a = dev_a[order]
-            stats.kernel_launches += 1
-        return (grand, part_idx, src, off, write_a, mlp_a, dev_a, pkt_a)
-
-    def _build_template(self) -> tuple:
-        """Chunk-size-independent per-packet line block for uniform
-        (all scalar-count, all iota) stage lists.
-
-        Every packet's lines are the same block: stages sorted by
-        (rank, insertion order), each contributing its fixed line
-        count in stride order.  Returns ``()`` when every stage is
-        empty, else ``(part_idx, s_pat, off_pat, write_pat, mlp_pat,
-        dev_pat)`` where ``s_pat`` names the staged-segment index of
-        each block line (the concrete ``src`` for ``k`` packets is
-        ``s_pat * k + p``).
-        """
+    def _build_template(self) -> "_StageTemplate | None":
+        """The template for a uniform stage list (see the class
+        docstring), or None when every stage is empty.  Its block is
+        ordered by stage (rank, insertion), each stage's lines by
+        stride; ``s_pat`` names each block line's column in the (k,
+        stages) base matrix, whose columns are the staged parts in
+        insertion order."""
         parts = self._parts
         staged = [idx for idx, part in enumerate(parts) if part[2] > 0]
         if not staged:
-            return ()
-        stats = ENGINE_STATS
+            return None
         has_dev = any(parts[idx][6] for idx in staged)
         s_pat_l: "list[int]" = []
         off_l = []
@@ -656,37 +557,115 @@ class VectorPlan:
             write_l.extend([write] * c)
             mlp_l.extend([mlp_inv] * c)
             dev_l.extend([device] * c)
-        s_pat = np.asarray(s_pat_l, dtype=np.int64)
-        off_pat = np.concatenate(off_l)
-        write_pat = np.asarray(write_l, dtype=bool)
-        mlp_pat = np.asarray(mlp_l)
-        dev_pat = np.asarray(dev_l, dtype=bool) if has_dev else None
-        stats.kernel_launches += 5 + (1 if has_dev else 0)
-        return (tuple(staged), s_pat, off_pat, write_pat, mlp_pat,
-                dev_pat)
+        ENGINE_STATS.kernel_launches += 5 + (1 if has_dev else 0)
+        return _StageTemplate(
+            tuple(staged), np.asarray(s_pat_l, dtype=np.int64),
+            np.concatenate(off_l), np.asarray(write_l, dtype=bool),
+            np.asarray(mlp_l),
+            np.asarray(dev_l, dtype=bool) if has_dev else None)
 
-    def _layout_from_template(self, template: tuple, k: int) -> tuple:
-        """Stamp the concrete ``k``-packet layout out of a template.
-
-        A few tile/repeat kernels replace the generic build's per-stage
-        cascade and argsort: the block pattern already carries the final
-        (rank, insertion) order, and packet-major replication preserves
-        it exactly as the packed-key sort would.
-        """
-        if not template:
-            return ()
-        part_idx, s_pat, off_pat, write_pat, mlp_pat, dev_pat = template
+    def _from_template(self, template: "_StageTemplate", k: int):
+        """One ``k``-packet chunk's line stream from its template."""
+        s_pat = template.s_pat
         nlines = s_pat.shape[0]
-        grand = nlines * k
-        iota = PKT_IOTA[:k]
-        src = (s_pat * k + iota[:, None]).reshape(-1)
-        off = np.tile(off_pat, k)
-        write = np.tile(write_pat, k)
-        mlp = np.tile(mlp_pat, k)
-        dev = np.tile(dev_pat, k) if dev_pat is not None else None
-        pkt = np.repeat(iota, nlines)
-        ENGINE_STATS.kernel_launches += 8 + (1 if dev is not None else 0)
-        return (grand, part_idx, src, off, write, mlp, dev, pkt)
+        grand = k * nlines
+        if template.pkt.shape[0] < grand:
+            template.reserve(k)
+        parts = self._parts
+        part_idx = template.part_idx
+        stats = ENGINE_STATS
+        if len(part_idx) == 1:
+            mat = parts[part_idx[0]][1].reshape(k, 1)
+        else:
+            mat = np.stack([parts[i][1] for i in part_idx], axis=1)
+            stats.kernel_launches += 1
+        self._reserve(grand)
+        addrs = self._addr[:grand]
+        out = addrs.reshape(k, nlines)
+        np.take(mat, s_pat, axis=1, out=out, mode="clip")
+        np.add(out, template.off_pat, out=out)
+        stats.kernel_launches += 2
+        dev = template.device
+        return (addrs, template.write[:grand], template.mlp_inv[:grand],
+                None if dev is None else dev[:grand],
+                template.pkt[:grand])
+
+    def _build_keyed(self):
+        """The line stream of an arbitrary stage list, built uncached by
+        sorting segments (see the class docstring)."""
+        parts = self._parts
+        live = []
+        for idx, part in enumerate(parts):
+            counts = part[2]
+            if part[1].shape[0] == 0:
+                continue
+            if isinstance(counts, np.ndarray):
+                # A device stage decides whether the plan has device
+                # flags at all, so an all-zero one must not count.
+                if part[6] and not counts.any():
+                    continue
+            elif counts <= 0:
+                continue
+            live.append(idx)
+        if not live:
+            return None
+        stats = ENGINE_STATS
+        # Stage ordinal: position in (rank, insertion) order.  Segments
+        # carry it as their stage id, so the tables below are indexed
+        # by ordinal too.
+        block = sorted(range(len(live)),
+                       key=lambda j: (parts[live[j]][0], j))
+        staged = [parts[live[j]] for j in block]
+        nstages = len(staged)
+        seg_cnt = np.concatenate([
+            part[2] if isinstance(part[2], np.ndarray)
+            else np.full(part[1].shape[0], part[2]) for part in staged])
+        seg_base = np.concatenate([part[1] for part in staged])
+        seg_pkt = np.concatenate([part[7] for part in staged])
+        seg_stage = np.repeat(np.arange(nstages, dtype=np.int64),
+                              [part[1].shape[0] for part in staged])
+        # Stable: a packet's segments in one stage keep their order.
+        key = np.multiply(seg_pkt, nstages)
+        np.add(key, seg_stage, out=key)
+        order = np.argsort(key, kind="stable")
+        cnt = np.take(seg_cnt, order)
+        ends = np.cumsum(cnt)
+        total = int(ends[-1])
+        stats.kernel_launches += 10 + nstages
+        if total == 0:
+            return None
+        # Per line: its sorted segment, then everything by gather.  A
+        # line's address is base + (i - first_line) * stride, folded
+        # into one per-segment origin plus i * stride.
+        seg = np.repeat(np.arange(order.shape[0], dtype=np.int64), cnt)
+        stage = np.take(seg_stage, order)
+        line_stage = np.take(stage, seg)
+        strides = np.asarray([part[3] for part in staged], dtype=np.int64)
+        stride = int(strides[0]) if bool((strides == strides[0]).all()) \
+            else None
+        origin = np.subtract(ends, cnt)
+        np.multiply(origin, stride if stride is not None
+                    else np.take(strides, stage), out=origin)
+        np.subtract(np.take(seg_base, order), origin, out=origin)
+        self._reserve(total)
+        addrs = self._addr[:total]
+        np.take(origin, seg, out=addrs, mode="clip")
+        step = np.arange(total, dtype=np.int64)
+        np.multiply(step, stride if stride is not None
+                    else np.take(strides, line_stage), out=step)
+        np.add(addrs, step, out=addrs)
+        write = np.take(np.asarray([part[4] for part in staged],
+                                   dtype=bool), line_stage)
+        mlp_inv = np.take(np.asarray([part[5] for part in staged]),
+                          line_stage)
+        dev = None
+        if any(part[6] for part in staged):
+            dev = np.take(np.asarray([part[6] for part in staged],
+                                     dtype=bool), line_stage)
+            stats.kernel_launches += 1
+        pkt = np.take(np.take(seg_pkt, order), seg)
+        stats.kernel_launches += 18
+        return addrs, write, mlp_inv, dev, pkt
 
     def materialize(self):
         """Flatten stages to per-line arrays ordered (pkt, rank,
@@ -694,50 +673,62 @@ class VectorPlan:
 
         Returns ``(addrs, write, mlp_inv, device, pkt)``: the line
         addresses, write flags, inverse MLP (0.0 for device lines),
-        device flags (None when no stage is a device stage), and packet
-        slots.  The address array is a scratch view and the static
-        arrays belong to the cached layout (see class docstring).
+        device flags (None when no stage with lines is a device stage),
+        and packet ids, ascending.  The address array is a scratch view
+        and the static arrays may belong to a cached template (see the
+        class docstring).
         """
         if not self._parts:
             return None
-        layouts = self._layouts
-        key, tkey, k = self._layout_key()
-        layout = layouts.get(key)
-        if layout is None:
-            if tkey is not None:
-                templates = self._templates
-                template = templates.get(tkey)
-                if template is None:
-                    template = self._build_template()
-                    templates[tkey] = template
-                    if len(templates) > self.TEMPLATE_CACHE_CAP:
-                        templates.popitem(last=False)
-                else:
-                    templates.move_to_end(tkey)
-                layout = self._layout_from_template(template, k)
-            else:
-                layout = self._build_layout()
-            layouts[key] = layout
-            if len(layouts) > self.LAYOUT_CACHE_CAP:
-                layouts.popitem(last=False)
+        key, k = self._template_key()
+        if key is None:
+            return self._build_keyed()
+        templates = self._templates
+        template = templates.get(key)
+        if template is None:
+            template = self._build_template()
+            if template is None:
+                return None
+            templates[key] = template
+            if len(templates) > self.TEMPLATE_CACHE_CAP:
+                templates.popitem(last=False)
         else:
-            layouts.move_to_end(key)
-        if not layout:
-            return None
-        grand, part_idx, src, off, write, mlp_inv, dev, pkt = layout
-        parts = self._parts
-        stats = ENGINE_STATS
-        if len(part_idx) == 1:
-            cat = parts[part_idx[0]][1]
-        else:
-            cat = np.concatenate([parts[i][1] for i in part_idx])
-            stats.kernel_launches += 1
-        self._reserve(grand)
-        addrs = self._addr[:grand]
-        np.take(cat, src, out=addrs)
-        np.add(addrs, off, out=addrs)
-        stats.kernel_launches += 2
-        return addrs, write, mlp_inv, dev, pkt
+            templates.move_to_end(key)
+        return self._from_template(template, k)
+
+
+class _StageTemplate:
+    """One uniform stage structure's per-packet line block (see
+    :class:`VectorPlan`): ``part_idx`` lists the staged parts with
+    lines, ``s_pat`` and ``off_pat`` give each block line's base-matrix
+    column and stride offset, and the static per-line arrays are tiled
+    for a capacity of ``pkt.shape[0] // len(s_pat)`` packets."""
+
+    __slots__ = ("part_idx", "s_pat", "off_pat", "write", "mlp_inv",
+                 "device", "pkt")
+
+    def __init__(self, part_idx, s_pat, off_pat, write, mlp_inv,
+                 device) -> None:
+        self.part_idx = part_idx
+        self.s_pat = s_pat
+        self.off_pat = off_pat
+        # Untiled until the first chunk reserves a capacity.
+        self.write = write
+        self.mlp_inv = mlp_inv
+        self.device = device
+        self.pkt = np.zeros(0, dtype=np.int64)
+
+    def reserve(self, k: int) -> None:
+        """Re-tile the static arrays for at least ``k`` packets, and at
+        least twice the previous capacity."""
+        nlines = self.s_pat.shape[0]
+        cap = max(k, 2 * (self.pkt.shape[0] // nlines))
+        self.write = np.tile(self.write[:nlines], cap)
+        self.mlp_inv = np.tile(self.mlp_inv[:nlines], cap)
+        if self.device is not None:
+            self.device = np.tile(self.device[:nlines], cap)
+        self.pkt = np.repeat(np.arange(cap, dtype=np.int64), nlines)
+        ENGINE_STATS.kernel_launches += 4 if self.device is None else 5
 
 
 @dataclass
@@ -855,6 +846,11 @@ class Workload(ABC):
 
     def run(self, budget_cycles: float, now: float) -> None:
         """Execute one sub-step: ``budget_cycles`` per core."""
+        self.run_cores(budget_cycles, now)
+
+    def run_cores(self, budget_cycles: float, now: float) -> None:
+        """Consume ``budget_cycles`` on each core, in port order (by
+        default one :meth:`run_core` per port)."""
         for port in self.ports:
             self.run_core(port, budget_cycles, now)
 
@@ -894,24 +890,45 @@ class Workload(ABC):
 
     def _admit_budget(self, service: "np.ndarray", used: float,
                       budget_cycles: float) -> int:
-        """Prefix of a speculative chunk the scalar loop admits.
+        """Prefix of a speculative chunk the scalar loop admits on one
+        core (see :meth:`_admit_cores`)."""
+        return self._admit_cores(service, used, budget_cycles, 1)[0]
 
-        Item ``i`` runs iff ``i == 0`` or the cycles used before it are
-        under budget — the scalar ``while used < budget`` test, on the
-        same left-to-right float sums.  Also folds the chunk's mean
-        per-item cost into the sizing EMA.
+    def _admit_cores(self, service: "np.ndarray", used: float,
+                     budget_cycles: float, cores: int) -> "list[int]":
+        """Split a speculative chunk over up to ``cores`` cores the way
+        the scalar loop, one core after another, would run it.
+
+        On each core, an item runs iff it is the core's first or the
+        core's cycles used before it are under budget — the scalar
+        ``while used < budget`` test, on the same left-to-right float
+        sums.  The first core starts at ``used``, every later one at
+        0.0, and the first item a core refuses starts the next core.
+        Returns the chunk index that ends each core's items, one entry
+        per core the chunk reached; the last entry is the admitted
+        prefix.  Also folds the chunk's mean per-item cost into the
+        sizing EMA.
         """
         k = service.shape[0]
-        cum = np.empty(k + 1)
-        cum[0] = used
-        cum[1:] = service
-        np.cumsum(cum, out=cum)
-        mean = (float(cum[k]) - used) / k
-        ema = self._spec_ema
-        self._spec_ema = mean if ema <= 0.0 else ema + SPEC_ALPHA * (
-            mean - ema)
-        return 1 + int(np.searchsorted(cum[1:k], budget_cycles,
-                                       side="left"))
+        ends = []
+        lo = 0
+        while True:
+            m = k - lo
+            cum = np.empty(m + 1)
+            cum[0] = used
+            cum[1:] = service[lo:]
+            np.cumsum(cum, out=cum)
+            if not lo:
+                mean = (float(cum[k]) - used) / k
+                ema = self._spec_ema
+                self._spec_ema = mean if ema <= 0.0 \
+                    else ema + SPEC_ALPHA * (mean - ema)
+            lo += 1 + int(np.searchsorted(cum[1:m], budget_cycles,
+                                          side="left"))
+            ends.append(lo)
+            if lo == k or len(ends) == cores:
+                return ends
+            used = 0.0
 
     def _run_ahead(self, port: CorePort, k: int, execute, admit):
         """Execute ``k`` items and keep the prefix the scalar loop admits.

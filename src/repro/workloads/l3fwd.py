@@ -61,4 +61,4 @@ class L3Fwd(RingConsumer):
         k = pkts.shape[0]
         entries = self.region_base + (flows % self.n_flows) * FLOW_ENTRY_BYTES
         plan.add_batch(entries, 1, pkts=pkts, rank=1)
-        return L3FWD_INSTRUCTIONS * k, np.full(k, L3FWD_CYCLES)
+        return L3FWD_INSTRUCTIONS, np.full(k, L3FWD_CYCLES)

@@ -124,10 +124,11 @@ class RingConsumer(Workload):
         index, or None when the workload polls a single ring.  Append the
         chunk's app accesses to ``plan`` in the order :meth:`packet_cost`
         issues them (buffer reads are already staged at rank 0), apply
-        the same state updates, and return ``(instructions_total,
+        the same state updates, and return ``(instructions_per_packet,
         fixed_cycles)`` with ``fixed_cycles`` a per-packet float array —
         the memory-access cycles are attributed later by the plan
-        execution.
+        execution.  A chunk may span several cores, so instructions are
+        per packet: each core is credited for its own packets.
         """
         raise NotImplementedError
 
@@ -162,14 +163,26 @@ class RingConsumer(Workload):
                 return record
         return None
 
+    def run_cores(self, budget_cycles: float, now: float) -> None:
+        """Drain the rings on every core: the scalar loop core by core,
+        or one vector stream per run of interchangeable cores (see
+        :meth:`_run_stream`)."""
+        if self.exec_mode != "vector" or now < self._stalled_until:
+            super().run_cores(budget_cycles, now)
+            return
+        ports = self.ports
+        first = 0
+        for i in range(1, len(ports) + 1):
+            if i == len(ports) or not ports[i].interchangeable(
+                    ports[i - 1]):
+                self._run_stream(ports[first:i], budget_cycles, now)
+                first = i
+
     def run_core(self, port: CorePort, budget_cycles: float,
                  now: float) -> None:
         if now < self._stalled_until:
             # Scheduled out: the ring keeps filling while we're away.
             port.charge(0, budget_cycles)
-            return
-        if self.exec_mode == "vector":
-            self._run_core_vector(port, budget_cycles, now)
             return
         used = 0.0
         instructions = 0.0
@@ -237,10 +250,10 @@ class RingConsumer(Workload):
                     flows, addrs, arrivals, ring_idx, nlines,
                     now: float) -> "tuple[float, np.ndarray]":
         """Consume, plan, and execute packets ``[start, start + k)`` of
-        the backlog snapshot; returns ``(instructions, service)`` with
-        ``service`` the per-packet charged cycles.  Caller accounting
-        (``used``, stats, sampling) stays outside so speculative
-        executions can be discarded wholesale.
+        the backlog snapshot on ``port``; returns ``(instructions per
+        packet, service)`` with ``service`` the per-packet charged
+        cycles.  Caller accounting (``used``, stats, sampling) stays
+        outside so speculative executions can be discarded wholesale.
         """
         rings = self.rings
         nrings = len(rings)
@@ -277,25 +290,35 @@ class RingConsumer(Workload):
         self.packets_processed += k
         return instr, service
 
-    def _run_core_vector(self, port: CorePort, budget_cycles: float,
-                         now: float) -> None:
-        """Fully vectorized drain: snapshot the backlog once, then run
-        budget-guarded chunks with no per-packet Python.
+    def _run_stream(self, ports: "list[CorePort]", budget_cycles: float,
+                    now: float) -> None:
+        """Fully vectorized drain of ``ports``, interchangeable cores
+        that the scalar loop would run one after another: snapshot the
+        backlog once, then run budget-guarded chunks with no per-packet
+        Python, each free to carry on from one core onto the next.
 
-        Equivalent to the scalar loop in :meth:`run_core`: nothing posts
-        to this workload's rings while it runs, so the round-robin pop
-        order over the whole drain is a pure function of the starting
-        backlog — each ring's packets in FIFO order, ties at the same
-        queue depth broken by ring distance from the cursor.  Empty
-        polls then only ever happen as a trailing phase, exactly the
-        order the per-packet loop produces.
+        Equivalent to the scalar loop in :meth:`run_core` run on each
+        port in turn: nothing posts to this workload's rings while it
+        runs, so the round-robin pop order over the whole drain — every
+        core of it — is a pure function of the starting backlog: each
+        ring's packets in FIFO order, ties at the same queue depth
+        broken by ring distance from the cursor.  Empty polls then only
+        ever happen as a trailing phase, on the core the backlog ran out
+        on and every core after it.
 
         Admission is journaled run-ahead (:meth:`Workload._run_ahead`):
-        a chunk sized from the EMA of observed per-packet cost executes,
-        then the *actual* accumulated cost decides how many of its
-        packets the scalar loop would have admitted.  The admitted set,
-        execution order, and left-to-right float accounting match the
-        scalar loop bit-for-bit.
+        a chunk sized from the EMA of observed per-packet cost over the
+        current core's remaining budget plus the later cores' full
+        budgets executes on the current core's port, then the *actual*
+        accumulated cost decides which core each packet lands on
+        (:meth:`Workload._admit_cores`); a chunk that overruns the last
+        core rolls back and replays the admitted prefix.  Interchangeable
+        cores see the same mask, owner and DRAM latency, so a packet
+        costs the same whichever core runs it; each core is then charged
+        exactly its own packets' cycles, instructions, LLC references
+        and misses (moved off the executing port packet by packet) and
+        its own trailing empty polls, on the same left-to-right float
+        sums as the scalar loop.
         """
         rings = self.rings
         nrings = len(rings)
@@ -323,6 +346,9 @@ class RingConsumer(Workload):
             addrs = addrs[order]
             arrivals = arrivals[order]
             ring_idx = ring_idx[order]
+        last = len(ports) - 1
+        core = 0
+        port = ports[0]
         used = 0.0
         instructions = 0.0
         stats = self.stats
@@ -338,15 +364,41 @@ class RingConsumer(Workload):
                                     arrivals, ring_idx, nlines, now)
 
         def admit(result) -> int:
-            return self._admit_budget(result[1], used, budget_cycles)
+            nonlocal ends
+            ends = self._admit_cores(result[1], used, budget_cycles,
+                                     last - core + 1)
+            return ends[-1]
 
-        while used < budget_cycles and start < backlog:
+        while start < backlog:
+            if used >= budget_cycles:
+                if core == last:
+                    break
+                port.charge(instructions, used)
+                core += 1
+                port = ports[core]
+                used = 0.0
+                instructions = 0.0
+            ends = None
             k, (instr, service) = self._run_ahead(
-                port, min(self._spec_size(budget_cycles - used),
-                          CHUNK_PACKETS, backlog - start),
+                port, min(self._spec_size(
+                    budget_cycles - used + (last - core) * budget_cycles),
+                    CHUNK_PACKETS, backlog - start),
                 execute, admit)
-            instructions += instr
-            used = seq_accumulate(used, service)
+            # Charge each core the chunk reached its own packets; the
+            # executing port moves the later cores' LLC counts over.
+            lo = 0
+            ran = port
+            for hi in ends or (k,):
+                if lo:
+                    port.charge(instructions, used)
+                    core += 1
+                    port = ports[core]
+                    ran.move_counts(port, lo, hi)
+                    used = 0.0
+                    instructions = 0.0
+                used = seq_accumulate(used, service[lo:hi])
+                instructions += instr * (hi - lo)
+                lo = hi
             stats.busy_cycles = seq_accumulate(stats.busy_cycles, service)
             lat = queue_cycles[start:start + k] + service
             stats.latency_sum_cycles = seq_accumulate(
@@ -359,7 +411,17 @@ class RingConsumer(Workload):
                 sample = (off + _PKT_ARANGE[:k]) % stride == 0
                 stats.latency_samples.extend(lat[sample].tolist())
             start += k
-        # Trailing empty polls, identical to the per-packet loop's.
+        # Trailing empty polls, identical to the per-packet loop's, on
+        # this core and then on every idle core after it.
+        self._idle(port, used, instructions, budget_cycles)
+        for port in ports[core + 1:]:
+            self._idle(port, 0.0, 0.0, budget_cycles)
+
+    @staticmethod
+    def _idle(port: CorePort, used: float, instructions: float,
+              budget_cycles: float) -> None:
+        """Poll an empty backlog until the budget is spent, then charge
+        the core its whole sub-step, as the per-packet loop does."""
         empty_polls = 0
         while used < budget_cycles:
             empty_polls += 1

@@ -81,4 +81,4 @@ class NfvChain(RingConsumer):
                        pkts=pkts, rank=2, write=True)
         plan.add_batch(self._napt_base + flow * NAPT_ENTRY_BYTES, 1,
                        pkts=pkts, rank=3)
-        return NFV_INSTRUCTIONS * k, np.full(k, NFV_CYCLES)
+        return NFV_INSTRUCTIONS, np.full(k, NFV_CYCLES)

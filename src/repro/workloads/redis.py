@@ -122,7 +122,7 @@ class RedisServer(RingConsumer):
         if writes.shape[0]:
             plan.add_batch(vaddrs[writes], nlines, pkts=pkts[writes],
                            rank=3, write=True, mlp=VALUE_MLP)
-        return REDIS_INSTRUCTIONS_PER_OP * k, np.full(
+        return REDIS_INSTRUCTIONS_PER_OP, np.full(
             k, REDIS_OVERHEAD_CYCLES)
 
     def plan_transmit_chunk(self, plan: VectorPlan, pkts, sizes, addrs,

@@ -162,8 +162,9 @@ class RocksDb(Workload):
         loop's issue order; returns the flat plan arrays and each op's
         first line (``bounds[i] .. bounds[i + 1]`` are op ``i``'s lines).
 
-        The plan is built fresh per draw: op mixes never repeat, so a
-        reused plan would only fill its layout cache with dead entries.
+        The plan is built fresh per draw: its stages are ragged and op
+        mixes never repeat, so it takes VectorPlan's uncached keyed
+        build and a reused plan would carry nothing over.
         """
         depth = self.skiplist_depth
         value_lines = -(-self.value_bytes // 64)

@@ -32,4 +32,4 @@ class TestPmd(RingConsumer):
     def plan_chunk(self, plan: VectorPlan, port: CorePort, pkts, sizes,
                    flows, addrs, arrivals, rings, now):
         k = pkts.shape[0]
-        return TESTPMD_INSTRUCTIONS * k, np.full(k, TESTPMD_CYCLES)
+        return TESTPMD_INSTRUCTIONS, np.full(k, TESTPMD_CYCLES)

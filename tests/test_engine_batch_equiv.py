@@ -9,23 +9,38 @@ across seeds and scenario shapes (fig. 8's OVS forwarding chain, fig.
 9's many-flow variant, a fig. 11-style managed run with the IAT daemon
 in the loop, fig. 3's jittered l3fwd, and fig. 12's NFV chains beside
 RocksDB and X-Mem).
+
+A vector ring drain runs a tenant's interchangeable cores as one
+stream whose chunks carry on from one core onto the next, so the runs
+also compare every core's counter block: tenant records sum a tenant's
+cores and would not notice a packet charged to the wrong one.  The
+stream-boundary inputs roll chunks back across a core boundary, run a
+three-core OVS, split OVS over two CAT masks, and jitter a two-core
+l3fwd.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
 from repro.core import ControlPlane, IATDaemon, IATParams
-from repro.experiments.common import (l3fwd_scenario, leaky_dma_scenario,
-                                      nfv_scenario)
+from repro.experiments.common import (VIRTIO_ENTRIES, Scenario,
+                                      l3fwd_scenario, leaky_dma_scenario,
+                                      line_rate, nfv_scenario)
 from repro.net.traffic import TrafficSpec
+from repro.pci.ring import DescRing
 from repro.sim.config import TINY_PLATFORM
 from repro.sim.engine import EXEC_MODES, Simulation
 from repro.sim.platform import Platform
 from repro.tenants.tenant import Priority, Tenant
-from repro.workloads.base import ENGINE_STATS
+from repro.vswitch.ovs import OvsDataplane
+from repro.workloads import base
+from repro.workloads.base import ENGINE_STATS, Workload
+from repro.workloads.l3fwd import L3Fwd
+from repro.workloads.netbase import RingConsumer
 from repro.workloads.testpmd import TestPmd
 from repro.workloads.xmem import XMem
 
@@ -40,18 +55,34 @@ def _records(metrics) -> list:
     return [dataclasses.asdict(record) for record in metrics.records]
 
 
+def _cores(platform) -> list:
+    """Every core's counter block, field by field."""
+    return [(b.instructions, b.cycles, b.llc_references, b.llc_misses)
+            for b in platform.counters.cores]
+
+
 def _run(build, exec_mode: str, seed: int, duration: float = 0.5) -> dict:
-    """Run ``build(seed)``'s scenario in one mode; returns its records
-    and each workload's op count, busy cycles and latency sum."""
+    """Run ``build(seed)``'s scenario in one mode; returns its records,
+    every core's counter block, and each workload's op count, busy
+    cycles and latency sum."""
     scen = build(seed)
     scen.sim.exec_mode = exec_mode
     metrics = scen.sim.run(duration)
     return {
         "records": _records(metrics),
+        "cores": _cores(scen.platform),
         "workloads": {name: (w.stats.ops, w.stats.busy_cycles,
                              w.stats.latency_sum_cycles)
                       for name, w in scen.workloads.items()},
     }
+
+
+def _assert_same(vec: dict, sca: dict) -> None:
+    # Workload sums and core blocks first, so a failure names what
+    # diverged.
+    assert vec["workloads"] == sca["workloads"]
+    assert vec["cores"] == sca["cores"]
+    assert vec["records"] == sca["records"]
 
 
 def _leaky(seed: int, n_flows: int = 1):
@@ -104,10 +135,92 @@ def _nfv(seed: int):
     return nfv_scenario(app="rocksdb", spec=NFV_TINY, seed=seed)
 
 
+def _ovs3(seed: int):
+    """Two NICs at line rate into a three-core OVS, forwarding to one
+    two-core testpmd: enough load that chunks run through all three
+    OVS cores."""
+    platform = Platform(dataclasses.replace(ARRAY_TINY, cores=5))
+    sim = Simulation(platform, seed=seed)
+    virtio = DescRing(VIRTIO_ENTRIES, base_addr=platform.alloc_region(
+        VIRTIO_ENTRIES * 2048))
+    nics = [platform.add_nic(f"nic{i}", 40.0) for i in range(2)]
+    vfs = {f"nic{i}.rx": nic.add_vf(entries=256, name=f"nic{i}.rx")
+           for i, nic in enumerate(nics)}
+    ovs = OvsDataplane("ovs", [vf.rx_ring for vf in vfs.values()],
+                       routes={0: virtio, 1: virtio},
+                       core_freq_hz=platform.spec.freq_hz)
+    sim.add_tenant(Tenant("ovs", cores=(0, 1, 2), priority=Priority.STACK,
+                          is_io=True, initial_ways=2), ovs)
+    pmd = TestPmd("pmd", [virtio], core_freq_hz=platform.spec.freq_hz)
+    sim.add_tenant(Tenant("pmd", cores=(3, 4), priority=Priority.PC,
+                          is_io=True, initial_ways=1), pmd)
+    for nic, vf in zip(nics, vfs.values()):
+        sim.attach_traffic(nic, vf, line_rate(platform, 40.0, 512,
+                                              n_flows=16))
+    return Scenario(platform, sim, workloads={"ovs": ovs, "pmd": pmd},
+                    vfs=vfs, nics=nics)
+
+
+def _ovs_split_clos(seed: int):
+    """Fig. 8's chain with OVS's second core moved to a CLOS of its own
+    with a narrower mask: the tenant's cores are no longer
+    interchangeable, so OVS drains as two one-core streams."""
+    scen = _leaky(seed, n_flows=16)
+    cat = scen.platform.cat
+    ovs_core = scen.sim.bindings[0].tenant.cores[1]
+    spare = cat.num_cos - 1
+    cat.set_mask(spare, 0b11)
+    assert cat.mask_of_core(ovs_core) != 0b11
+    cat.associate(ovs_core, spare)
+    return scen
+
+
+def _l3fwd2(seed: int):
+    """Fig. 3's jittered l3fwd on two cores, offered more than the two
+    serve, so stalls and budget-ended drains both occur."""
+    platform = Platform(ARRAY_TINY)
+    sim = Simulation(platform, seed=seed)
+    nic = platform.add_nic("nic0", 40.0)
+    vf = nic.add_vf(entries=512, name="vf0")
+    fwd = L3Fwd("l3fwd", [vf.rx_ring], n_flows=4096,
+                core_freq_hz=platform.spec.freq_hz, stall_period=0.2)
+    sim.add_tenant(Tenant("l3fwd", cores=(0, 1), priority=Priority.PC,
+                          is_io=True, initial_ways=2), fwd)
+    sim.attach_traffic(nic, vf, TrafficSpec(pps=24000.0, packet_size=64,
+                                            n_flows=4096, zipf_theta=0.5,
+                                            burstiness=0.3))
+    return Scenario(platform, sim, workloads={"l3fwd": fwd},
+                    vfs={"vf0": vf}, nics=[nic])
+
+
+def _record_spans(monkeypatch) -> "tuple[list, list]":
+    """Record each ring drain's streams (type, cores) and each admitted
+    chunk's split (type, cores reached, rolled back)."""
+    streams: "list[tuple[type, int]]" = []
+    splits: "list[tuple[type, int, bool]]" = []
+    run_stream = RingConsumer._run_stream
+    admit = Workload._admit_cores
+
+    def recording_stream(self, ports, budget_cycles, now):
+        streams.append((type(self), len(ports)))
+        return run_stream(self, ports, budget_cycles, now)
+
+    def recording_admit(self, service, used, budget_cycles, cores):
+        ends = admit(self, service, used, budget_cycles, cores)
+        splits.append((type(self), len(ends),
+                       ends[-1] < service.shape[0]))
+        return ends
+
+    monkeypatch.setattr(RingConsumer, "_run_stream", recording_stream)
+    monkeypatch.setattr(Workload, "_admit_cores", recording_admit)
+    return streams, splits
+
+
 class TestExecModeEquivalence:
     @pytest.mark.parametrize("seed", [8, 21, 77, 1234])
     def test_vector_equals_scalar_fig8(self, seed):
-        assert _run(_leaky, "vector", seed) == _run(_leaky, "scalar", seed)
+        _assert_same(_run(_leaky, "vector", seed),
+                     _run(_leaky, "scalar", seed))
 
     def test_all_modes_match_fig9_many_flows(self):
         runs = [_run(lambda seed: _leaky(seed, n_flows=128), mode, 11)
@@ -130,10 +243,44 @@ class TestExecModeEquivalence:
         assert ENGINE_STATS.spec_chunks > chunks, \
             "the vector run executed no run-ahead chunk"
         assert all(ops > 0 for ops, _, _ in vec["workloads"].values())
-        sca = _run(build, "scalar", seed, 0.6)
-        # Workload sums first, so a failure names what diverged.
-        assert vec["workloads"] == sca["workloads"]
-        assert vec["records"] == sca["records"]
+        _assert_same(vec, _run(build, "scalar", seed, 0.6))
+
+
+class TestStreamBoundaries:
+    """Vector == scalar, core blocks included, where a ring drain's
+    stream meets a core boundary."""
+
+    @pytest.mark.parametrize("seed", [8, 21])
+    def test_rollback_across_core_boundary(self, monkeypatch, seed):
+        """Headroom 2.5 makes OVS's chunks overrun its second core, so
+        they roll back and replay a prefix that spans both cores."""
+        monkeypatch.setattr(base, "SPEC_HEADROOM", 2.5)
+        _, splits = _record_spans(monkeypatch)
+        build = functools.partial(_leaky, n_flows=16)
+        vec = _run(build, "vector", seed)
+        assert (OvsDataplane, 2, True) in splits
+        _assert_same(vec, _run(build, "scalar", seed))
+
+    def test_three_core_ovs(self, monkeypatch):
+        streams, splits = _record_spans(monkeypatch)
+        vec = _run(_ovs3, "vector", 8)
+        assert (OvsDataplane, 3) in streams
+        assert (OvsDataplane, 3, False) in splits
+        _assert_same(vec, _run(_ovs3, "scalar", 8))
+
+    def test_ovs_cores_on_two_masks(self, monkeypatch):
+        streams, _ = _record_spans(monkeypatch)
+        vec = _run(_ovs_split_clos, "vector", 21)
+        ovs = [n for cls, n in streams if cls is OvsDataplane]
+        assert ovs and set(ovs) == {1}
+        _assert_same(vec, _run(_ovs_split_clos, "scalar", 21))
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_jittered_two_core_l3fwd(self, monkeypatch, seed):
+        _, splits = _record_spans(monkeypatch)
+        vec = _run(_l3fwd2, "vector", seed, 0.6)
+        assert (L3Fwd, 2, False) in splits
+        _assert_same(vec, _run(_l3fwd2, "scalar", seed, 0.6))
 
 
 class TestExecModeValidation:

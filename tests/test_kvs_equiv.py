@@ -6,7 +6,10 @@ draining mixed GET/SET rings, and the closed-loop RocksDB and X-Mem
 tenants, whose vector drains admit work through the same journaled
 run-ahead helper as the ring drains.  Every recorded metric, every
 controller decision and every workload statistic — down to the last
-bit of each float sum — must match the scalar reference loop.
+bit of each float sum — must match the scalar reference loop, and so
+must every core's counter block: OVS and each Redis server drain their
+two cores as one stream, and a packet charged to the wrong core of the
+right tenant would leave the tenant records unchanged.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ def _run(exec_mode: str, letter: str, seed: int) -> dict:
     return {
         "records": [dataclasses.asdict(r) for r in metrics.records],
         "history": [dataclasses.asdict(h) for h in daemon.history],
+        "cores": [(b.instructions, b.cycles, b.llc_references,
+                   b.llc_misses) for b in scen.platform.counters.cores],
         "workloads": {name: (w.stats.ops, w.stats.busy_cycles,
                              w.stats.latency_sum_cycles)
                       for name, w in scen.workloads.items()},
@@ -53,6 +58,7 @@ def _assert_same(vec: dict, sca: dict) -> None:
     # Field by field, so a failure names what diverged.
     assert vec["workloads"] == sca["workloads"]
     assert vec["per_op"] == sca["per_op"]
+    assert vec["cores"] == sca["cores"]
     assert vec["history"] == sca["history"]
     assert vec["records"] == sca["records"]
 
