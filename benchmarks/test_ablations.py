@@ -37,7 +37,7 @@ def _ddio_convergence(increment_mode: str) -> "tuple[int, float]":
 
     scenario.sim.at(3.0, jump)
     scenario.sim.run(12.0)
-    final = daemon.allocator.ddio_ways
+    final = daemon.policy.allocator.ddio_ways
     reached_at = next((h.time for h in daemon.history
                        if h.ddio_ways >= final), 12.0)
     return final, reached_at

@@ -39,9 +39,8 @@ def run_mode(mode: str, packet_size: int) -> dict:
         "ovs_ipc": mean_tenant_ipc(records, "ovs"),
         "ovs_cpp": ovs.cycles_per_packet(),
         "ddio_ways": bin(scenario.platform.ddio.mask).count("1"),
+        "history": controller.history,
     }
-    if mode == "iat":
-        result["history"] = controller.history
     return result
 
 

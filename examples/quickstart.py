@@ -13,7 +13,7 @@ This is the smallest end-to-end use of the library:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import ControlPlane, IATDaemon, IATParams
+from repro.core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
 from repro.net import TrafficSpec
 from repro.sim import Platform, Simulation, XEON_6140
 from repro.tenants import Priority, Tenant
@@ -45,7 +45,7 @@ def main() -> None:
     # 4. The daemon, speaking pqos + MSRs through the control plane.
     control = ControlPlane(platform.pqos, sim.tenant_set(),
                            time_scale=platform.spec.time_scale)
-    daemon = IATDaemon(control, IATParams())
+    daemon = ControllerDaemon(control, IATPolicy(IATParams()))
     sim.add_controller(daemon)
 
     metrics = sim.run(10.0)

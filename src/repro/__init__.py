@@ -22,17 +22,17 @@ results.
 
 from .cache import (CacheGeometry, CatController, DdioConfig, SlicedLLC,
                     XEON_6140_LLC)
-from .core import (ControlPlane, CoreOnlyPolicy, IATDaemon, IATParams,
-                   IOIsoPolicy, State, StaticPolicy)
+from .core import (ControlPlane, ControllerDaemon, CoreOnlyPolicy,
+                   IATParams, IATPolicy, IOIsoPolicy, State, StaticPolicy)
 from .sim import Platform, PlatformSpec, Simulation, XEON_6140
 from .tenants import Priority, Tenant, TenantSet
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CacheGeometry", "CatController", "ControlPlane", "CoreOnlyPolicy",
-    "DdioConfig", "IATDaemon", "IATParams", "IOIsoPolicy", "Platform",
-    "PlatformSpec", "Priority", "Simulation", "SlicedLLC", "State",
-    "StaticPolicy", "Tenant", "TenantSet", "XEON_6140", "XEON_6140_LLC",
-    "__version__",
+    "CacheGeometry", "CatController", "ControlPlane", "ControllerDaemon",
+    "CoreOnlyPolicy", "DdioConfig", "IATParams", "IATPolicy",
+    "IOIsoPolicy", "Platform", "PlatformSpec", "Priority", "Simulation",
+    "SlicedLLC", "State", "StaticPolicy", "Tenant", "TenantSet",
+    "XEON_6140", "XEON_6140_LLC", "__version__",
 ]

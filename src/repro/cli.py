@@ -395,9 +395,10 @@ def _daemon_summary(daemon) -> str:
     if daemon.layout is not None:
         masks = {group: f"0x{mask:x}" for group, mask
                  in sorted(daemon.layout.group_masks.items())}
+    last = history[-1]
     return (f"daemon: {len(history)} iterations, {changes} state changes, "
-            f"final state {daemon.state.value}, "
-            f"ddio_ways={daemon.allocator.ddio_ways}, masks={masks}")
+            f"final state {last.state.value}, "
+            f"ddio_ways={last.ddio_ways}, masks={masks}")
 
 
 def _cmd_daemon(args) -> int:
@@ -423,7 +424,7 @@ def _cmd_daemon(args) -> int:
 
 
 def _run_daemon(args) -> int:
-    from .core import ControlPlane, IATDaemon, IATParams
+    from .core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
     from .tenants.registry import TenantRegistry
 
     registry = TenantRegistry(args.tenants)
@@ -437,7 +438,7 @@ def _run_daemon(args) -> int:
         pqos = HwPqos(msr_of=msrs)
         control = ControlPlane(pqos, tenants, time_scale=1.0,
                                registry=registry)
-        daemon = IATDaemon(control, params)
+        daemon = ControllerDaemon(control, IATPolicy(params))
         daemon.on_start(0.0)
         import time as _time
         print(f"IAT daemon on real MSRs, interval {args.interval}s; ^C "
@@ -475,7 +476,7 @@ def _run_daemon(args) -> int:
             sim.add_tenant(tenant, XMem(tenant.name, 8 << 20))
     control = ControlPlane(platform.pqos, sim.tenant_set(),
                            time_scale=platform.spec.time_scale)
-    daemon = IATDaemon(control, params)
+    daemon = ControllerDaemon(control, IATPolicy(params))
     sim.add_controller(daemon)
     sim.run(args.duration)
     for entry in daemon.history:

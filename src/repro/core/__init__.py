@@ -2,8 +2,7 @@
 
 from .allocator import Layout, WayAllocator, pack_bottom_up, plan_layout
 from .control import ControlPlane
-from .daemon import (ControllerDaemon, IATDaemon, IterationLog,
-                     IterationTiming)
+from .daemon import ControllerDaemon, IterationLog, IterationTiming
 from .fsm import INITIAL_STATE, Signals, State, next_state
 from .monitor import (ChangeKind, ChangeReport, ProfMonitor, SlowdownTracker,
                       SystemSample, TenantSample, jain_fairness, rel_change)
@@ -17,7 +16,7 @@ from .shuffler import group_refs, placement_order, share_tenant
 
 __all__ = [
     "ChangeKind", "ChangeReport", "ControlPlane", "ControllerDaemon",
-    "CoreOnlyPolicy", "Decision", "IATDaemon", "IATParams", "IATPolicy",
+    "CoreOnlyPolicy", "Decision", "IATParams", "IATPolicy",
     "INITIAL_STATE", "IOCAPolicy", "IOIsoPolicy", "IterationLog",
     "IterationTiming", "LFOCPolicy", "Layout", "Policy", "PolicyBase",
     "PolicyInfo", "PolicyState", "ProfMonitor", "ReactivePolicy", "Signals",

@@ -18,17 +18,10 @@ The daemon is backend-agnostic: it sees the machine only through a
 :class:`~repro.core.control.ControlPlane`.  The simulation engine calls
 :meth:`on_interval` once per sleep interval (1 s, Table II).
 
-:class:`IATDaemon` is the paper's daemon: a :class:`ControllerDaemon`
-wired to the registered IAT policy, preserving the historical attribute
-surface (``state``, ``allocator``, ``params``, ...).  Its feature flags
-reproduce the paper's ablations exactly:
-
-* ``manage_ddio=False`` — Sec. VI-B footnote 3 (the Latent Contender
-  experiment isolates shuffling by freezing the DDIO way count);
-* ``manage_tenant_ways=False`` — Sec. VI-C ("temporarily disable IAT's
-  functionality of assigning more/less LLC ways for tenants, but the
-  ways ... will still be shuffled");
-* ``shuffle=False`` — used by the Core-only comparison policy.
+The paper's daemon is ``ControllerDaemon(control, IATPolicy(...))``;
+the Sec. VI-B baselines (static, Core-only, I/O-iso) are registered
+policies too, so every controller the engine runs is one of these
+shells.
 
 Per-iteration execution time is tracked two ways for Fig. 15: the
 modelled MSR/context-switch cost from the pqos facade (comparable to
@@ -48,7 +41,6 @@ from .allocator import Layout
 from .control import ControlPlane
 from .fsm import State
 from .monitor import ChangeKind
-from .params import IATParams
 
 if TYPE_CHECKING:
     from .monitor import ProfMonitor, SystemSample
@@ -192,54 +184,3 @@ class ControllerDaemon:
                   for t in self.timings if t.stable == stable]
         return sum(values) / len(values) if values else 0.0
 
-
-class IATDaemon(ControllerDaemon):
-    """I/O-aware LLC management daemon (the paper's controller).
-
-    A :class:`ControllerDaemon` driving
-    :class:`~repro.core.policies.IATPolicy`, with delegating properties
-    so existing callers keep reading ``daemon.state``,
-    ``daemon.allocator`` etc. exactly as before the policy split.
-    """
-
-    def __init__(self, control: ControlPlane,
-                 params: "IATParams | None" = None, *,
-                 manage_ddio: bool = True,
-                 manage_tenant_ways: bool = True,
-                 shuffle: bool = True) -> None:
-        from .policies import IATPolicy
-        super().__init__(control, IATPolicy(
-            params, manage_ddio=manage_ddio,
-            manage_tenant_ways=manage_tenant_ways, shuffle=shuffle))
-
-    @property
-    def params(self) -> IATParams:
-        return self.policy.params
-
-    @property
-    def state(self) -> State:
-        return self.policy.state
-
-    @property
-    def allocator(self):
-        return self.policy.allocator
-
-    @property
-    def manage_ddio(self) -> bool:
-        return self.policy.manage_ddio
-
-    @property
-    def manage_tenant_ways(self) -> bool:
-        return self.policy.manage_tenant_ways
-
-    @property
-    def shuffle(self) -> bool:
-        return self.policy.shuffle
-
-    @property
-    def _order(self) -> "list[str]":
-        return self.policy._order
-
-    @property
-    def _growing(self) -> "set[str]":
-        return self.policy._growing

@@ -1,48 +1,44 @@
 """The policy plane: the registry, the `Policy` protocol, and the zoo.
 
-Two generations of controller live here:
-
-**The policy zoo** (new) — decorator-registered strategies driven by a
-generic :class:`~repro.core.daemon.ControllerDaemon`.  Every policy
-implements the :class:`Policy` protocol (``bind`` / ``make_monitor`` /
-``on_init`` / ``pre_observe`` / ``decide``), plans
+Every controller is a decorator-registered policy driven by a generic
+:class:`~repro.core.daemon.ControllerDaemon`.  Each implements the
+:class:`Policy` protocol (``bind`` / ``make_monitor`` / ``on_init`` /
+``pre_observe`` / ``decide``), plans
 :class:`~repro.core.allocator.Layout` objects, and actuates them
 through :meth:`ControllerDaemon.apply_layout` (which delegates mask
 programming to :meth:`ControlPlane.apply_layout`).  Registered today:
 
 * ``iat`` — :class:`IATPolicy`, the paper's six-step FSM controller
   (all of Sec. IV), bit-identical to the pre-refactor monolith;
-* ``static`` / ``core-only`` / ``io-iso`` — the Sec. VI-B comparison
-  policies, adapted into the registry via thin wrappers;
+* ``static`` — :class:`StaticPolicy`, the paper's baseline: one
+  allocation at start-up, never revisited.  Figs. 12-14 randomize the
+  initial placement ("the LLC ways allocation ... randomly shuffled"),
+  hence ``shuffle_seed``: a cache-hungry tenant may or may not land on
+  the DDIO ways, producing the wide min-max whiskers of the baseline
+  bars;
+* ``core-only`` — :class:`CoreOnlyPolicy`, dynamic, miss-driven way
+  allocation *without* I/O awareness (the paper emulates this by
+  "disabling I/O Demand state and LLC shuffling").  It happily treats
+  the DDIO ways as free space, which is the Latent Contender problem in
+  action;
+* ``io-iso`` — :class:`IOIsoPolicy`, Core-only plus a hard exclusion of
+  the DDIO ways from the core pool ([14, 69]'s approach).  When demand
+  exceeds the shrunken pool, groups are clamped against its top and
+  *share* ways ("the PC containers have to share 7-2=5 ways");
 * ``ioca`` — :class:`IOCAPolicy`, an IOCA-style I/O-aware manager that
   sizes the DDIO partition from DDIO/PCIe pressure (arXiv:2007.04552);
 * ``lfoc`` — :class:`LFOCPolicy`, an LFOC-style fairness-clustering
   policy driven by per-tenant slowdowns (arXiv:2402.07578).
 
+Neither reactive policy (Core-only, I/O-iso) ever touches the DDIO
+mask; they re-read its width every interval so external changes (the
+Fig. 10 script raises DDIO from two to four ways at t=15 s) are
+respected.
+
 Use :func:`create_policy(name, params)` to construct one from a plain
-params dict (the ``repro compare`` harness does exactly this), and
-:func:`available_policies` to enumerate the registry.
-
-**Legacy engine-driven controllers** (below) — the original Sec. VI-B
-comparison classes, still usable directly as engine controllers:
-
-* **StaticPolicy** (baseline) — one allocation at start-up, never
-  revisited.  Figs. 12-14 randomize the initial placement ("the LLC
-  ways allocation ... randomly shuffled"), hence ``shuffle_seed``: a
-  cache-hungry tenant may or may not land on the DDIO ways, producing
-  the wide min-max whiskers of the baseline bars.
-* **CoreOnlyPolicy** — dynamic, miss-driven way allocation *without*
-  I/O awareness (the paper emulates this by "disabling I/O Demand state
-  and LLC shuffling").  It happily treats the DDIO ways as free space,
-  which is the Latent Contender problem in action.
-* **IOIsoPolicy** — Core-only plus a hard exclusion of the DDIO ways
-  from the core pool ([14, 69]'s approach).  When demand exceeds the
-  shrunken pool, groups are clamped against its top and *share* ways
-  ("the PC containers have to share 7-2=5 ways").
-
-Neither reactive policy ever touches the DDIO mask; they re-read its
-width every interval so external changes (the Fig. 10 script raises
-DDIO from two to four ways at t=15 s) are respected.
+params dict (``Scenario.attach_controller`` and the ``repro compare``
+harness do exactly this), and :func:`available_policies` to enumerate
+the registry.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ from ..obs.metrics import REGISTRY
 from ..obs.tracer import enabled_tracer
 from ..tenants.tenant import Priority, TenantSet
 from .allocator import Layout, WayAllocator, plan_layout
-from .control import ControlPlane
 from .fsm import INITIAL_STATE, State, next_state
 from .monitor import (ChangeKind, ChangeReport, ProfMonitor, SlowdownTracker,
                       SystemSample, rel_change)
@@ -164,7 +159,14 @@ class PolicyBase:
         return cls(**params)
 
     def make_monitor(self) -> "ProfMonitor | None":
-        return None
+        """The daemon's monitor: a :class:`ProfMonitor` over every tenant
+        when the policy takes ``params_cls`` (its thresholds tune the
+        monitor), and no monitor otherwise."""
+        if self.params_cls is None:
+            return None
+        control = self.control
+        return ProfMonitor(control.pqos, control.tenants, self.params,
+                           time_scale=control.time_scale)
 
     def on_init(self, now: float) -> None:
         """Plan and apply the initial allocation (tenants just changed)."""
@@ -258,10 +260,20 @@ def group_floor(tenants: TenantSet, group: str) -> int:
 class IATPolicy(PolicyBase):
     """The paper's six-step decision logic behind the Policy protocol.
 
-    Moved verbatim from the pre-refactor ``IATDaemon`` monolith; the
+    Moved verbatim from the pre-refactor monolithic daemon; the
     equivalence suite pins the iteration history (and the pqos call and
     trace event order underneath it) field-for-field against goldens
     captured before the split.
+
+    The feature flags reproduce the paper's ablations exactly:
+
+    * ``manage_ddio=False`` — Sec. VI-B footnote 3 (the Latent Contender
+      experiment isolates shuffling by freezing the DDIO way count);
+    * ``manage_tenant_ways=False`` — Sec. VI-C ("temporarily disable
+      IAT's functionality of assigning more/less LLC ways for tenants,
+      but the ways ... will still be shuffled");
+    * ``shuffle=False`` — no way shuffling: groups keep their
+      registration order (the shuffling ablation).
     """
 
     params_cls = IATParams
@@ -282,11 +294,6 @@ class IATPolicy(PolicyBase):
         self._growing: "set[str]" = set()
 
     # ------------------------------------------------------------------
-    def make_monitor(self) -> ProfMonitor:
-        control = self.control
-        return ProfMonitor(control.pqos, control.tenants, self.params,
-                           time_scale=control.time_scale)
-
     def on_init(self, now: float) -> None:
         control = self.control
         tenants = control.tenants
@@ -547,13 +554,13 @@ def _initial_order(tenants: TenantSet,
     return order
 
 
-def _apply_group_masks(control: ControlPlane, layout: Layout,
-                       previous: "Layout | None") -> None:
-    """Program per-tenant mask deltas, leaving the DDIO mask alone."""
-    control.apply_layout(layout, previous, set_ddio=False)
+# ======================================================================
+# The Sec. VI-B comparison policies: static, Core-only and I/O-iso
+# ======================================================================
 
-
-class StaticPolicy:
+@register_policy("static", "One-shot static allocation at start-up "
+                           "(the paper's baseline)")
+class StaticPolicy(PolicyBase):
     """Fixed allocation applied once at start-up (the paper's baseline).
 
     With ``shuffle_seed`` set, the placement follows the paper's
@@ -565,20 +572,15 @@ class StaticPolicy:
     baseline whiskers of Figs. 12-14) and sometimes does not.
     """
 
-    def __init__(self, control: ControlPlane, *,
-                 explicit_masks: "dict[str, int] | None" = None,
+    def __init__(self, *, explicit_masks: "dict[str, int] | None" = None,
                  shuffle_seed: "int | None" = None) -> None:
-        self.control = control
         self.explicit_masks = explicit_masks
         self.shuffle_seed = shuffle_seed
         self.interval_s = 1e9  # effectively never re-invoked
-        self.layout: "Layout | None" = None
 
     def _group_counts(self, groups: "list[str]") -> "list[tuple[str, int]]":
         tenants = self.control.tenants
-        return [(g, max(max(1, t.initial_ways)
-                        for t in tenants.group_members(g)))
-                for g in groups]
+        return [(g, group_floor(tenants, g)) for g in groups]
 
     def _random_layout(self, ddio_ways: int) -> Layout:
         tenants = self.control.tenants
@@ -610,7 +612,7 @@ class StaticPolicy:
                       ddio_mask=ways_to_mask(num_ways - ddio_ways,
                                              ddio_ways))
 
-    def on_start(self, now: float) -> None:
+    def on_init(self, now: float) -> None:
         control = self.control
         tenants = control.tenants
         ddio_ways = control.pqos.ddio_way_count()
@@ -622,57 +624,57 @@ class StaticPolicy:
         else:
             counts = self._group_counts(tenants.group_names())
             layout = plan_layout(control.pqos.num_ways, ddio_ways, counts)
-        _apply_group_masks(control, layout, None)
-        self.layout = layout
-
-    def on_interval(self, now: float) -> None:
-        """Static: nothing to do."""
+        self.daemon.apply_layout(layout, set_ddio=False)
 
 
-class ReactivePolicy:
-    """Miss-rate driven, I/O-unaware dynamic allocation (dCAT-like)."""
+class ReactivePolicy(PolicyBase):
+    """Miss-rate driven, I/O-unaware dynamic allocation (dCAT-like).
 
+    Reads each tenant's LLC references and miss rate from the daemon's
+    monitor sample.  ``io_isolated`` is the only difference between the
+    two registered variants, :class:`CoreOnlyPolicy` and
+    :class:`IOIsoPolicy`.
+    """
+
+    params_cls = IATParams
+    #: Exclude the DDIO ways from the core pool (I/O-iso) or not.
+    io_isolated = False
     #: Miss-rate jump (percentage points) that triggers a way grant.
     GROW_THRESHOLD_PP = 2.0
     #: Relative LLC-reference drop that triggers a reclaim.
     RECLAIM_THRESHOLD = 0.30
 
-    def __init__(self, control: ControlPlane,
-                 params: "IATParams | None" = None, *,
-                 io_isolated: bool = False,
+    def __init__(self, params: "IATParams | None" = None, *,
                  shuffle_seed: "int | None" = None) -> None:
-        self.control = control
         self.params = params or IATParams()
-        self.io_isolated = io_isolated
         self.shuffle_seed = shuffle_seed
         self.interval_s = self.params.interval_s
         self.allocator: "WayAllocator | None" = None
-        self.layout: "Layout | None" = None
         self._order: "list[str]" = []
         self._prev_miss_rate: "dict[str, float]" = {}
-        self._prev_refs: "dict[str, int]" = {}
         self._peak_refs: "dict[str, int]" = {}
         self._growing: "set[str]" = set()
 
     # ------------------------------------------------------------------
-    def on_start(self, now: float) -> None:
+    def on_init(self, now: float) -> None:
         control = self.control
         tenants = control.tenants
         self.allocator = WayAllocator.for_tenants(
             control.pqos.num_ways, self.params, tenants)
         self.allocator.ddio_ways = control.pqos.ddio_way_count()
         self._order = _initial_order(tenants, self.shuffle_seed)
-        for tenant in tenants:
-            control.pqos.mon_start(f"policy.{tenant.name}", tenant.cores)
+        self._prev_miss_rate = {}
+        self._peak_refs = {}
+        self._growing = set()
         self._apply()
 
-    def on_interval(self, now: float) -> None:
+    def decide(self, now: float, sample: SystemSample) -> Decision:
         control = self.control
         grow_best: "tuple[float, str] | None" = None
         refs_now: "dict[str, int]" = {}
         rate_now: "dict[str, float]" = {}
         for tenant in control.tenants:
-            result = control.pqos.mon_poll(f"policy.{tenant.name}")
+            result = sample.tenants[tenant.name]
             group = tenant.group
             refs_now[group] = refs_now.get(group, 0) + result.llc_references
             rate_now[group] = max(rate_now.get(group, 0.0), result.miss_rate)
@@ -703,7 +705,9 @@ class ReactivePolicy:
         if changed:
             self._apply()
         self._prev_miss_rate = rate_now
-        self._prev_refs = refs_now
+        return Decision(ChangeKind.POLICY,
+                        "rebalance" if changed else "none",
+                        stable=not changed)
 
     def _grow_into_pool(self, group: str,
                         refs_now: "dict[str, int]") -> bool:
@@ -740,8 +744,7 @@ class ReactivePolicy:
     def _maybe_reclaim(self, refs_now: "dict[str, int]") -> bool:
         tenants = self.control.tenants
         for group, ways in self.allocator.group_ways.items():
-            floor = max(max(1, t.initial_ways)
-                        for t in tenants.group_members(group))
+            floor = group_floor(tenants, group)
             if ways <= floor:
                 continue
             peak = self._peak_refs.get(group, 0)
@@ -791,105 +794,23 @@ class ReactivePolicy:
             self._fit_to_pool()
         layout = self.allocator.layout(self._order,
                                        io_isolated=self.io_isolated)
-        _apply_group_masks(self.control, layout, self.layout)
-        self.layout = layout
-
-
-class CoreOnlyPolicy(ReactivePolicy):
-    """Dynamic allocation ignoring DDIO entirely (Sec. VI-B footnote 4)."""
-
-    def __init__(self, control: ControlPlane,
-                 params: "IATParams | None" = None, *,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(control, params, io_isolated=False,
-                         shuffle_seed=shuffle_seed)
-
-
-class IOIsoPolicy(ReactivePolicy):
-    """Core-only with the DDIO ways excluded from the core pool."""
-
-    def __init__(self, control: ControlPlane,
-                 params: "IATParams | None" = None, *,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(control, params, io_isolated=True,
-                         shuffle_seed=shuffle_seed)
-
-
-# ======================================================================
-# Registry adapters for the legacy engine-driven controllers
-# ======================================================================
-
-class _ControllerAdapter(PolicyBase):
-    """Hosts a legacy engine-driven controller behind the Policy
-    protocol so it can race in the tournament via ControllerDaemon.
-
-    The inner controller keeps programming masks through the shared
-    :meth:`ControlPlane.apply_layout` path; the adapter mirrors its
-    layout into the daemon afterwards so the iteration log and overlap
-    bookkeeping stay truthful.
-    """
-
-    legacy_cls: "type | None" = None
-
-    def __init__(self, **kwargs) -> None:
-        self._kwargs = kwargs
-        self._inner = None
-
-    def bind(self, daemon: "ControllerDaemon") -> None:
-        super().bind(daemon)
-        self._inner = self.legacy_cls(daemon.control, **self._kwargs)
-        self.interval_s = self._inner.interval_s
-
-    @property
-    def allocator(self) -> "WayAllocator | None":
-        return getattr(self._inner, "allocator", None)
-
-    def on_init(self, now: float) -> None:
-        self._inner.on_start(now)
-        self.daemon.layout = self._inner.layout
-
-    def decide(self, now: float, sample: "SystemSample | None") -> Decision:
-        before = self._inner.layout
-        self._inner.on_interval(now)
-        after = self._inner.layout
-        self.daemon.layout = after
-        changed = after is not before
-        return Decision(ChangeKind.POLICY,
-                        "rebalance" if changed else "none",
-                        stable=not changed)
-
-
-@register_policy("static", "One-shot static allocation at start-up "
-                           "(the paper's baseline)")
-class StaticPlanPolicy(_ControllerAdapter):
-    legacy_cls = StaticPolicy
-
-    def __init__(self, *, explicit_masks: "dict[str, int] | None" = None,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(explicit_masks=explicit_masks,
-                         shuffle_seed=shuffle_seed)
+        self.daemon.apply_layout(layout, set_ddio=False)
 
 
 @register_policy("core-only", "Reactive miss-driven way allocation, "
                               "I/O-unaware (dCAT-like)")
-class CoreOnlyAdapterPolicy(_ControllerAdapter):
-    legacy_cls = CoreOnlyPolicy
-    params_cls = IATParams
+class CoreOnlyPolicy(ReactivePolicy):
+    """Dynamic allocation ignoring DDIO entirely (Sec. VI-B footnote 4)."""
 
-    def __init__(self, params: "IATParams | None" = None, *,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(params=params, shuffle_seed=shuffle_seed)
+    io_isolated = False
 
 
 @register_policy("io-iso", "Reactive allocation with the DDIO ways "
                            "excluded from the core pool")
-class IOIsoAdapterPolicy(_ControllerAdapter):
-    legacy_cls = IOIsoPolicy
-    params_cls = IATParams
+class IOIsoPolicy(ReactivePolicy):
+    """Core-only with the DDIO ways excluded from the core pool."""
 
-    def __init__(self, params: "IATParams | None" = None, *,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(params=params, shuffle_seed=shuffle_seed)
+    io_isolated = True
 
 
 # ======================================================================
@@ -930,11 +851,6 @@ class IOCAPolicy(PolicyBase):
         self.allocator: "WayAllocator | None" = None
         self._order: "list[str]" = []
         self._prev_group_rate: "dict[str, float]" = {}
-
-    def make_monitor(self) -> ProfMonitor:
-        control = self.control
-        return ProfMonitor(control.pqos, control.tenants, self.params,
-                           time_scale=control.time_scale)
 
     def on_init(self, now: float) -> None:
         control = self.control
@@ -1050,11 +966,6 @@ class LFOCPolicy(PolicyBase):
         self.allocator: "WayAllocator | None" = None
         self.tracker = SlowdownTracker()
         self._order: "list[str]" = []
-
-    def make_monitor(self) -> ProfMonitor:
-        control = self.control
-        return ProfMonitor(control.pqos, control.tenants, self.params,
-                           time_scale=control.time_scale)
 
     def on_init(self, now: float) -> None:
         control = self.control

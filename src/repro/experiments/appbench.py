@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ControlPlane, StaticPolicy
 from ..sim.config import PlatformSpec, XEON_6140
 from ..sim.engine import Simulation
 from ..sim.platform import Platform
@@ -132,10 +131,8 @@ def solo_app_run(app: str, ycsb_letter: str = "C", *,
         workload.name = "app"
     sim.add_tenant(Tenant("app", cores=(0,), priority=Priority.PC,
                           initial_ways=2), workload)
-    control = ControlPlane(platform.pqos, sim.tenant_set(),
-                           time_scale=platform.spec.time_scale)
-    sim.add_controller(StaticPolicy(control))
     scenario = Scenario(platform, sim, workloads={"app": workload})
+    scenario.attach_controller("static")
     return measure_scenario(scenario, warmup_s=warmup_s,
                             measure_s=measure_s)
 

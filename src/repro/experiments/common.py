@@ -2,25 +2,21 @@
 
 Each builder assembles the exact tenant/core/way topology of one of the
 paper's evaluation setups (Sec. VI) on a fresh platform and returns a
-:class:`Scenario` handle.  Controllers are attached by name so each
-experiment can run the same scenario under baseline / Core-only /
-I/O-iso / IAT:
+:class:`Scenario` handle.  Controllers are attached by registered policy
+name (``repro policies`` lists them), so each experiment can run the
+same scenario under baseline / Core-only / I/O-iso / IAT, or any other
+registered policy.  Two figure spellings map onto ``static``:
 
 * ``"baseline"``      — static allocation, default 2-way DDIO.
 * ``"baseline-rand"`` — static allocation at a random placement
   (Figs. 12-14's "randomly shuffled" initial state); needs ``seed``.
-* ``"core-only"``     — I/O-unaware dynamic policy (Fig. 10).
-* ``"io-iso"``        — DDIO ways excluded from the core pool (Fig. 10).
-* ``"iat"``           — the full daemon; feature flags per experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import (ControllerDaemon, ControlPlane, CoreOnlyPolicy,
-                    IATDaemon, IATParams, IOIsoPolicy, StaticPolicy,
-                    create_policy)
+from ..core import ControllerDaemon, ControlPlane, get_policy
 from ..net.traffic import TrafficSpec
 from ..pci.nic import Nic, VirtualFunction
 from ..pci.ring import DescRing
@@ -47,7 +43,7 @@ class Scenario:
     workloads: "dict[str, Workload]" = field(default_factory=dict)
     vfs: "dict[str, VirtualFunction]" = field(default_factory=dict)
     nics: "list[Nic]" = field(default_factory=list)
-    controller: object = None
+    controller: "ControllerDaemon | None" = None
 
     @property
     def time_scale(self) -> float:
@@ -58,45 +54,27 @@ class Scenario:
                             time_scale=self.time_scale)
 
     def attach_controller(self, name: str, *, seed: "int | None" = None,
-                          params: "IATParams | None" = None,
-                          manage_ddio: bool = True,
-                          manage_tenant_ways: bool = True,
-                          shuffle: bool = True) -> object:
-        control = self.control_plane()
-        if name == "baseline":
-            controller = StaticPolicy(control)
-        elif name == "baseline-rand":
+                          **params) -> ControllerDaemon:
+        """Attach the registered policy ``name`` behind a ControllerDaemon.
+
+        ``params`` go through :func:`repro.core.create_policy`, so they
+        may set constructor keywords and :class:`~repro.core.IATParams`
+        fields alike.  ``"baseline"`` and ``"baseline-rand"`` are the
+        figure spellings of ``static``; the latter places groups at
+        random, seeded by ``seed``.
+        """
+        if name == "baseline-rand":
             if seed is None:
                 raise ValueError("baseline-rand needs a seed")
-            controller = StaticPolicy(control, shuffle_seed=seed)
-        elif name == "core-only":
-            controller = CoreOnlyPolicy(control, params)
-        elif name == "io-iso":
-            controller = IOIsoPolicy(control, params)
-        elif name == "iat":
-            controller = IATDaemon(control, params,
-                                   manage_ddio=manage_ddio,
-                                   manage_tenant_ways=manage_tenant_ways,
-                                   shuffle=shuffle)
-        else:
-            raise ValueError(f"unknown controller {name!r}")
-        self.sim.add_controller(controller)
-        self.controller = controller
-        return controller
-
-    def attach_policy(self, name: str,
-                      params: "dict | None" = None) -> ControllerDaemon:
-        """Attach any *registered* policy behind a ControllerDaemon.
-
-        Where :meth:`attach_controller` wires the figure harnesses'
-        historical controller spellings, this is the registry path the
-        ``repro compare`` tournament uses: ``name`` and ``params`` go
-        through :func:`repro.core.create_policy`, and the resulting
-        policy is driven by a generic daemon (so every policy gets an
-        iteration history and Fig. 15-style timings for free).
-        """
+            params["shuffle_seed"] = seed
+        if name in ("baseline", "baseline-rand"):
+            name = "static"
+        try:
+            info = get_policy(name)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         daemon = ControllerDaemon(self.control_plane(),
-                                  create_policy(name, params))
+                                  info.cls.from_params(params))
         self.sim.add_controller(daemon)
         self.controller = daemon
         return daemon
@@ -172,14 +150,13 @@ def latent_contender_scenario(*, xmem_ws_bytes: int, overlap_ddio: bool,
         masks["xmem"] = 0b11 << (ways - 2)
     else:
         masks["xmem"] = 0b11 << 2  # dedicated ways 2-3
-    control = ControlPlane(platform.pqos, sim.tenant_set(),
-                           time_scale=platform.spec.time_scale)
-    sim.add_controller(StaticPolicy(control, explicit_masks=masks))
-
     sim.attach_traffic(nic, vf, line_rate(platform, 40.0, packet_size,
                                           n_flows=1_000_000, zipf_theta=0.5))
-    return Scenario(platform, sim, workloads={"l3fwd": fwd, "xmem": xmem},
-                    vfs={"l3fwd-vf": vf}, nics=[nic])
+    scenario = Scenario(platform, sim,
+                        workloads={"l3fwd": fwd, "xmem": xmem},
+                        vfs={"l3fwd-vf": vf}, nics=[nic])
+    scenario.attach_controller("static", explicit_masks=masks)
+    return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def run_point(policy: str, scenario: str, *, seed: int = 0,
     never collide in the cache.
     """
     sc = build_scenario(scenario, seed=seed, spec=spec)
-    daemon = sc.attach_policy(policy, policy_params)
+    daemon = sc.attach_controller(policy, **(policy_params or {}))
     sim = sc.sim
     freq = sc.platform.spec.freq_hz
 

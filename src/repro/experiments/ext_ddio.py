@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cache.cat import ways_to_mask
-from ..core import ControlPlane, StaticPolicy
+from ..core import ControlPlane, ControllerDaemon, StaticPolicy
 from ..exec import ParallelRunner, SweepSpec, run_sweep
 from ..net.traffic import TrafficSpec
 from ..sim.config import PlatformSpec
@@ -100,7 +100,7 @@ def run_one(mode: str, *, duration_s: float = 8.0, warmup_s: float = 3.0,
                           is_io=True, initial_ways=2), be)
     control = ControlPlane(platform.pqos, sim.tenant_set(),
                            time_scale=platform.spec.time_scale)
-    sim.add_controller(StaticPolicy(control))
+    sim.add_controller(ControllerDaemon(control, StaticPolicy()))
 
     scale = platform.spec.time_scale
     # PC: modest latency-critical traffic; BE: bulk MTU at line rate.

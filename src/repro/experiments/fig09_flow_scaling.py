@@ -75,10 +75,7 @@ def run_one(n_flows: int, mode: str, *, duration_s: float = 12.0,
     records = steady_window(scenario.sim.metrics, warmup_s)
     seconds = max(1, len(records)) * scenario.platform.spec.quantum_s \
         * scenario.time_scale
-    controller = scenario.controller
-    ways = 2
-    if hasattr(controller, "allocator") and controller.allocator is not None:
-        ways = controller.allocator.group_ways.get("ovs", 2)
+    ways = scenario.controller.history[-1].group_ways.get("ovs", 2)
     return Fig9Point(
         n_flows=n_flows, mode=mode,
         ovs_ipc=mean_tenant_ipc(records, "ovs"),

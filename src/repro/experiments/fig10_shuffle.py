@@ -39,10 +39,10 @@ class Fig10Point:
     phase2_latency_ns: float
     phase3_throughput: float
     phase3_latency_ns: float
-    #: The controller's per-interval history (IAT only; empty for the
-    #: comparison policies, which keep no iteration log).  Serialized as
-    #: ``IterationLog`` dataclasses — the daemon-equivalence tests pin
-    #: these field-for-field against pre-refactor goldens.
+    #: The controller's per-interval history, serialized as
+    #: ``IterationLog`` dataclasses (the static baseline logs only its
+    #: ``init``).  The daemon-equivalence tests pin IAT's field-for-field
+    #: against pre-refactor goldens.
     daemon_history: list = field(default_factory=list)
 
 
@@ -100,7 +100,7 @@ def run_one(mode: str, packet_size: int, *,
         phase2_latency_ns=results[2].avg_latency_cycles / freq * 1e9,
         phase3_throughput=results[3].ops_per_sec(scenario.time_scale),
         phase3_latency_ns=results[3].avg_latency_cycles / freq * 1e9,
-        daemon_history=list(getattr(scenario.controller, "history", [])))
+        daemon_history=list(scenario.controller.history))
 
 
 def sweep(*, packet_sizes=(64, 256, 1024, 1500), modes=MODES,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import ControlPlane, IATDaemon, IATParams
+from ..core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
 from ..exec import ParallelRunner, SweepSpec, run_sweep
 from ..sim.config import PlatformSpec, XEON_6140
 from ..sim.platform import Platform
@@ -92,7 +92,7 @@ def run_one(n_tenants: int, cores_per_tenant: int, *,
             iterations: int = 50) -> Fig15Point:
     platform, control = _build(n_tenants, cores_per_tenant)
     params = IATParams(ddio_ways_max=min(6, platform.spec.llc.ways - 1))
-    daemon = IATDaemon(control, params)
+    daemon = ControllerDaemon(control, IATPolicy(params))
     daemon.on_start(0.0)
     # Stable phase: nothing changes between polls.
     for i in range(iterations):

@@ -26,7 +26,7 @@ Built for always-on production telemetry:
 
 Sinks: an in-memory ring buffer, a JSONL stream, and Chrome/Perfetto
 ``trace_event`` JSON (open it at https://ui.perfetto.dev).  The legacy
-recorders (``MetricsRecorder``, ``IATDaemon.history``) are exactly
+recorders (``MetricsRecorder``, ``ControllerDaemon.history``) are exactly
 reconstructible from a full-fidelity stream via :mod:`repro.obs.views`
 (a sampled stream raises :class:`~repro.obs.views.SampledStreamError`).
 

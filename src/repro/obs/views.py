@@ -3,8 +3,8 @@
 Before the tracing subsystem existed the reproduction had two
 disconnected recorders — ``sim.metrics.MetricsRecorder`` (the
 "independent pqos process" sampling every quantum) and
-``IATDaemon.history`` (the daemon's own ``IterationLog``).  Both are now
-*views* over the trace: every quantum the engine emits a
+``ControllerDaemon.history`` (the daemon's own ``IterationLog``).  Both
+are now *views* over the trace: every quantum the engine emits a
 ``metrics/quantum`` instant carrying the full record, and every daemon
 iteration emits a ``daemon/iteration`` instant carrying the full log
 entry, so either recorder can be reconstructed exactly from the event
@@ -75,16 +75,23 @@ def metrics_from_events(source):
 
 def history_from_events(source) -> list:
     """Rebuild the daemon's ``IterationLog`` list from the
-    ``daemon/iteration`` events — identical to ``IATDaemon.history``."""
+    ``daemon/iteration`` events — identical to
+    ``ControllerDaemon.history`` under any registered policy (an FSM
+    :class:`~repro.core.fsm.State` for IAT, a
+    :class:`~repro.core.policies.PolicyState` otherwise)."""
     from ..core.daemon import IterationLog
     from ..core.fsm import State
     from ..core.monitor import ChangeKind
-    _require_full_fidelity(source, "IATDaemon.history")
+    from ..core.policies import PolicyState
+    _require_full_fidelity(source, "ControllerDaemon.history")
+    fsm_states = {state.value: state for state in State}
     history = []
     for event in select(source, "daemon", "iteration"):
         args = event.args
+        state = args["state"]
         history.append(IterationLog(
-            time=args["time"], state=State(args["state"]),
+            time=args["time"],
+            state=fsm_states.get(state) or PolicyState(state),
             kind=ChangeKind(args["kind"]), ddio_ways=args["ddio_ways"],
             group_ways=dict(args["group_ways"]), action=args["action"]))
     return history

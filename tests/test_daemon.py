@@ -5,10 +5,12 @@ import pytest
 from repro.cache.ddio import default_ddio_mask
 from repro.cache.geometry import TINY_LLC
 from repro.core.control import ControlPlane
-from repro.core.daemon import IATDaemon
+from repro.core.daemon import ControllerDaemon
 from repro.core.fsm import State
 from repro.core.monitor import ChangeKind
 from repro.core.params import IATParams
+from repro.core.policies import (IATPolicy, available_policies,
+                                 create_policy)
 from repro.sim.config import TINY_PLATFORM
 from repro.sim.platform import Platform
 from repro.tenants.tenant import Priority, Tenant, TenantSet
@@ -33,7 +35,8 @@ def build(n_io=1, n_app=2, params=None, **daemon_kwargs):
         for c in tenant.cores:
             platform.cat.associate(c, tenant.cos_id)
     control = ControlPlane(platform.pqos, tenant_set, time_scale=1.0)
-    daemon = IATDaemon(control, params or IATParams(), **daemon_kwargs)
+    daemon = ControllerDaemon(
+        control, IATPolicy(params or IATParams(), **daemon_kwargs))
     return platform, daemon, tenant_set
 
 
@@ -70,7 +73,7 @@ class TestStartup:
     def test_boot_state_low_keep(self):
         _, daemon, _ = build()
         daemon.on_start(0.0)
-        assert daemon.state is State.LOW_KEEP
+        assert daemon.policy.state is State.LOW_KEEP
 
 
 class TestFsmDrive:
@@ -84,9 +87,9 @@ class TestFsmDrive:
             for c in range(3):
                 drive_core(platform, c)
             daemon.on_interval(float(t))
-            ways.append(daemon.allocator.ddio_ways)
-        assert daemon.state in (State.IO_DEMAND, State.HIGH_KEEP)
-        assert max(ways) > daemon.params.ddio_ways_min
+            ways.append(daemon.policy.allocator.ddio_ways)
+        assert daemon.policy.state in (State.IO_DEMAND, State.HIGH_KEEP)
+        assert max(ways) > daemon.policy.params.ddio_ways_min
 
     def test_ddio_capped_at_max(self):
         platform, daemon, _ = build()
@@ -97,7 +100,8 @@ class TestFsmDrive:
             for c in range(3):
                 drive_core(platform, c, refs=1000 + 10 * t)
             daemon.on_interval(float(t))
-        assert daemon.allocator.ddio_ways <= daemon.params.ddio_ways_max
+        assert daemon.policy.allocator.ddio_ways \
+            <= daemon.policy.params.ddio_ways_max
 
     def test_quiet_system_reclaims_to_min(self):
         platform, daemon, _ = build()
@@ -106,15 +110,16 @@ class TestFsmDrive:
         for t in range(1, 6):
             drive_ddio(platform, hits=MISS_HIGH, misses=MISS_HIGH * t)
             daemon.on_interval(float(t))
-        grown = daemon.allocator.ddio_ways
+        grown = daemon.policy.allocator.ddio_ways
         # Then let traffic die: misses collapse interval over interval.
         misses = MISS_HIGH
         for t in range(6, 16):
             misses = int(misses * 0.3)
             drive_ddio(platform, hits=MISS_HIGH // 100, misses=misses)
             daemon.on_interval(float(t))
-        assert daemon.allocator.ddio_ways <= grown
-        assert daemon.allocator.ddio_ways == daemon.params.ddio_ways_min
+        assert daemon.policy.allocator.ddio_ways <= grown
+        assert daemon.policy.allocator.ddio_ways \
+            == daemon.policy.params.ddio_ways_min
 
     def test_stable_intervals_do_nothing(self):
         platform, daemon, _ = build()
@@ -124,7 +129,8 @@ class TestFsmDrive:
             daemon.on_interval(float(t))
         stable = [t for t in daemon.timings if t.stable]
         assert len(stable) >= 2
-        assert daemon.allocator.ddio_ways == daemon.params.ddio_ways_min
+        assert daemon.policy.allocator.ddio_ways \
+            == daemon.policy.params.ddio_ways_min
         assert len(daemon.history) == history_len + 3
 
 
@@ -145,7 +151,7 @@ class TestCoreSideGrowth:
             drive_core(platform, 2, refs=1000, misses=10)
             misses = max(500, int(misses * 0.6))  # each grant helps
             daemon.on_interval(float(t))
-        assert daemon.allocator.group_ways["app0"] > 2
+        assert daemon.policy.allocator.group_ways["app0"] > 2
 
     def test_frozen_tenant_ways_never_change(self):
         platform, daemon, _ = build(manage_tenant_ways=False)
@@ -153,7 +159,7 @@ class TestCoreSideGrowth:
         for t in range(1, 8):
             drive_core(platform, 1, refs=10_000, misses=5000 + 100 * t)
             daemon.on_interval(float(t))
-        assert daemon.allocator.group_ways["app0"] == 2
+        assert daemon.policy.allocator.group_ways["app0"] == 2
 
 
 class TestShuffling:
@@ -171,7 +177,7 @@ class TestShuffling:
             drive_core(platform, 3, refs=100, misses=10)
             drive_ddio(platform, hits=MISS_HIGH, misses=MISS_HIGH * t)
             daemon.on_interval(float(t))
-        order = daemon._order
+        order = daemon.policy._order
         # Least-hungry BE (app2) must sit last = adjacent to DDIO.
         assert order[-1] == "app2"
 
@@ -192,31 +198,31 @@ class TestPcIsolationClamp:
                                           manage_ddio=False)
         daemon.on_start(0.0)
         # Grow the PC app group (app0) near the cache size.
-        daemon.allocator.group_ways["app0"] = 9
+        daemon.policy.allocator.group_ways["app0"] = 9
         platform.ddio.set_ways(4)
         daemon.on_interval(1.0)
         limit = platform.spec.llc.ways - 4
-        assert daemon.allocator.group_ways["app0"] <= limit
+        assert daemon.policy.allocator.group_ways["app0"] <= limit
         assert daemon.layout.group_masks["app0"] \
             & daemon.layout.ddio_mask == 0
 
     def test_io_groups_not_trimmed(self):
         platform, daemon, _ = build(n_io=1, n_app=1, manage_ddio=False)
         daemon.on_start(0.0)
-        daemon.allocator.group_ways["io0"] = 9
+        daemon.policy.allocator.group_ways["io0"] = 9
         platform.ddio.set_ways(4)
         daemon.on_interval(1.0)
         # The I/O tenant may keep its ways (its data is the DDIO data).
-        assert daemon.allocator.group_ways["io0"] == 9
+        assert daemon.policy.allocator.group_ways["io0"] == 9
 
     def test_frozen_tenant_ways_never_trimmed(self):
         platform, daemon, _ = build(n_io=1, n_app=1, manage_ddio=False,
                                     manage_tenant_ways=False)
         daemon.on_start(0.0)
-        daemon.allocator.group_ways["app0"] = 9
+        daemon.policy.allocator.group_ways["app0"] = 9
         platform.ddio.set_ways(4)
         daemon.on_interval(1.0)
-        assert daemon.allocator.group_ways["app0"] == 9
+        assert daemon.policy.allocator.group_ways["app0"] == 9
 
 
 class TestRegistryRefresh:
@@ -236,7 +242,32 @@ class TestRegistryRefresh:
         registry.save(new)
         os.utime(path, (9e8, 9e8))
         daemon.on_interval(1.0)
-        assert "late" in daemon.allocator.group_ways
+        assert "late" in daemon.policy.allocator.group_ways
+
+    @pytest.mark.parametrize(
+        "name", [info.name for info in available_policies()])
+    def test_every_policy_adopts_a_late_tenant(self, tmp_path, name):
+        """The Sec. IV-E re-read under every registered policy: the
+        daemon re-initializes the policy, and the tenant added to the
+        file gets an allocation."""
+        import os
+        from repro.tenants.registry import TenantRegistry
+        _, iat, tenants = build()
+        daemon = ControllerDaemon(iat.control, create_policy(name))
+        path = tmp_path / "tenants.txt"
+        registry = TenantRegistry(str(path))
+        registry.save(tenants)
+        daemon.control.registry = registry
+        registry.load()
+        daemon.on_start(0.0)
+        daemon.on_interval(1.0)
+        registry.save(TenantSet(list(tenants.tenants)
+                                + [Tenant("late", cores=(5,),
+                                          initial_ways=1)]))
+        os.utime(path, (9e8, 9e8))
+        daemon.on_interval(2.0)
+        daemon.on_interval(3.0)
+        assert "late" in daemon.history[-1].group_ways
 
 
 class TestTimings:

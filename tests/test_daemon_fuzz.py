@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.cat import is_contiguous
 from repro.core.control import ControlPlane
-from repro.core.daemon import IATDaemon
+from repro.core.daemon import ControllerDaemon
 from repro.core.params import IATParams
+from repro.core.policies import IATPolicy
 from repro.sim.config import TINY_PLATFORM
 from repro.sim.platform import Platform
 from repro.tenants.tenant import Priority, Tenant, TenantSet
@@ -36,10 +37,9 @@ def build_daemon(manage_ddio=True, manage_tenant_ways=True, shuffle=True):
         for core in tenant.cores:
             platform.cat.associate(core, tenant.cos_id)
     control = ControlPlane(platform.pqos, tenants, time_scale=1.0)
-    daemon = IATDaemon(control, IATParams(),
-                       manage_ddio=manage_ddio,
-                       manage_tenant_ways=manage_tenant_ways,
-                       shuffle=shuffle)
+    daemon = ControllerDaemon(control, IATPolicy(
+        IATParams(), manage_ddio=manage_ddio,
+        manage_tenant_ways=manage_tenant_ways, shuffle=shuffle))
     return platform, daemon, tenants
 
 
@@ -56,21 +56,21 @@ def perturb(platform, rng):
 
 
 def check_invariants(platform, daemon, tenants):
-    params = daemon.params
+    params = daemon.policy.params
     ways = platform.spec.llc.ways
     for tenant in tenants:
         mask = platform.cat.get_mask(tenant.cos_id)
         assert mask != 0
         assert mask >> ways == 0
         assert is_contiguous(mask)
-    if daemon.manage_ddio:
+    if daemon.policy.manage_ddio:
         count = bin(platform.ddio.mask).count("1")
         assert params.ddio_ways_min <= count <= params.ddio_ways_max
-    for group, count in daemon.allocator.group_ways.items():
+    for group, count in daemon.policy.allocator.group_ways.items():
         assert 1 <= count <= min(params.tenant_ways_max, ways - 1)
     last = daemon.history[-1]
-    assert last.ddio_ways == daemon.allocator.ddio_ways
-    assert last.group_ways == daemon.allocator.group_ways
+    assert last.ddio_ways == daemon.policy.allocator.ddio_ways
+    assert last.group_ways == daemon.policy.allocator.group_ways
 
 
 @given(st.integers(0, 10_000),

@@ -27,7 +27,7 @@ class TestHistory:
         drive_ddio(platform, hits=MISS_HIGH, misses=MISS_HIGH)
         daemon.on_interval(1.0)
         first = daemon.history[0].group_ways
-        daemon.allocator.group_ways["app0"] = 9
+        daemon.policy.allocator.group_ways["app0"] = 9
         assert first["app0"] != 9  # logged dicts are copies
 
     def test_layout_matches_programmed_masks(self):

@@ -4,7 +4,7 @@ EXPERIMENTS.md promises exact reproducibility of every table; these
 tests pin that property at the engine level.
 """
 
-from repro.core import ControlPlane, IATDaemon, IATParams
+from repro.core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
 from repro.net.traffic import TrafficSpec
 from repro.sim.config import TINY_PLATFORM
 from repro.sim.engine import Simulation
@@ -31,7 +31,8 @@ def run_once(seed: int):
                                             burstiness=0.3))
     control = ControlPlane(platform.pqos, sim.tenant_set(),
                            time_scale=platform.spec.time_scale)
-    daemon = IATDaemon(control, IATParams(interval_s=0.2))
+    daemon = ControllerDaemon(control,
+                              IATPolicy(IATParams(interval_s=0.2)))
     sim.add_controller(daemon)
     metrics = sim.run(2.0)
     return platform, metrics, daemon, pmd, xmem

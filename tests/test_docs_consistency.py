@@ -60,12 +60,24 @@ class TestExperimentsDoc:
 
 class TestReadmeSnippets:
     def test_python_snippet_names_exist(self):
-        """Every `repro.*` import path mentioned in README resolves."""
+        """Every `from repro.* import ...` line in README and docs/*.md
+        resolves: the module imports and has every name it imports."""
         import importlib
-        readme = read("README.md")
-        for module in set(re.findall(r"from (repro(?:\.\w+)*) import",
-                                     readme)):
-            importlib.import_module(module)
+        docs = ["README.md"] + sorted(
+            os.path.join("docs", name)
+            for name in os.listdir(os.path.join(REPO, "docs"))
+            if name.endswith(".md"))
+        imports = re.compile(
+            r"from (repro(?:\.\w+)*) import (\([^)]*\)|[^\n]*)")
+        for doc in docs:
+            for module, names in imports.findall(read(doc)):
+                mod = importlib.import_module(module)
+                names = names.split("#")[0].strip("() \n")
+                for name in names.split(","):
+                    name = name.split(" as ")[0].strip()
+                    if name:
+                        assert hasattr(mod, name), \
+                            f"{doc}: {module} has no {name}"
 
     def test_cli_commands_mentioned_exist(self):
         from repro.cli import build_parser

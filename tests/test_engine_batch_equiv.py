@@ -26,7 +26,7 @@ import functools
 
 import pytest
 
-from repro.core import ControlPlane, IATDaemon, IATParams
+from repro.core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
 from repro.experiments.common import (VIRTIO_ENTRIES, Scenario,
                                       l3fwd_scenario, leaky_dma_scenario,
                                       line_rate, nfv_scenario)
@@ -110,7 +110,8 @@ def _run_iat(exec_mode: str, seed: int) -> "tuple[list, list]":
                                             burstiness=0.3))
     control = ControlPlane(platform.pqos, sim.tenant_set(),
                            time_scale=platform.spec.time_scale)
-    daemon = IATDaemon(control, IATParams(interval_s=0.2))
+    daemon = ControllerDaemon(control,
+                              IATPolicy(IATParams(interval_s=0.2)))
     sim.add_controller(daemon)
     metrics = sim.run(1.2)
     return _records(metrics), [dataclasses.asdict(h)

@@ -9,7 +9,8 @@ import pytest
 
 from repro.cache.ddio import IIO_LLC_WAYS_MSR
 from repro.core.control import ControlPlane
-from repro.core.daemon import IATDaemon
+from repro.core.daemon import ControllerDaemon
+from repro.core.policies import IATPolicy
 from repro.core.params import IATParams
 from repro.perf.hw import (CHA_EVT_DDIO_HIT, EVT_LLC_MISS,
                            EVT_LLC_REFERENCE, HwPqos, IA32_FIXED_CTR0,
@@ -144,7 +145,7 @@ class TestDaemonOnHwBackend:
         for i, tenant in enumerate(tenants):
             tenant.cos_id = i + 1
         control = ControlPlane(hw, tenants, time_scale=1.0)
-        daemon = IATDaemon(control, IATParams())
+        daemon = ControllerDaemon(control, IATPolicy(IATParams()))
         daemon.on_start(0.0)
         # Initial LLC Alloc programmed real CBM registers.
         assert IA32_L3_QOS_MASK_BASE + 1 in msrs[0].values

@@ -9,7 +9,8 @@ in well under a second of simulated time.
 import pytest
 
 from repro.cache.ddio import ddio_mask_for_ways
-from repro.core import ControlPlane, IATDaemon, IATParams, StaticPolicy
+from repro.core import (ControlPlane, ControllerDaemon, IATParams,
+                        IATPolicy, StaticPolicy)
 from repro.net.traffic import TrafficSpec
 from repro.sim.config import TINY_PLATFORM, PlatformSpec
 from repro.sim.engine import Simulation
@@ -55,7 +56,8 @@ class TestLeakyDmaEmerges:
         platform, sim, _, _ = build_io_scenario(ring_entries=ring_entries)
         control = ControlPlane(platform.pqos, sim.tenant_set(),
                                time_scale=platform.spec.time_scale)
-        sim.add_controller(StaticPolicy(control, explicit_masks=masks))
+        sim.add_controller(ControllerDaemon(
+            control, StaticPolicy(explicit_masks=masks)))
         sim.run(2.0)
         exact = platform.uncore.exact()
         return exact.hits, exact.misses, platform.mem.write_bytes
@@ -67,8 +69,8 @@ class TestLeakyDmaEmerges:
                                                 packet_size=64)
         control = ControlPlane(platform.pqos, sim.tenant_set(),
                                time_scale=platform.spec.time_scale)
-        sim.add_controller(StaticPolicy(control,
-                                        explicit_masks={"pmd": 0b11}))
+        sim.add_controller(ControllerDaemon(
+            control, StaticPolicy(explicit_masks={"pmd": 0b11})))
         sim.run(2.0)
         exact = platform.uncore.exact()
         assert exact.hits > 5 * exact.misses
@@ -85,8 +87,8 @@ class TestLeakyDmaEmerges:
                                                 ddio_ways=6)
         control = ControlPlane(platform.pqos, sim.tenant_set(),
                                time_scale=platform.spec.time_scale)
-        sim.add_controller(StaticPolicy(control,
-                                        explicit_masks={"pmd": 0b11}))
+        sim.add_controller(ControllerDaemon(
+            control, StaticPolicy(explicit_masks={"pmd": 0b11})))
         sim.run(2.0)
         wide = platform.uncore.exact()
         assert wide.misses < platform_small[1]
@@ -103,8 +105,8 @@ class TestLatentContenderEmerges:
             ring_entries=64, xmem=2 * WAY_BYTES)
         control = ControlPlane(platform.pqos, sim.tenant_set(),
                                time_scale=platform.spec.time_scale)
-        sim.add_controller(StaticPolicy(control, explicit_masks={
-            "pmd": 0b11, "xmem": xmem_mask}))
+        sim.add_controller(ControllerDaemon(control, StaticPolicy(
+            explicit_masks={"pmd": 0b11, "xmem": xmem_mask})))
         sim.run(3.0)
         return workloads["xmem"].stats.ops
 
@@ -121,7 +123,7 @@ class TestDaemonEndToEnd:
                                time_scale=platform.spec.time_scale)
         params = IATParams(interval_s=0.2,
                            ddio_ways_max=6)
-        daemon = IATDaemon(control, params)
+        daemon = ControllerDaemon(control, IATPolicy(params))
         sim.add_controller(daemon)
         return platform, sim, daemon
 
@@ -129,7 +131,7 @@ class TestDaemonEndToEnd:
         platform, sim, daemon = self._daemon_sim(ring_entries=64)
         sim.run(4.0)
         ways_seen = {h.ddio_ways for h in daemon.history}
-        assert max(ways_seen) > daemon.params.ddio_ways_min
+        assert max(ways_seen) > daemon.policy.params.ddio_ways_min
         states = {h.state for h in daemon.history}
         from repro.core.fsm import State
         assert State.IO_DEMAND in states
@@ -138,7 +140,8 @@ class TestDaemonEndToEnd:
         platform, sim, daemon = self._daemon_sim(ring_entries=8,
                                                  packet_size=64, pps=200.0)
         sim.run(3.0)
-        assert daemon.allocator.ddio_ways == daemon.params.ddio_ways_min
+        assert daemon.policy.allocator.ddio_ways \
+            == daemon.policy.params.ddio_ways_min
 
     def test_daemon_masks_stay_legal(self):
         platform, sim, daemon = self._daemon_sim(ring_entries=64)
@@ -164,8 +167,8 @@ class TestPrefill:
             ring_entries=8, xmem=WAY_BYTES)
         control = ControlPlane(platform.pqos, sim.tenant_set(),
                                time_scale=platform.spec.time_scale)
-        sim.add_controller(StaticPolicy(control, explicit_masks={
-            "pmd": 0b11, "xmem": 0b1100}))
+        sim.add_controller(ControllerDaemon(control, StaticPolicy(
+            explicit_masks={"pmd": 0b11, "xmem": 0b1100})))
         sim.run(0.2)
         # Raw counters include the prefill burst (all cold misses); the
         # recorded metrics are baselined after it, so the first quantum

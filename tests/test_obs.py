@@ -17,7 +17,7 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.cache.llc import SlicedLLC
 from repro.experiments import fig11_timeline
-from repro.experiments.common import leaky_dma_scenario
+from repro.experiments.common import leaky_dma_scenario, shuffle_scenario
 from repro.obs import (NULL_TRACER, JsonlSink, PerfettoSink, RingBufferSink,
                        Tracer, current_tracer, event_from_dict,
                        event_to_dict, install_tracer, perfetto_document,
@@ -366,6 +366,17 @@ class TestReconstruction:
         reconstructed = views.mask_timeline(ring)
         for name, masks in result.masks.items():
             assert reconstructed[name] == list(masks)
+
+    def test_core_only_history_matches_events(self):
+        """A comparison baseline is as observable as IAT: its iteration
+        log is a view over the same event stream."""
+        tracer, ring = make_tracer()
+        scenario = shuffle_scenario(packet_size=1500, spec=TINY_PLATFORM)
+        daemon = scenario.attach_controller("core-only")
+        with tracing(tracer):
+            scenario.sim.run(2.0)
+        assert len(daemon.history) == 3
+        assert views.history_from_events(ring) == daemon.history
 
     def test_metrics_recorder_reconstruction(self):
         tracer, ring = make_tracer()

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import ControlPlane, IATDaemon, IATParams
+from repro.core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
 from repro.core.fsm import State
 from repro.experiments.common import leaky_dma_scenario
 from repro.net.traffic import TrafficSpec
@@ -57,7 +57,7 @@ class TestFig7bSlicing:
         binding = sim.attach_traffic(nic, vf, low)
         control = ControlPlane(platform.pqos, sim.tenant_set(),
                                time_scale=scale)
-        daemon = IATDaemon(control, FAST)
+        daemon = ControllerDaemon(control, IATPolicy(FAST))
         sim.add_controller(daemon)
 
         t1, t2, t3 = 2.0, 6.0, 10.0
@@ -75,8 +75,8 @@ class TestFig7bSlicing:
 
     def test_t1_traffic_surge_grows_ddio(self, run):
         daemon, (t1, t2, _) = run
-        assert self.ways_at(daemon, t1) == daemon.params.ddio_ways_min
-        assert self.ways_at(daemon, t2) > daemon.params.ddio_ways_min
+        assert self.ways_at(daemon, t1) == daemon.policy.params.ddio_ways_min
+        assert self.ways_at(daemon, t2) > daemon.policy.params.ddio_ways_min
         states = {h.state for h in daemon.history
                   if t1 < h.time <= t2}
         assert State.IO_DEMAND in states
@@ -87,7 +87,7 @@ class TestFig7bSlicing:
         # lighter BE tenant) at the top of the order, i.e. next to DDIO.
         orders = [h for h in daemon.history if t2 + 0.6 < h.time <= t3]
         assert orders, "no iterations in phase"
-        assert daemon._order[-1] == "be1"
+        assert daemon.policy._order[-1] == "be1"
 
     def test_t3_fading_traffic_reclaims(self, run):
         daemon, (_, _, t3) = run

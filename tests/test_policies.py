@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.cat import mask_ways
 from repro.core.control import ControlPlane
+from repro.core.daemon import ControllerDaemon
 from repro.core.policies import CoreOnlyPolicy, IOIsoPolicy, StaticPolicy
 from repro.sim.config import TINY_PLATFORM
 from repro.sim.platform import Platform
@@ -24,8 +25,8 @@ def build(policy_cls, *, tenants=None, **kwargs):
         for core in tenant.cores:
             platform.cat.associate(core, tenant.cos_id)
     control = ControlPlane(platform.pqos, tenants, time_scale=1.0)
-    policy = policy_cls(control, **kwargs)
-    return platform, policy, tenants
+    daemon = ControllerDaemon(control, policy_cls(**kwargs))
+    return platform, daemon, tenants
 
 
 def drive(platform, core, refs, misses):
@@ -36,46 +37,46 @@ def drive(platform, core, refs, misses):
 
 class TestStaticPolicy:
     def test_applies_packed_layout_once(self):
-        platform, policy, tenants = build(StaticPolicy)
-        policy.on_start(0.0)
+        platform, daemon, tenants = build(StaticPolicy)
+        daemon.on_start(0.0)
         assert mask_ways(platform.cat.get_mask(1)) == [0, 1, 2]
         assert mask_ways(platform.cat.get_mask(2)) == [3, 4]
         before = platform.cat.get_mask(1)
-        policy.on_interval(1.0)
+        daemon.on_interval(1.0)
         assert platform.cat.get_mask(1) == before
 
     def test_explicit_masks(self):
-        platform, policy, _ = build(
+        platform, daemon, _ = build(
             StaticPolicy, explicit_masks={"net": 0b11, "be0": 0b1100,
                                           "be1": 0b110000, "pc": 0b11000000})
-        policy.on_start(0.0)
+        daemon.on_start(0.0)
         assert platform.cat.get_mask(2) == 0b1100
 
     def test_random_mode_keeps_io_at_bottom(self):
         for seed in range(8):
-            platform, policy, tenants = build(StaticPolicy,
+            platform, daemon, tenants = build(StaticPolicy,
                                               shuffle_seed=seed)
-            policy.on_start(0.0)
-            net_mask = policy.layout.group_masks["net"]
+            daemon.on_start(0.0)
+            net_mask = daemon.layout.group_masks["net"]
             assert mask_ways(net_mask) == [0, 1, 2]
             # Never overlapping DDIO (paper: networking tenants share
             # ways with "no DDIO overlap").
-            assert net_mask & policy.layout.ddio_mask == 0
+            assert net_mask & daemon.layout.ddio_mask == 0
 
     def test_random_mode_varies_placement(self):
         layouts = set()
         for seed in range(10):
-            _, policy, _ = build(StaticPolicy, shuffle_seed=seed)
-            policy.on_start(0.0)
-            layouts.add(tuple(sorted(policy.layout.group_masks.items())))
+            _, daemon, _ = build(StaticPolicy, shuffle_seed=seed)
+            daemon.on_start(0.0)
+            layouts.add(tuple(sorted(daemon.layout.group_masks.items())))
         assert len(layouts) > 2
 
     def test_random_mode_sometimes_overlaps_ddio(self):
         overlaps = 0
         for seed in range(24):
-            _, policy, _ = build(StaticPolicy, shuffle_seed=seed)
-            policy.on_start(0.0)
-            if policy.layout.overlap_groups():
+            _, daemon, _ = build(StaticPolicy, shuffle_seed=seed)
+            daemon.on_start(0.0)
+            if daemon.layout.overlap_groups():
                 overlaps += 1
         assert 0 < overlaps < 24  # the paper's wide baseline whiskers
 
@@ -91,13 +92,13 @@ class TestStaticPolicy:
 
 class TestCoreOnlyPolicy:
     def test_grows_into_idle_ways_only(self):
-        platform, policy, _ = build(CoreOnlyPolicy)
-        policy.on_start(0.0)
+        platform, daemon, _ = build(CoreOnlyPolicy)
+        daemon.on_start(0.0)
         # 3+2+2+2 = 9 of 11 ways used: two idle (the DDIO ways).
         for t in range(1, 3):
             for core in range(4):
                 drive(platform, core, 1000, 10)
-            policy.on_interval(float(t))
+            daemon.on_interval(float(t))
         # pc's miss rate jumps, then improves with each grant but stays
         # meaningful, sustaining the growth session.
         schedule = [8000, 5000, 3500, 2500, 2500, 2500]
@@ -106,37 +107,37 @@ class TestCoreOnlyPolicy:
             drive(platform, 1, 1000, 10)
             drive(platform, 2, 1000, 10)
             drive(platform, 3, 20_000, misses)
-            policy.on_interval(float(t))
-        assert policy.allocator.group_ways["pc"] == 4  # 2 + the 2 idle
+            daemon.on_interval(float(t))
+        assert daemon.policy.allocator.group_ways["pc"] == 4  # 2 + the 2 idle
         # The grown mask reaches into the DDIO ways: I/O-unawareness.
-        pc_mask = policy.layout.group_masks["pc"]
-        assert pc_mask & policy.layout.ddio_mask
+        pc_mask = daemon.layout.group_masks["pc"]
+        assert pc_mask & daemon.layout.ddio_mask
 
     def test_never_touches_ddio_mask(self):
-        platform, policy, _ = build(CoreOnlyPolicy)
+        platform, daemon, _ = build(CoreOnlyPolicy)
         before = platform.ddio.mask
-        policy.on_start(0.0)
-        policy.on_interval(1.0)
+        daemon.on_start(0.0)
+        daemon.on_interval(1.0)
         assert platform.ddio.mask == before
 
 
 class TestIOIsoPolicy:
     def test_layout_never_overlaps_ddio(self):
-        platform, policy, _ = build(IOIsoPolicy)
-        policy.on_start(0.0)
+        platform, daemon, _ = build(IOIsoPolicy)
+        daemon.on_start(0.0)
         for t in range(1, 8):
             drive(platform, 3, 20_000, 8000)
-            policy.on_interval(float(t))
-        for mask in policy.layout.group_masks.values():
-            assert mask & policy.layout.ddio_mask == 0
+            daemon.on_interval(float(t))
+        for mask in daemon.layout.group_masks.values():
+            assert mask & daemon.layout.ddio_mask == 0
 
     def test_growth_takes_from_best_effort(self):
-        platform, policy, _ = build(IOIsoPolicy)
-        policy.on_start(0.0)
+        platform, daemon, _ = build(IOIsoPolicy)
+        daemon.on_start(0.0)
         for t in range(1, 3):
             for core in range(4):
                 drive(platform, core, 1000, 10)
-            policy.on_interval(float(t))
+            daemon.on_interval(float(t))
         misses = 10_000
         for t in range(3, 10):
             drive(platform, 0, 1000, 10)
@@ -144,23 +145,23 @@ class TestIOIsoPolicy:
             drive(platform, 2, 1000, 10)
             drive(platform, 3, 30_000, misses)
             misses = max(1000, int(misses * 0.55))
-            policy.on_interval(float(t))
-        assert policy.allocator.group_ways["pc"] > 2
+            daemon.on_interval(float(t))
+        assert daemon.policy.allocator.group_ways["pc"] > 2
         # Pool is 9 ways (11 - 2 DDIO): someone must have paid.
-        total = sum(policy.allocator.group_ways.values())
+        total = sum(daemon.policy.allocator.group_ways.values())
         assert total <= 9
-        assert min(policy.allocator.group_ways["be0"],
-                   policy.allocator.group_ways["be1"]) == 1
+        assert min(daemon.policy.allocator.group_ways["be0"],
+                   daemon.policy.allocator.group_ways["be1"]) == 1
 
     def test_ddio_widening_shrinks_pool(self):
-        platform, policy, _ = build(IOIsoPolicy)
-        policy.on_start(0.0)
-        policy.on_interval(1.0)
+        platform, daemon, _ = build(IOIsoPolicy)
+        daemon.on_start(0.0)
+        daemon.on_interval(1.0)
         from repro.cache.ddio import ddio_mask_for_ways
         platform.ddio.set_mask(ddio_mask_for_ways(platform.spec.llc, 5))
         drive(platform, 0, 1000, 100)
-        policy.on_interval(2.0)
-        total = sum(policy.allocator.group_ways.values())
+        daemon.on_interval(2.0)
+        total = sum(daemon.policy.allocator.group_ways.values())
         assert total <= platform.spec.llc.ways - 5
-        for mask in policy.layout.group_masks.values():
-            assert mask & policy.layout.ddio_mask == 0
+        for mask in daemon.layout.group_masks.values():
+            assert mask & daemon.layout.ddio_mask == 0

@@ -3,11 +3,14 @@ transition counter."""
 
 import pytest
 
-from repro.core import (Decision, IATParams, IATPolicy, IOCAPolicy,
-                        LFOCPolicy, Policy, PolicyBase, available_policies,
-                        create_policy, get_policy, register_policy)
+from repro.core import (ControllerDaemon, Decision, IATParams, IATPolicy,
+                        IOCAPolicy, LFOCPolicy, Policy, PolicyBase,
+                        available_policies, create_policy, get_policy,
+                        register_policy)
 from repro.core.monitor import ChangeKind
+from repro.experiments.common import shuffle_scenario
 from repro.obs.metrics import REGISTRY
+from repro.sim.config import TINY_PLATFORM
 
 from tests.test_daemon import MISS_HIGH, build, drive_ddio
 
@@ -70,6 +73,35 @@ class TestConstruction:
     def test_policies_satisfy_the_protocol(self):
         for name in ("iat", "ioca", "lfoc", "static"):
             assert isinstance(create_policy(name), Policy)
+
+
+class TestAttach:
+    """Every registered policy attaches the same way and keeps the same
+    iteration log, the comparison baselines included."""
+
+    @pytest.mark.parametrize(
+        "name", [info.name for info in available_policies()])
+    def test_attached_policy_logs_every_interval(self, name):
+        scenario = shuffle_scenario(packet_size=1500, spec=TINY_PLATFORM)
+        daemon = scenario.attach_controller(name)
+        assert isinstance(daemon, ControllerDaemon)
+        assert scenario.controller is daemon
+        assert scenario.sim.controllers == [daemon]
+        scenario.sim.run(2.0)
+        intervals = int(2.0 / daemon.interval_s)   # static: never
+        assert daemon.history[0].action == "init"
+        assert len(daemon.history) == 1 + intervals
+        assert len(daemon.timings) == intervals
+
+    def test_figure_spellings_of_static(self):
+        scenario = shuffle_scenario(packet_size=1500, spec=TINY_PLATFORM)
+        daemon = scenario.attach_controller("baseline-rand", seed=3)
+        assert daemon.policy.policy_name == "static"
+        assert daemon.policy.shuffle_seed == 3
+        scenario = shuffle_scenario(packet_size=1500, spec=TINY_PLATFORM)
+        daemon = scenario.attach_controller("baseline")
+        assert daemon.policy.policy_name == "static"
+        assert daemon.policy.shuffle_seed is None
 
 
 class TestTransitionsCounter:

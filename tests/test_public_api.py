@@ -17,14 +17,15 @@ class TestTopLevelExports:
 
     def test_readme_snippet_classes(self):
         # The classes the README quickstart uses.
-        from repro.core import ControlPlane, IATDaemon, IATParams
+        from repro.core import (ControlPlane, ControllerDaemon, IATParams,
+                                IATPolicy)
         from repro.net import TrafficSpec
         from repro.sim import Platform, Simulation, XEON_6140
         from repro.tenants import Priority, Tenant
         from repro.workloads import TestPmd
-        assert all((ControlPlane, IATDaemon, IATParams, TrafficSpec,
-                    Platform, Simulation, XEON_6140, Priority, Tenant,
-                    TestPmd))
+        assert all((ControlPlane, ControllerDaemon, IATParams, IATPolicy,
+                    TrafficSpec, Platform, Simulation, XEON_6140, Priority,
+                    Tenant, TestPmd))
 
 
 class TestSubpackages:

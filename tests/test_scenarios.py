@@ -79,8 +79,8 @@ class TestLatentContenderScenario:
         ded.sim.run(0.0)  # no-op; masks applied by controller at start
         # Controllers are attached inside the builder (StaticPolicy).
         assert ded.sim.controllers and ovl.sim.controllers
-        ded_mask = ded.sim.controllers[0].explicit_masks["xmem"]
-        ovl_mask = ovl.sim.controllers[0].explicit_masks["xmem"]
+        ded_mask = ded.sim.controllers[0].policy.explicit_masks["xmem"]
+        ovl_mask = ovl.sim.controllers[0].policy.explicit_masks["xmem"]
         top_two = 0b11 << (TINY_LLC.ways - 2)
         assert ovl_mask == top_two
         assert ded_mask & top_two == 0

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.cache.llc import DDIO_OWNER, CacheGeometry, SlicedLLC
-from repro.core import ControlPlane, IATDaemon, IATParams
+from repro.core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
 from repro.experiments.common import leaky_dma_scenario
 from repro.net.traffic import TrafficSpec
 from repro.sim.config import TINY_PLATFORM
@@ -287,7 +287,8 @@ def _run_pmd_xmem(exec_mode: str, seed: int) -> "tuple[list, list]":
                                             burstiness=0.6))
     control = ControlPlane(platform.pqos, sim.tenant_set(),
                            time_scale=platform.spec.time_scale)
-    daemon = IATDaemon(control, IATParams(interval_s=0.2))
+    daemon = ControllerDaemon(control,
+                              IATPolicy(IATParams(interval_s=0.2)))
     sim.add_controller(daemon)
     metrics = sim.run(0.8)
     return _records(metrics), [dataclasses.asdict(h)
