@@ -186,17 +186,6 @@ def _empty_batch(n: int) -> BatchOutcome:
                         victim_owner=np.full(n, NO_VICTIM, dtype=np.int64))
 
 
-def _as_element_array(value, n: int, dtype) -> "np.ndarray":
-    """Broadcast a scalar or per-element sequence to shape ``(n,)``."""
-    arr = np.asarray(value, dtype=dtype)
-    if arr.ndim == 0:
-        return np.broadcast_to(arr, (n,))
-    if arr.shape != (n,):
-        raise ValueError(f"per-element argument has shape {arr.shape}, "
-                         f"expected ({n},)")
-    return arr
-
-
 def _scalar_or_array(value, n: int, dtype):
     """Pass a scalar through; validate a per-element array's shape.
 
@@ -523,10 +512,20 @@ class SlicedLLC:
 
     def _access_batch_vector(self, addrs, mask, write, owner,
                              allocate) -> BatchOutcome:
-        """Vectorized set-grouped batch engine (array backend, LRU)."""
+        """Vectorized set-grouped batch engine (array backend, LRU).
+
+        A bulk all-miss batch is resolved in closed form by
+        :meth:`_access_bulk`; every other batch takes the first-touch
+        round, the repeat collapse and the rank rounds below.
+        """
         n = addrs.shape[0]
         geom = self.geometry
         index, tag = geom.frame_index_batch(addrs)
+        if n >= geom.total_sets:
+            out = self._access_bulk(index, tag, mask, write, owner,
+                                    allocate)
+            if out is not None:
+                return out
         clk0 = self._clock
         self._clock = clk0 + n
         clk = np.arange(clk0 + 1, clk0 + n + 1, dtype=np.int64)
@@ -625,6 +624,145 @@ class SlicedLLC:
             rest = rest[keep]
             rank = rank[keep]
             r += 1
+        return out
+
+    def _access_bulk(self, index, tag, mask, write, owner, allocate):
+        """Resolve a bulk all-miss batch in closed form (one pass).
+
+        The caller has checked that the batch holds at least one line
+        per set of the geometry.  The batch must also allocate
+        everywhere under one way mask, and this path proves the rest of
+        its precondition: no tag of the batch is resident, and no tag
+        repeats within ``w`` accesses of its set.  Where any of that
+        fails it returns ``None``, having changed nothing.
+
+        Then every access misses and fills, and LRU cycles a set's
+        fills through its ``w`` allowed ways in one fixed order: empty
+        ways in way order, then resident ways oldest stamp first (every
+        batch stamp is newer).  The set's j-th access fills
+        ``order[j mod w]``, evicting that way's pre-batch line while
+        j < w and the line of the set's access j - w after.  A repeat
+        more than ``w`` accesses apart has been evicted by then, so it
+        misses and refills like any other line.
+        """
+        n = index.shape[0]
+        mask = _scalar_or_array(mask, n, np.int64)
+        if (_scalar_or_array(allocate, n, bool) is not True
+                or isinstance(mask, np.ndarray)):
+            return None
+        amask = mask & self.geometry.full_mask
+        if amask == 0:
+            return None     # the rank engine raises the mask error
+        write = _scalar_or_array(write, n, bool)
+        owner = _scalar_or_array(owner, n, np.int64)
+        ways = self._nways
+        tags = self._tags
+        # Absence: a set whose pre-batch row holds no tag inside the
+        # batch's tag range holds none of its tags (tenant regions are
+        # disjoint ranges), so only accesses to sets holding such a tag
+        # take the exact compare.
+        near = tags >= tag.min()
+        near &= tags <= tag.max()
+        hot = np.flatnonzero(near)
+        del near
+        if hot.size:
+            suspect = np.zeros(tags.shape[0], dtype=bool)
+            suspect[hot // ways] = True
+            sus = np.flatnonzero(suspect[index])
+            if (tags[index[sus]] == tag[sus, None]).any():
+                return None
+            del suspect, sus
+        # Group by set in batch order with one stable sort (a radix
+        # sort on 16-bit keys); positions below are in this set-major
+        # order.  Equal tags share a set, so a repeat d accesses apart
+        # in its set sits exactly d places apart here.
+        aw = np.array(_ways_of_mask(amask), dtype=np.int64)
+        w = aw.shape[0]
+        key = (index.astype(np.uint16)
+               if tags.shape[0] <= 1 << 16 else index)
+        perm = np.argsort(key, kind="stable")
+        si = key[perm]
+        del key
+        ts = tag[perm]
+        for d in range(1, w + 1):
+            if (ts[d:] == ts[:-d]).any():
+                return None
+
+        # Per touched set: its first position, its access count, and
+        # the cells of its allowed ways in cycle order, one row each.
+        # Transient arrays are dropped as soon as they are dead: bulk
+        # batches are the largest the cache sees.
+        newset = np.empty(n, dtype=bool)
+        newset[0] = True
+        np.not_equal(si[1:], si[:-1], out=newset[1:])
+        starts = np.flatnonzero(newset)
+        del newset
+        count = np.diff(starts, append=n)
+        cells = si[starts].astype(np.int64)[:, None] * ways + aw
+        vkey = np.where(self._tags_flat[cells] == EMPTY, _STAMP_LO + aw,
+                        self._stamp_flat[cells])
+        if not (vkey[:, 1:] >= vkey[:, :-1]).all():
+            cells = np.take_along_axis(
+                cells, np.argsort(vkey, axis=1, kind="stable"), axis=1)
+        del vkey
+        # Column k is filled first by the set's access k and last by its
+        # final access congruent to k mod w; a set with fewer than w
+        # accesses leaves its last columns untouched.
+        k = np.arange(w)
+        used = k < count[:, None]
+        first = starts[:, None] + k
+        last = ((count[:, None] - 1 - k) // w * w + first)[used]
+        first = first[used]
+        cells = cells[used]
+        del used, starts, count
+
+        # The first fills evict the cells' pre-batch lines; each later
+        # fill evicts the line of its set's access w places before it.
+        pre_tag = self._tags_flat[cells]
+        pre_dirty = self._dirty_flat[cells]
+        pre_owner = self._owner_flat[cells]
+        if self._journal is not None:
+            # The used cells are exactly the cells the batch writes.
+            self._journal.append((_J_FILL, cells, pre_tag,
+                                  self._stamp_flat[cells], pre_dirty,
+                                  pre_owner))
+        out = _empty_batch(n)
+        out.fill[:] = True
+        pre_valid = pre_tag != EMPTY
+        ev_owner = pre_owner[pre_valid]
+        at = perm[first]
+        del first
+        out.evicted[at] = pre_valid
+        out.writeback[at] = pre_dirty & pre_valid
+        out.victim_owner[at[pre_valid]] = ev_owner
+        del pre_tag, pre_dirty, pre_owner, pre_valid
+        prev = np.flatnonzero(si[w:] == si[:-w])
+        del si
+        at = perm[prev + w]
+        prev = perm[prev]
+        out.evicted[at] = True
+        out.writeback[at] = _pick(write, prev)
+        out.victim_owner[at] = _pick(owner, prev)
+        del prev
+
+        # The last fills are the final state.
+        at = perm[last]
+        del perm
+        clk0 = self._clock
+        self._clock = clk0 + n
+        new_owner = _pick(owner, at)
+        self._tags_flat[cells] = ts[last]
+        self._stamp_flat[cells] = at + (clk0 + 1)
+        self._dirty_flat[cells] = _pick(write, at)
+        self._owner_flat[cells] = new_owner
+        n_evicted = int(np.count_nonzero(out.evicted))
+        self.stat_fills += n
+        self.stat_evictions += n_evicted
+        self.stat_writebacks += int(np.count_nonzero(out.writeback))
+        self._valid += n - n_evicted
+        # Fills evicted within the batch cancel out: what stays is the
+        # final residents in, the evicted pre-batch lines out.
+        self._occ_update(new_owner, cells.shape[0], ev_owner)
         return out
 
     def _set_dirty(self, slot, write) -> None:

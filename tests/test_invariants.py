@@ -72,6 +72,27 @@ class TestConservation:
         platform, _, _ = run_sim(pps, 1500, 64, seed)
         assert platform.llc.valid_lines() <= platform.spec.llc.lines
 
+    def test_llc_conservation_after_kvs_prefill(self):
+        """The KVS co-run's prefill (bulk all-miss batches of up to an
+        LLC's worth of lines) keeps the cache's books: occupancy per
+        owner sums to valid lines, fills minus evictions equal them,
+        and no tenant holds more lines than its ways can."""
+        from repro.experiments.common import kvs_scenario
+
+        scen = kvs_scenario(app="rocksdb", ycsb_letter="A")
+        scen.attach_controller("iat", manage_tenant_ways=False)
+        scen.sim.run(0.0)   # start-up and prefill only
+        llc = scen.platform.llc
+        occ = llc.occupancy_by_owner()
+        assert llc.valid_lines() > 0
+        assert sum(occ.values()) == llc.valid_lines()
+        assert llc.stat_fills - llc.stat_evictions == llc.valid_lines()
+        sets = llc.geometry.total_sets
+        for binding in scen.sim.bindings:
+            mask = scen.platform.cat.mask_of_core(binding.tenant.cores[0])
+            assert occ.get(binding.owner_id, 0) \
+                <= bin(mask).count("1") * sets, binding.tenant.name
+
 
 def make_sample(rng):
     tenants = {}

@@ -4,9 +4,10 @@ The array backend's batched engine must reproduce the scalar reference
 bit-exactly: identical per-access hit/fill/eviction/writeback outcomes,
 identical victim attribution, identical occupancy — over arbitrary
 interleavings of core accesses, DDIO writes and device reads, under both
-replacement policies.  These tests fuzz exactly that, plus the
-engine-level guarantee that a full simulation produces identical metrics
-on either backend.
+replacement policies.  These tests fuzz exactly that, aim hand-built
+batches at each shortcut of the vector engine (the repeat collapse and
+the bulk all-miss path), and check the engine-level guarantee that a
+full simulation produces identical metrics on either backend.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.cache.geometry import TINY_LLC
+from repro.cache.geometry import TINY_LLC, CacheGeometry
 from repro.cache.llc import DDIO_OWNER, SlicedLLC
 
 SEEDS = [3, 17, 2021]
@@ -55,6 +56,11 @@ def apply_scalar(llc, op):
         return [llc.ddio_write(a, kw["mask"]) for a in addrs]
     if kind == "device":
         return [llc.device_read(a) for a in addrs]
+    if kind == "elementwise":   # one mask, per-element write and owner
+        allocate = kw.get("allocate", [True] * len(addrs))
+        return [llc.access(a, kw["mask"], write=kw["write"][i],
+                           owner=kw["owner"][i], allocate=allocate[i])
+                for i, a in enumerate(addrs)]
     return [llc.access(a, kw["mask"][i], write=kw["write"][i],
                        owner=kw["owner"][i], allocate=kw["allocate"][i])
             for i, a in enumerate(addrs)]
@@ -70,6 +76,11 @@ def apply_batch(llc, op):
         return llc.ddio_write_batch(addrs, kw["mask"])
     if kind == "device":
         return llc.device_read_batch(addrs)
+    if kind == "elementwise":
+        return llc.access_batch(addrs, kw["mask"],
+                                write=np.asarray(kw["write"]),
+                                owner=np.asarray(kw["owner"]),
+                                allocate=np.asarray(kw.get("allocate", True)))
     return llc.access_batch(addrs, np.asarray(kw["mask"]),
                             write=np.asarray(kw["write"]),
                             owner=np.asarray(kw["owner"]),
@@ -79,6 +90,7 @@ def apply_batch(llc, op):
 def assert_same_state(scalar, array):
     assert scalar.occupancy_by_owner() == array.occupancy_by_owner()
     assert scalar.valid_lines() == array.valid_lines()
+    assert scalar.stats() == array.stats()
     assert scalar._clock == array._clock
     for row in range(TINY_LLC.total_sets):
         assert scalar._tags[row] == array._tags[row].tolist()
@@ -175,16 +187,21 @@ def padding_lines(count, avoid):
     return out
 
 
-def check_ops(ops):
-    """Apply ``ops`` to both backends; outcomes and state must match."""
-    scalar = SlicedLLC(TINY_LLC, backend="scalar")
-    array = SlicedLLC(TINY_LLC, backend="array")
+def check_ops(ops, pair=None):
+    """Apply ``ops`` to both backends (fresh ones unless ``pair`` holds
+    a scalar and an array LLC); outcomes and state must match.
+    Returns the pair."""
+    if pair is None:
+        pair = (SlicedLLC(TINY_LLC, backend="scalar"),
+                SlicedLLC(TINY_LLC, backend="array"))
+    scalar, array = pair
     for op in ops:
         expected = apply_scalar(scalar, op)
         got = apply_batch(array, op)
         for i, out in enumerate(expected):
             assert out == got.outcome_at(i), (op[0], i)
     assert_same_state(scalar, array)
+    return pair
 
 
 def mixed_op(accesses):
@@ -261,6 +278,180 @@ class TestTargetedBatches:
                                    for _ in range(64)],
                         dict(mask=core, write=True, owner=2)))
         check_ops(ops)
+
+
+SETS = TINY_LLC.total_sets
+FULL = TINY_LLC.full_mask
+
+
+def region(first_line, count, step=1):
+    """Addresses of ``count`` lines from ``first_line`` on, ``step``
+    lines apart."""
+    return [(first_line + i * step) * 64 for i in range(count)]
+
+
+@pytest.fixture
+def bulk_calls(monkeypatch):
+    """One entry per call of the bulk all-miss path: True where it
+    resolved the batch, False where it declined it to the rank engine."""
+    calls = []
+    real = SlicedLLC._access_bulk
+
+    def spy(self, *args):
+        out = real(self, *args)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(SlicedLLC, "_access_bulk", spy)
+    return calls
+
+
+def prior_ops(prior, mask):
+    """Pre-batch contents for the bulk batches: lines of another region,
+    owned by other tenants.  ``partial`` leaves each set's ``mask`` ways
+    partly filled by two batches (so residents differ in age); ``full``
+    and ``dirty`` fill every way of every set, ``dirty`` by writes."""
+    if prior == "empty":
+        return []
+    if prior == "partial":
+        return [("access", region(1 << 16, 200), dict(
+                    mask=mask, write=True, owner=7)),
+                ("access", region(1 << 17, 200), dict(
+                    mask=mask, write=False, owner=8))]
+    return [("access", region(1 << 16, 3 * TINY_LLC.lines), dict(
+        mask=FULL, write=prior == "dirty", owner=7))]
+
+
+def bulk_op(mask, elementwise, seed=0):
+    """A bulk batch under ``mask``: about ``w + 2`` distinct lines per
+    set, so every set cycles through its allowed ways."""
+    w = bin(mask).count("1")
+    addrs = region(1 << 12, (w + 2) * SETS)
+    if not elementwise:
+        return ("access", addrs, dict(mask=mask, write=True, owner=3))
+    rng = random.Random(seed)
+    return ("elementwise", addrs, dict(
+        mask=mask, write=[rng.random() < 0.5 for _ in addrs],
+        owner=[rng.choice([0, 1, 2, DDIO_OWNER]) for _ in addrs]))
+
+
+class TestBulkAllMiss:
+    """Batches of at least one line per set, all misses under one way
+    mask, resolved in closed form; each case checks which path ran."""
+
+    @pytest.mark.parametrize("elementwise", [False, True])
+    @pytest.mark.parametrize("prior", ["empty", "partial", "full", "dirty"])
+    @pytest.mark.parametrize("mask", [0b1, 0b11 << 9, 0b111 << 4, FULL])
+    def test_matches_scalar(self, bulk_calls, mask, prior, elementwise):
+        pair = check_ops(prior_ops(prior, mask))
+        if prior in ("full", "dirty"):
+            assert pair[1].valid_lines() == TINY_LLC.lines
+        del bulk_calls[:]
+        check_ops([bulk_op(mask, elementwise)], pair)
+        assert bulk_calls == [True]
+
+    def test_ddio_write_batch(self, bulk_calls):
+        ddio = 0b11 << 9
+        pair = check_ops(prior_ops("partial", ddio))
+        del bulk_calls[:]
+        check_ops([("ddio", region(1 << 12, 3 * SETS), dict(mask=ddio))],
+                  pair)
+        assert bulk_calls == [True]
+
+    def test_rollback_then_replay(self, bulk_calls):
+        mask = 0b111 << 4
+        scalar, array = check_ops(prior_ops("dirty", mask))
+        op = bulk_op(mask, elementwise=True)
+        array.snapshot()
+        apply_batch(array, op)
+        array.rollback()
+        assert_same_state(scalar, array)
+        array.snapshot()
+        check_ops([op], (scalar, array))
+        array.commit()
+        assert bulk_calls[-2:] == [True, True]
+
+    @pytest.mark.parametrize("mask", [0b1, 0b111])
+    def test_repeat_beyond_w_stays_exact(self, bulk_calls, mask):
+        """A line repeated ``w + 1`` accesses apart in its set was
+        evicted by the access before, so it misses and the batch stays
+        bulk (``[X, Y, X]`` under one way, ``[X, A, B, C, X]`` under
+        three)."""
+        w = bin(mask).count("1")
+        members, _ = lines_in_set(w + 1)
+        addrs = members + members[:1] + region(1 << 12, SETS)
+        check_ops([("access", addrs, dict(mask=mask, write=True, owner=3))])
+        assert bulk_calls == [True]
+
+    def test_interleaved_region_falls_back_to_exact_compare(self,
+                                                           bulk_calls):
+        """Resident lines interleave with the batch's, so the range
+        proof fails in their sets; none is a batch line, so the exact
+        compare clears the batch."""
+        ops = [("access", region(1 << 12, 200, step=2), dict(
+                   mask=FULL, write=False, owner=7)),
+               ("access", region((1 << 12) + 1, 3 * SETS, step=2), dict(
+                   mask=0b111, write=True, owner=3))]
+        check_ops(ops)
+        assert bulk_calls == [True]
+
+    def test_resident_line_declines(self, bulk_calls):
+        prior = prior_ops("partial", 0b111)
+        addrs = region(1 << 12, 3 * SETS)
+        addrs.insert(SETS, prior[0][1][5])
+        check_ops(prior + [("access", addrs, dict(mask=0b111, write=True,
+                                                  owner=3))])
+        assert bulk_calls == [False]
+
+    @pytest.mark.parametrize("gap", [1, 3])
+    def test_repeat_within_w_declines(self, bulk_calls, gap):
+        """Under three ways a line repeated ``gap <= 3`` accesses apart
+        in its set is still resident, so it hits: the batch declines."""
+        members, _ = lines_in_set(gap)
+        addrs = members + members[:1] + region(1 << 12, 3 * SETS)
+        check_ops([("access", addrs, dict(mask=0b111, write=False,
+                                          owner=3))])
+        assert bulk_calls == [False]
+
+    def test_non_allocating_access_declines(self, bulk_calls):
+        """A device read among the batch's accesses misses without
+        filling, which breaks the fill cycle."""
+        op = bulk_op(0b111, elementwise=True)
+        op[2]["allocate"] = [i % 7 != 3 for i in range(len(op[1]))]
+        check_ops([op])
+        assert bulk_calls == [False]
+
+    def test_per_element_mask_declines(self, bulk_calls):
+        addrs = region(1 << 12, 3 * SETS)
+        n = len(addrs)
+        check_ops([mixed_op(zip(addrs, [0b111] * n, [True] * n, [3] * n,
+                                [True] * n))])
+        assert bulk_calls == [False]
+
+    def test_wide_set_index_sorts_without_16_bit_keys(self, bulk_calls,
+                                                      monkeypatch):
+        """Past 2**16 sets the set sort runs on the full-width index;
+        the result equals the rank engine's on the same backend."""
+        geom = CacheGeometry(ways=2, sets_per_slice=1 << 15, slices=3)
+        assert geom.total_sets > 1 << 16
+        lines = np.arange(2 * geom.total_sets, dtype=np.int64)
+        bulk = SlicedLLC(geom, backend="array")
+        engine = SlicedLLC(geom, backend="array")
+        for addr in ((lines[:500] + (1 << 24)) * 64, lines * 64):
+            got = bulk.access_batch(addr, 0b11, write=True, owner=3)
+            with monkeypatch.context() as m:
+                m.setattr(SlicedLLC, "_access_bulk", lambda *args: None)
+                want = engine.access_batch(addr, 0b11, write=True, owner=3)
+            for field in ("hit", "fill", "evicted", "writeback",
+                          "victim_owner"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field))
+        for plane in ("_tags", "_stamp", "_dirty", "_owner"):
+            assert np.array_equal(getattr(bulk, plane),
+                                  getattr(engine, plane))
+        assert bulk.stats() == engine.stats()
+        assert bulk.occupancy_by_owner() == engine.occupancy_by_owner()
+        assert bulk_calls == [True]
 
 
 class TestEngineBackendEquivalence:
