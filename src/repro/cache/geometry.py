@@ -28,15 +28,22 @@ def _mix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
-def _mix64_batch(values: "np.ndarray") -> "np.ndarray":
-    """Vectorized :func:`_mix64` over a uint64 array (wrapping mod 2^64)."""
-    v = values.astype(np.uint64, copy=True)
-    v ^= v >> np.uint64(30)
-    v *= np.uint64(0xBF58476D1CE4E5B9)
-    v ^= v >> np.uint64(27)
-    v *= np.uint64(0x94D049BB133111EB)
-    v ^= v >> np.uint64(31)
-    return v
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _mix64_inplace(v: "np.ndarray", scratch: "np.ndarray") -> None:
+    """:func:`_mix64` over a uint64 array in place (wrapping mod 2^64).
+
+    ``scratch`` is a uint64 array of ``v``'s shape that is overwritten;
+    nothing is allocated.
+    """
+    v ^= np.right_shift(v, _S30, out=scratch)
+    v *= _M1
+    v ^= np.right_shift(v, _S27, out=scratch)
+    v *= _M2
+    v ^= np.right_shift(v, _S31, out=scratch)
 
 
 @dataclass(frozen=True)
@@ -117,32 +124,43 @@ class CacheGeometry:
         """Vectorized :meth:`frame_index` over an int64 address array.
 
         Returns ``(flat_set_index, tag)`` arrays, element-wise identical
-        to calling :meth:`frame_index` per address.
+        to calling :meth:`frame_index` per address.  The two outputs are
+        the only allocations: the index is mixed in place in its own
+        buffer (viewed as uint64), with the tag's buffer as scratch until
+        the tags are written last.
         """
-        # line_size is a power of two and addresses are non-negative, so
-        # the division is a shift; the flat index stays far below 2^63,
-        # so the uint64 view back to int64 is value-preserving and free.
-        lines = np.asarray(addrs, dtype=np.int64) >> (
-            self.line_size.bit_length() - 1)
-        mixed = _mix64_batch(lines)
+        addrs = np.asarray(addrs, dtype=np.int64)
+        # line_size is a power of two, so the division is a shift; the
+        # flat index stays far below 2^63, so the uint64 view of the
+        # index buffer reads back as int64 unchanged.
+        shift = self.line_size.bit_length() - 1
+        index = np.empty_like(addrs)
+        tag = np.empty_like(addrs)
+        mixed = index.view(np.uint64)
+        scratch = tag.view(np.uint64)
+        np.right_shift(addrs, shift, out=index)
+        _mix64_inplace(mixed, scratch)
+        # slice = mixed % slices and set = (mixed // slices) % sets with
+        # no remainder by ``slices``: the slice is mixed - slices *
+        # quotient, and dividing slices * quotient by slices again
+        # (exact; NumPy divides by a scalar far faster than it takes a
+        # remainder) gets the quotient back without a third buffer.  The
+        # modulo by ``sets`` is a bitmask when ``sets`` is a power of two
+        # (the default geometry).
         slices = np.uint64(self.slices)
         sets = self.sets_per_slice
-        # One division instead of three: derive the remainder from the
-        # quotient, and reduce modulo ``sets_per_slice`` with a bitmask
-        # when it is a power of two (the default geometry).
-        quot = mixed // slices
-        slice_id = mixed - quot * slices
+        np.floor_divide(mixed, slices, out=scratch)
+        scratch *= slices
+        mixed -= scratch
+        scratch //= slices
         if sets & (sets - 1) == 0:
-            set_id = quot & np.uint64(sets - 1)
+            scratch &= np.uint64(sets - 1)
         else:
-            set_id = quot % np.uint64(sets)
-        index = (slice_id * np.uint64(sets) + set_id)
-        return index.view(np.int64), lines
-
-    def slice_of_batch(self, addrs: "np.ndarray") -> "np.ndarray":
-        """Vectorized slice ids (first element of :meth:`locate`)."""
-        lines = np.asarray(addrs, dtype=np.int64) // self.line_size
-        return (_mix64_batch(lines) % np.uint64(self.slices)).astype(np.int64)
+            scratch %= np.uint64(sets)
+        mixed *= np.uint64(sets)
+        mixed += scratch
+        np.right_shift(addrs, shift, out=tag)
+        return index, tag
 
 
 #: LLC geometry of the paper's testbed CPU (Table I).

@@ -136,6 +136,10 @@ class BatchOutcome:
     evicted: "np.ndarray"       # bool
     writeback: "np.ndarray"     # bool
     victim_owner: "np.ndarray"  # int64, NO_VICTIM where not evicted
+    #: Flat set index of each address where the vector engine computed
+    #: it (``None`` from the per-access loop), so a caller that needs
+    #: each line's slice need not hash the batch again.
+    index: "np.ndarray | None" = None
 
     def __len__(self) -> int:
         return len(self.hit)
@@ -178,12 +182,13 @@ class BatchOutcome:
             victim_owner=int(self.victim_owner[i]) if evicted else None)
 
 
-def _empty_batch(n: int) -> BatchOutcome:
+def _empty_batch(n: int, index: "np.ndarray | None" = None) -> BatchOutcome:
     return BatchOutcome(hit=np.zeros(n, dtype=bool),
                         fill=np.zeros(n, dtype=bool),
                         evicted=np.zeros(n, dtype=bool),
                         writeback=np.zeros(n, dtype=bool),
-                        victim_owner=np.full(n, NO_VICTIM, dtype=np.int64))
+                        victim_owner=np.full(n, NO_VICTIM, dtype=np.int64),
+                        index=index)
 
 
 def _scalar_or_array(value, n: int, dtype):
@@ -533,7 +538,7 @@ class SlicedLLC:
         write = _scalar_or_array(write, n, bool)
         owner = _scalar_or_array(owner, n, np.int64)
         allocate = _scalar_or_array(allocate, n, bool)
-        out = _empty_batch(n)
+        out = _empty_batch(n, index)
         args = (tag, clk, mask & geom.full_mask, mask, write, owner,
                 allocate, out)
 
@@ -726,7 +731,7 @@ class SlicedLLC:
             self._journal.append((_J_FILL, cells, pre_tag,
                                   self._stamp_flat[cells], pre_dirty,
                                   pre_owner))
-        out = _empty_batch(n)
+        out = _empty_batch(n, index)
         out.fill[:] = True
         pre_valid = pre_tag != EMPTY
         ev_owner = pre_owner[pre_valid]

@@ -26,9 +26,13 @@ def zipf_weights(n: int, theta: float) -> "np.ndarray":
     """
     if n < 1:
         raise ValueError("need at least one item")
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    weights = ranks ** -theta if theta > 0 else np.ones(n)
-    return weights / weights.sum()
+    if theta > 0:
+        weights = np.arange(1, n + 1, dtype=np.float64)
+        np.power(weights, -theta, out=weights)
+    else:
+        weights = np.ones(n)
+    weights /= weights.sum()
+    return weights
 
 
 @dataclass(frozen=True)
@@ -98,25 +102,38 @@ class TrafficQuantum:
 
 
 class TrafficGen:
-    """Draws per-interval packet counts and flow ids for one spec."""
+    """Draws per-interval packet counts and flow ids for one spec.
 
-    def __init__(self, spec: TrafficSpec, rng: "np.random.Generator") -> None:
+    ``samplers`` maps ``(n_flows, zipf_theta)`` to a flow sampler.  A
+    :class:`~repro.sim.engine.Simulation` hands one map to all of its
+    streams, so streams with the same flow population share one sampler
+    (each still draws from its own RNG); without a map a generator keeps
+    its own.
+    """
+
+    def __init__(self, spec: TrafficSpec, rng: "np.random.Generator", *,
+                 samplers: "dict | None" = None) -> None:
         self.spec = spec
         self._rng = rng
         self._carry = 0.0
+        self._samplers = {} if samplers is None else samplers
         self._sampler = None
         self._build_sampler()
 
     def _build_sampler(self) -> None:
-        if self.spec.n_flows > 1:
-            # Cached-CDF sampler: draws are bit-identical to
-            # ``rng.choice(n, size, p=weights)`` without re-accumulating
-            # the weight vector on every draw.
-            from ..workloads.streams import ZipfSampler
-            self._sampler = ZipfSampler(
-                zipf_weights(self.spec.n_flows, self.spec.zipf_theta))
-        else:
+        n_flows, theta = self.spec.n_flows, self.spec.zipf_theta
+        if n_flows == 1:
             self._sampler = None
+            return
+        key = (n_flows, theta)
+        sampler = self._samplers.get(key)
+        if sampler is None:
+            # Guide-table sampler: draws are bit-identical to
+            # ``rng.choice(n, size, p=weights)`` at O(1) per draw.
+            from ..workloads.streams import ZipfSampler
+            sampler = ZipfSampler(n_flows, theta)
+            self._samplers[key] = sampler
+        self._sampler = sampler
 
     def set_spec(self, spec: TrafficSpec) -> None:
         self.spec = spec

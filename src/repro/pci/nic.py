@@ -183,7 +183,7 @@ class Nic:
             addrs = np.repeat(buf_addrs, nlines) + within * line
         if not header_only:
             out = llc.ddio_write_batch(addrs, ddio_mask)
-            uncore.record_ddio_batch(addrs, out.hit)
+            uncore.record_ddio_batch(addrs, out.hit, out.index)
             hits = out.hits
             vf.ddio_hits += hits
             vf.ddio_misses += out.misses
@@ -206,7 +206,9 @@ class Nic:
                                write=True, owner=DDIO_OWNER,
                                allocate=header)
         header_hit = out.hit[header]
-        uncore.record_ddio_batch(addrs[header], header_hit)
+        uncore.record_ddio_batch(
+            addrs[header], header_hit,
+            None if out.index is None else out.index[header])
         ddio_hits = int(np.count_nonzero(header_hit))
         vf.ddio_hits += ddio_hits
         vf.ddio_misses += int(header.sum()) - ddio_hits

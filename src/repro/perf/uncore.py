@@ -14,6 +14,7 @@ truth for tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -52,23 +53,24 @@ class ChaCounters:
         else:
             self.misses[slice_id] += 1
 
-    def record_ddio_batch(self, addrs, hit) -> None:
-        """Record a vector of DDIO transactions (one bincount per kind).
+    def record_ddio_batch(self, addrs, hit, index=None) -> None:
+        """Record a vector of DDIO transactions with one bincount.
 
         ``hit`` is a per-element boolean array aligned with ``addrs``.
+        ``index`` is the addresses' flat set index when the caller has
+        it (an LLC batch computes it), which saves hashing them again.
         Equivalent to calling :meth:`record_ddio` per address.
         """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if addrs.size == 0:
-            return
-        slices = self.geometry.slice_of_batch(addrs)
-        hit = np.asarray(hit, dtype=bool)
-        nslices = self.geometry.slices
-        hit_counts = np.bincount(slices[hit], minlength=nslices)
-        miss_counts = np.bincount(slices[~hit], minlength=nslices)
-        for s in range(nslices):
-            self.hits[s] += int(hit_counts[s])
-            self.misses[s] += int(miss_counts[s])
+        geom = self.geometry
+        if index is None:
+            index = geom.frame_index_batch(addrs)[0]
+        # Key 2 * slice + hit: even bins count misses, odd bins hits.
+        key = index // geom.sets_per_slice
+        key <<= 1
+        key += hit
+        counts = np.bincount(key, minlength=2 * geom.slices).tolist()
+        self.misses[:] = map(add, self.misses, counts[0::2])
+        self.hits[:] = map(add, self.hits, counts[1::2])
 
     def sample(self) -> DdioSample:
         """Paper-style estimate: one slice's counts x slice count."""

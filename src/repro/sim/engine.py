@@ -99,6 +99,7 @@ class Simulation:
         self._event_seq = 0
         self.metrics = MetricsRecorder()
         self.now = 0.0
+        self._started = False
         self._seed_seq = np.random.SeedSequence(seed)
         self._counter_last: "dict[str, tuple[int, int, int, int]]" = {}
         self._ddio_last = (0, 0)
@@ -112,6 +113,9 @@ class Simulation:
         # Fairness export: per-tenant slowdown estimates fed to the
         # metrics registry each quantum (LFOC-style, peak-IPC proxy).
         self._slowdowns = SlowdownTracker()
+        # Flow samplers by (n_flows, zipf_theta), shared by this
+        # simulation's traffic streams (see TrafficGen).
+        self._flow_samplers: dict = {}
 
     @property
     def exec_mode(self) -> str:
@@ -154,8 +158,9 @@ class Simulation:
         """Offer traffic to a VF (rates already time-scaled by caller)."""
         phased = traffic if isinstance(traffic, PhasedTraffic) else None
         spec = phased.spec_at(0.0) if phased else traffic
-        binding = TrafficBinding(nic, vf, TrafficGen(spec, self._spawn_rng()),
-                                 phased)
+        gen = TrafficGen(spec, self._spawn_rng(),
+                         samplers=self._flow_samplers)
+        binding = TrafficBinding(nic, vf, gen, phased)
         self.traffic.append(binding)
         return binding
 
@@ -178,7 +183,8 @@ class Simulation:
             else "scalar"
         for binding in self.bindings:
             binding.workload.exec_mode = mode
-        if self.now == 0.0:
+        if not self._started:
+            self._started = True
             for controller in self.controllers:
                 controller.on_start(0.0)
             for binding in self.bindings:

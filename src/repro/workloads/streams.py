@@ -13,6 +13,9 @@ from ..net.traffic import zipf_weights
 
 LINE = 64
 
+#: CDF entries per step of :class:`ZipfSampler`'s guide-table build.
+_GUIDE_CHUNK = 1 << 16
+
 
 def uniform_lines(rng: "np.random.Generator", base: int, ws_bytes: int,
                   count: int, line: int = LINE) -> "np.ndarray":
@@ -34,28 +37,71 @@ def sequential_lines(base: int, ws_bytes: int, start_line: int, count: int,
 
 
 class ZipfSampler:
-    """Weighted index sampler with a cached CDF.
+    """Zipf(theta) index sampler over ``n`` items, with a cached CDF and
+    a guide table.
 
-    Draws are bit-identical to ``rng.choice(n, size, p=weights)`` (NumPy
-    implements weighted choice as ``cdf.searchsorted(rng.random(size))``
-    with the same normalisation), but the O(n) cumulative sum is paid once
-    at construction instead of on every draw — which matters when the flow
-    population is large (Fig. 9 runs 1M flows) and draws happen per quantum.
+    Draws are bit-identical to ``rng.choice(n, size,
+    p=zipf_weights(n, theta))``: NumPy implements weighted choice as
+    ``cdf.searchsorted(rng.random(size), side="right")`` over the same
+    normalised cumulative sum, and :meth:`lookup` returns exactly that
+    search's result.  The O(n) cumulative sum and the guide table are
+    paid once at construction instead of on every draw, which matters
+    when the flow population is large (Fig. 9 runs 1M flows) and draws
+    happen every quantum.
+
+    The guide table is the indexed search of Chen & Asau (1974).  With
+    ``m`` the largest power of two not above ``n``, ``guide[j]`` counts
+    the CDF entries ``<= j/m``.  A uniform ``u`` falls in bucket
+    ``b = floor(u*m)``; ``j/m`` and ``u*m`` are exact in binary floating
+    point, so ``guide[b] <= searchsorted(cdf, u, "right") <= guide[b+1]``
+    and a fixed-step binary search over that window, never wider than
+    the widest bucket, finishes the lookup in O(1) per draw.
     """
 
-    def __init__(self, weights: "np.ndarray") -> None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("weights must be a non-empty 1-D array")
-        cdf = weights.cumsum()
+    def __init__(self, n: int, theta: float) -> None:
+        # The weights are accumulated in their own buffer: the CDF is the
+        # sampler's one n-sized array.
+        cdf = zipf_weights(n, theta)
+        np.cumsum(cdf, out=cdf)
         cdf /= cdf[-1]
+        m = 1 << (n.bit_length() - 1)
+        # Entry i is <= j/m exactly when j >= ceil(cdf[i] * m).  The CDF
+        # is sorted, so guide[j] is one past the last entry whose first
+        # bucket is j, carried forward over buckets that start no entry:
+        # O(n + m), a chunk at a time, with chunk-sized temporaries.
+        guide = np.zeros(m + 1, dtype=np.int32)
+        for lo in range(0, n, _GUIDE_CHUNK):
+            first = cdf[lo:lo + _GUIDE_CHUNK] * m
+            np.ceil(first, out=first)
+            first = first.astype(np.intp)
+            ends = np.flatnonzero(np.diff(first, append=m + 1))
+            guide[first[ends]] = ends + (lo + 1)
+        np.maximum.accumulate(guide, out=guide)
+        self._guide = guide
+        self._m = m
+        # One probe per bit of the widest bucket, largest step first.
+        # Probe h reads cdf[idx + h - 1] through a view offset by h - 1;
+        # ``take(mode="clip")`` maps reads past the end to cdf[-1] == 1.0,
+        # which is above every u in [0, 1), so no probe overshoots.
+        width = int(np.diff(guide).max())
+        self._probes = tuple((1 << k, cdf[(1 << k) - 1:])
+                             for k in reversed(range(width.bit_length())))
         self._cdf = cdf
-        self.n = weights.size
+        self.n = n
+
+    def lookup(self, u: "np.ndarray") -> "np.ndarray":
+        """``cdf.searchsorted(u, side="right")`` for uniforms in [0, 1)."""
+        u = np.asarray(u, dtype=np.float64)
+        idx = self._guide.take((u * self._m).astype(np.intp),
+                               mode="clip").astype(np.intp)
+        for step, cdf_view in self._probes:
+            idx += (cdf_view.take(idx, mode="clip") <= u) * step
+        return idx
 
     def draw(self, rng: "np.random.Generator", count: int) -> "np.ndarray":
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        return self._cdf.searchsorted(rng.random(count), side="right")
+        return self.lookup(rng.random(count))
 
 
 class ZipfKeyStream:
@@ -68,8 +114,7 @@ class ZipfKeyStream:
         self.n_keys = n_keys
         self.theta = theta
         self._rng = rng
-        self._weights = zipf_weights(n_keys, theta)
-        self._sampler = ZipfSampler(self._weights)
+        self._sampler = ZipfSampler(n_keys, theta)
 
     def draw(self, count: int) -> "np.ndarray":
         return self._sampler.draw(self._rng, count)

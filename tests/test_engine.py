@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.common import kvs_scenario
 from repro.net.traffic import Phase, PhasedTraffic, TrafficSpec
 from repro.sim.config import TINY_PLATFORM, XEON_6140, PlatformSpec
 from repro.sim.engine import Simulation
@@ -150,3 +151,56 @@ class TestSimulation:
         sim.attach_traffic(nic, vf, TrafficSpec(pps=100.0))
         metrics = sim.run(0.5)
         assert metrics.records[-1].tenants["pmd"].ipc > 0
+
+
+class TestStartOnce:
+    """Start-up (controllers' ``on_start``, every prefill, the counter
+    baselines) happens on the first :meth:`Simulation.run` only, even
+    when that run covers no time."""
+
+    def build(self):
+        scen = kvs_scenario(app="rocksdb", ycsb_letter="A")
+        scen.attach_controller("iat", manage_tenant_ways=False)
+        calls = []
+        for binding in scen.sim.bindings:
+            workload = binding.workload
+            prefill = workload.prefill
+
+            def spy(name=workload.name, prefill=prefill):
+                calls.append(("prefill", name))
+                prefill()
+
+            workload.prefill = spy
+        for controller in scen.sim.controllers:
+            on_start = controller.on_start
+
+            def spy_start(now, on_start=on_start):
+                calls.append(("on_start", now))
+                on_start(now)
+
+            controller.on_start = spy_start
+        return scen, calls
+
+    @staticmethod
+    def state(scen):
+        llc = scen.platform.llc
+        vfs = [(name, vf.delivered, vf.drops, vf.ddio_hits, vf.ddio_misses)
+               for name, vf in scen.vfs.items()]
+        ops = [(name, w.stats.ops) for name, w in scen.workloads.items()]
+        return (scen.sim.now, scen.sim.metrics.records, vfs, ops,
+                llc.stats(), llc._clock, llc.occupancy_by_owner())
+
+    def test_zero_run_then_quantum_equals_fresh_quantum(self):
+        quantum = XEON_6140.quantum_s
+        fresh, fresh_calls = self.build()
+        fresh.sim.run(quantum)
+        split, split_calls = self.build()
+        split.sim.run(0.0)
+        assert split.sim.metrics.records == []
+        split.sim.run(quantum)
+        assert self.state(split) == self.state(fresh)
+        assert split_calls == fresh_calls
+        names = [name for kind, name in fresh_calls if kind == "prefill"]
+        assert sorted(names) == sorted(fresh.workloads)
+        assert [c for c in fresh_calls if c[0] == "on_start"] \
+            == [("on_start", 0.0)]

@@ -1,5 +1,8 @@
 """Unit tests for cache geometry and address decomposition."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.cache.geometry import (CacheGeometry, TINY_LLC, XEON_6140_LLC,
@@ -87,3 +90,38 @@ class TestAddressing:
     def test_mix64_is_deterministic(self):
         assert _mix64(12345) == _mix64(12345)
         assert _mix64(1) != _mix64(2)
+
+
+class TestFrameIndexBatch:
+    GEOMETRIES = [TINY_LLC, XEON_6140_LLC,
+                  CacheGeometry(ways=4, sets_per_slice=48, slices=3),
+                  CacheGeometry(ways=2, sets_per_slice=7, slices=5,
+                                line_size=128)]
+
+    @pytest.mark.parametrize("geo", GEOMETRIES)
+    def test_equals_frame_index_per_address(self, geo):
+        rng = np.random.default_rng(8)
+        addrs = np.concatenate([
+            rng.integers(0, 1 << 46, 3000),
+            np.arange(0, 64 * 2000, 8),
+            [0, 1, geo.line_size - 1, geo.line_size, (1 << 62) - 1]])
+        index, tag = geo.frame_index_batch(addrs)
+        assert index.dtype == tag.dtype == np.int64
+        expected = [geo.frame_index(a) for a in addrs.tolist()]
+        assert index.tolist() == [i for i, _ in expected]
+        assert tag.tolist() == [t for _, t in expected]
+
+    @pytest.mark.parametrize("geo", [XEON_6140_LLC, GEOMETRIES[2]])
+    def test_transient_memory_stays_within_half_the_outputs(self, geo):
+        """A 163,840-line batch (the largest prefill batch of the KVS
+        co-run) allocates little beyond its two result arrays."""
+        addrs = np.arange(163_840, dtype=np.int64) * 64 + (1 << 30)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            index, tag = geo.frame_index_batch(addrs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (index.nbytes + tag.nbytes)

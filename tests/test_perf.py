@@ -1,10 +1,14 @@
 """Unit tests for counters, uncore sampling, MSRs, and the pqos facade."""
 
+import numpy as np
 import pytest
 
 from repro.cache.cat import CatController
 from repro.cache.ddio import IIO_LLC_WAYS_MSR, DdioConfig
-from repro.cache.geometry import TINY_LLC
+from repro.cache.geometry import TINY_LLC, XEON_6140_LLC, CacheGeometry
+from repro.cache.llc import SlicedLLC
+from repro.mem.dram import MemoryController
+from repro.pci.nic import Nic
 from repro.perf.counters import CoreCounterBlock, CounterFile
 from repro.perf.msr import MsrError, SimMsr
 from repro.perf.pqos import PqosLib
@@ -60,6 +64,60 @@ class TestUncoreSampling:
     def test_invalid_sample_slice(self):
         with pytest.raises(ValueError):
             ChaCounters(TINY_LLC, sample_slice=99)
+
+
+#: 48 sets per slice: the set index is no bitmask of the hash quotient.
+ODD_LLC = CacheGeometry(ways=4, sets_per_slice=48, slices=3)
+
+
+class TestDdioBatchRecording:
+    """A DMA burst records each line against the slice per-address
+    :meth:`ChaCounters.record_ddio` would, whether the slice comes from
+    the LLC batch's set index or from hashing the addresses."""
+
+    @pytest.mark.parametrize("geometry", [TINY_LLC, XEON_6140_LLC, ODD_LLC],
+                             ids=["tiny", "xeon", "odd-sets"])
+    @pytest.mark.parametrize("backend", ["scalar", "array"])
+    @pytest.mark.parametrize("header_only", [False, True])
+    def test_dma_burst_matches_per_address_record(self, geometry, backend,
+                                                  header_only):
+        llc = SlicedLLC(geometry, backend=backend)
+        mem = MemoryController()
+        mem.begin_window(0.1)
+        uncore = ChaCounters(geometry)
+        seen = []
+        record_batch = uncore.record_ddio_batch
+
+        def spy(addrs, hit, index=None):
+            seen.append((np.array(addrs), np.array(hit), index is not None))
+            record_batch(addrs, hit, index)
+
+        uncore.record_ddio_batch = spy
+        nic = Nic(name="nic0", link_gbps=40.0, region_base=1 << 30,
+                  region_size=1 << 24)
+        vf = nic.add_vf(entries=64, pool_factor=1)
+        vf.header_only_ddio = header_only
+        rng = np.random.default_rng(4)
+        mask = 0b1111 << (geometry.ways - 4)
+        for burst in range(12):
+            # Uniform and ragged bursts, small and large; the ring wraps
+            # over its buffers, so later bursts hit.
+            count = (3, 40, 64)[burst % 3]
+            sizes = (np.full(count, 256) if burst % 2
+                     else rng.integers(64, 512, count))
+            nic.dma_burst(vf, sizes, np.zeros(count, dtype=np.int64), llc,
+                          mask, mem, uncore)
+            vf.rx_ring.consume_batch(vf.rx_ring.occupancy)
+        reference = ChaCounters(geometry)
+        for addrs, hit, _ in seen:
+            for addr, h in zip(addrs.tolist(), hit.tolist()):
+                reference.record_ddio(addr, hit=h)
+        assert uncore.hits == reference.hits
+        assert uncore.misses == reference.misses
+        assert all(type(c) is int for c in uncore.hits + uncore.misses)
+        assert sum(reference.hits) > 0 and sum(reference.misses) > 0
+        # The array backend's vector engine hands over its set index.
+        assert any(used for _, _, used in seen) == (backend == "array")
 
 
 class TestSimMsr:
