@@ -10,12 +10,10 @@ batching — while producing *identical* recorded metrics (same DDIO
 counters, memory traffic, per-tenant IPC and LLC counts, deliveries
 and drops).
 
-``stages`` reports where the vectorized run spends its wall time,
-from the engine's self-profiling tracer: shares of the quantum loop
-attributed to traffic sampling + DMA, workload drains, metric
-recording, and controllers; ``stages.workloads_split`` further
-attributes the drain stage per layer (plan build vs. LLC access vs.
-everything else), normalized within the workloads stage.
+``stages`` reports where the vectorized run spends its wall time: the
+shares of the quantum loop's ``engine/*`` stage spans in a traced run
+— traffic sampling + DMA, workload drains, metric recording, and
+controllers.
 """
 
 from __future__ import annotations
@@ -77,41 +75,23 @@ def _run_backend(backend: str, *, scale: str,
 def _stage_shares(scale: str) -> dict:
     """Wall-time shares of the vectorized quantum loop's stages.
 
-    A separate self-profiled run (the tracer adds clock reads, so its
-    absolute time is not the headline number); shares are normalized
-    over the engine's four stage accumulators.
+    A separate traced run (the tracer adds clock reads, so its absolute
+    time is not the headline number); shares are normalized over the
+    engine's four stage spans.
     """
     spec, packet_size, duration = _scenario("array", scale)
     scen = leaky_dma_scenario(packet_size=packet_size, spec=spec)
-    tracer = Tracer(profiling=True)
+    tracer = Tracer()
     with tracing(tracer):
         scen.sim.run(duration)
     prefix = "engine."
     stage = {key[len(prefix):]: seconds
-             for key, seconds in tracer.profile.items()
+             for key, seconds in tracer.ring.span_seconds().items()
              if key.startswith(prefix)}
-    # Dotted keys (e.g. ``workloads.plan`` / ``workloads.llc``) are
-    # sub-accumulators *inside* a top-level stage: they attribute the
-    # workloads stage per layer but must not double-count into the
-    # quantum-loop normalization.
-    nested = {name: seconds for name, seconds in stage.items()
-              if "." in name}
-    top = {name: seconds for name, seconds in stage.items()
-           if "." not in name}
-    total = sum(top.values())
+    total = sum(stage.values())
     if total <= 0.0:
         return {}
-    shares = {name: seconds / total for name, seconds in sorted(top.items())}
-    for name, seconds in sorted(nested.items()):
-        parent, _, child = name.partition(".")
-        parent_s = top.get(parent, 0.0)
-        if parent_s <= 0.0:
-            continue
-        split = shares.setdefault(f"{parent}_split", {})
-        split[child] = seconds / parent_s
-        split["other"] = max(0.0, 1.0 - sum(
-            share for key, share in split.items() if key != "other"))
-    return shares
+    return {name: seconds / total for name, seconds in stage.items()}
 
 
 def run_engine(scale: str = "default") -> dict:

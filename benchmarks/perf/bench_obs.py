@@ -1,6 +1,5 @@
 """Tracing-overhead benchmark: the Fig. 8 leaky-DMA scenario with the
-tracer absent, disabled, fully enabled (self-profiling on), and in
-sampled mode.
+tracer absent, disabled, fully enabled, and in sampled mode.
 
 Three numbers matter:
 
@@ -9,13 +8,14 @@ Three numbers matter:
   check per hook site).  The contract is "near zero";
   ``tests/test_obs.py`` enforces < 5% on a small run.
 * ``enabled_overhead`` — the cost of full event emission into the
-  structured ring, reported together with the tracer's self-profiling
-  per-subsystem time shares (where does a traced run actually spend its
-  wall time).  Note the shares overlap: ``dma.burst`` time is a subset
-  of ``engine.traffic``.
+  structured ring, reported together with ``profile_shares``: each
+  span's share of the traced run's span time (where a traced run
+  actually spends its wall time), read off the ring.  The shares
+  overlap where spans nest: ``engine.*`` and ``dma.burst`` run inside
+  ``sim.quantum``, and ``dma.burst`` inside ``engine.traffic``.
 * ``sampled_overhead`` — 1-in-``SAMPLE_EVERY`` quantum sampling, the
-  always-on production setting: un-sampled quanta run the hook-free
-  fast path.
+  always-on production setting: un-sampled quanta emit nothing and
+  read no clock.
 
 Methodology — the signal here is tiny (a few hundred ring pushes per
 multi-second run, i.e. well under 1%) while per-run noise on a shared
@@ -83,8 +83,8 @@ def _timed_run(scale: str, tracer: "Tracer | None") -> float:
     return time.process_time() - t0
 
 
-def _enabled_tracer() -> Tracer:
-    tracer = Tracer(profiling=True)
+def _full_tracer() -> Tracer:
+    tracer = Tracer()
     tracer.add_sink(RingBufferSink(capacity=None))
     return tracer
 
@@ -97,7 +97,7 @@ def run_obs(scale: str = "default", repeats: int = REPEATS) -> dict:
     """Baseline vs. disabled vs. enabled vs. sampled tracer timings."""
     modes = [
         ("disabled", lambda: Tracer(enabled=False)),
-        ("enabled", _enabled_tracer),
+        ("enabled", _full_tracer),
         ("sampled", _sampled_tracer),
     ]
     # Warm-up pass per mode, never timed.

@@ -100,9 +100,9 @@ def validate(doc: dict) -> None:
         assert isinstance(stages, dict)
         for name, share in stages.items():
             if name.endswith("_split"):
-                # Per-layer attribution inside one stage (e.g.
-                # workloads_split.plan/llc/other), normalized within
-                # that stage (additive since the fused-pipeline PR).
+                # Per-layer attribution inside one stage, normalized
+                # within it: ``workloads_split`` in documents written
+                # before the profile became a view over trace spans.
                 assert isinstance(share, dict)
                 for sub in share.values():
                     assert 0.0 <= sub <= 1.0
@@ -179,19 +179,9 @@ def main(argv=None) -> int:
         print(f"       spec: chunk mean {engine['chunk_packets_mean']:.1f}"
               f"  rollbacks {spec['rollbacks']}/{spec['spec_chunks']}"
               f" ({spec['rollback_rate']:.1%})")
-    stages = engine.get("stages", {})
-    splits = {name: share for name, share in stages.items()
-              if name.endswith("_split")}
-    for name, share in sorted((kv for kv in stages.items()
-                               if not kv[0].endswith("_split")),
+    for name, share in sorted(engine.get("stages", {}).items(),
                               key=lambda kv: kv[1], reverse=True):
         print(f"       stage {name:>12}: {share:.1%}")
-        split = splits.get(f"{name}_split")
-        if split:
-            inner = "  ".join(f"{sub} {val:.1%}" for sub, val
-                              in sorted(split.items(), key=lambda kv: kv[1],
-                                        reverse=True))
-            print(f"             {name} by layer: {inner}")
     rollback = doc.get("rollback")
     if rollback is not None:
         print(f"rollback x{rollback['accesses']}: "

@@ -25,7 +25,7 @@ TRACE_OUT = "trace_fig11.json"
 
 def main() -> None:
     fast = "--fast" in sys.argv[1:]
-    tracer = Tracer(profiling=True)
+    tracer = Tracer()
     ring = tracer.add_sink(RingBufferSink(capacity=None))
 
     with tracing(tracer):
@@ -64,7 +64,7 @@ def main() -> None:
 
     shares = tracer.profile_shares()
     if shares:
-        print("self-profile (wall-time shares):")
+        print("self-profile (wall-time shares of the spans):")
         for key, share in sorted(shares.items(), key=lambda kv: -kv[1]):
             print(f"  {key:>20}  {share:6.1%}")
 

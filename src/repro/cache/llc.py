@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..obs import tracer as _obs
+from ..obs.tracer import current_tracer
 from .geometry import CacheGeometry
 
 #: Sentinel tag marking an invalid (empty) way.
@@ -1192,9 +1192,7 @@ class SlicedLLC:
         """Invalidate every line (no writeback accounting)."""
         if self._journal is not None:
             raise RuntimeError("flush() during an active snapshot")
-        # A cold site on no hot loop: the module trampoline is a no-op
-        # unless a tracer is installed and live.
-        _obs.instant_hook("llc", "flush", valid_lines=self._valid)
+        current_tracer().instant("llc", "flush", valid_lines=self._valid)
         if self.backend == "scalar":
             nways = self.geometry.ways
             for index in range(len(self._tags)):

@@ -30,8 +30,10 @@ Seven subcommands:
   ``--sample N`` traces 1-in-N quanta (deterministic in ``--seed``);
   ``--capacity`` bounds the ring to the most recent N events;
   ``--metrics-out`` additionally exports the metrics registry in the
-  Prometheus text format.  Prints the self-profiling per-subsystem time
-  shares plus per-category event counts and the dropped-event total.
+  Prometheus text format.  Prints per-category event counts, the
+  dropped-event total and each span's share of the traced wall time,
+  read off the buffered spans (``engine.{traffic,workloads,record,
+  controllers}``, ``sim.quantum``, ``dma.burst``, ``daemon.interval``).
   In-process tracing forces serial, uncached execution so every event
   is observed (use ``figure --trace-out`` for parallel tracing).
 * ``repro daemon --tenants FILE [--backend sim|linux]`` — run the IAT
@@ -337,7 +339,7 @@ def _cmd_trace(args) -> int:
         return 2
     suffix = "jsonl" if args.format == "jsonl" else "json"
     out = args.out or f"trace_{args.id}.{suffix}"
-    tracer = Tracer(profiling=True, sample=args.sample, seed=args.seed,
+    tracer = Tracer(sample=args.sample, seed=args.seed,
                     capacity=args.capacity)
     ring = tracer.add_sink(RingBufferSink(capacity=None))
     tracer.add_sink(JsonlSink(out) if args.format == "jsonl"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..obs.tracer import enabled_tracer
+from ..obs.tracer import current_tracer
 from ..perf.pqos import PqosLib
 from ..tenants.registry import TenantRegistry
 from ..tenants.tenant import TenantSet
@@ -55,20 +55,20 @@ class ControlPlane:
         of which policy decided it.
         """
         pqos = self.pqos
-        tracer = enabled_tracer()
+        tracer = current_tracer()
         for tenant in self.tenants:
             mask = layout.mask_of(tenant)
             old = (previous.group_masks.get(tenant.group)
                    if previous else None)
             if old != mask:
                 pqos.alloc_set(tenant.cos_id, mask)
-                if tracer is not None:
+                if tracer.enabled:
                     tracer.instant("mask", "tenant", tenant=tenant.name,
                                    group=tenant.group, cos=tenant.cos_id,
                                    mask=mask)
         if set_ddio and (previous is None
                          or previous.ddio_mask != layout.ddio_mask):
             pqos.ddio_set_mask(layout.ddio_mask)
-            if tracer is not None:
+            if tracer.enabled:
                 tracer.instant("mask", "ddio", mask=layout.ddio_mask,
                                ways=bin(layout.ddio_mask).count("1"))

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..obs.tracer import enabled_tracer
+from ..obs.tracer import current_tracer
 from .allocator import Layout
 from .control import ControlPlane
 from .fsm import State
@@ -143,8 +143,8 @@ class ControllerDaemon:
         self.timings.append(IterationTiming(stable=stable,
                                             modelled_us=modelled,
                                             wall_us=wall))
-        tracer = enabled_tracer()
-        if tracer is not None:
+        tracer = current_tracer()
+        if tracer.enabled:
             tracer.complete("daemon", "interval", wall / 1e6,
                             stable=stable, kind=kind.value,
                             modelled_us=modelled)
@@ -166,8 +166,8 @@ class ControllerDaemon:
             time=now, state=self.policy.state, kind=kind,
             ddio_ways=ddio_ways, group_ways=group_ways, action=action)
         self.history.append(entry)
-        tracer = enabled_tracer()
-        if tracer is not None:
+        tracer = current_tracer()
+        if tracer.enabled:
             tracer.set_sim_time(now)
             tracer.instant("daemon", "iteration", time=now,
                            state=entry.state.value, kind=kind.value,

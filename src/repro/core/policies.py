@@ -52,7 +52,7 @@ import numpy as np
 
 from ..cache.cat import ways_to_mask
 from ..obs.metrics import REGISTRY
-from ..obs.tracer import enabled_tracer
+from ..obs.tracer import current_tracer
 from ..tenants.tenant import Priority, TenantSet
 from .allocator import Layout, WayAllocator, plan_layout
 from .fsm import INITIAL_STATE, State, next_state
@@ -338,11 +338,11 @@ class IATPolicy(PolicyBase):
             self._apply_layout()
             return Decision(report.kind, action, stable=False)
 
-        tracer = enabled_tracer()
+        tracer = current_tracer()
         if report.kind is ChangeKind.SHUFFLE_FIRST and self.shuffle:
             # Special case 3: reshuffle before touching any way counts.
             self._order = placement_order(control.tenants, self._last_refs)
-            if tracer is not None:
+            if tracer.enabled:
                 tracer.instant("shuffle", "order", reason="shuffle-first",
                                order=list(self._order))
             self._apply_layout()
@@ -350,7 +350,7 @@ class IATPolicy(PolicyBase):
 
         old_state = self.state
         self.state = next_state(old_state, report.signals)
-        if tracer is not None:
+        if tracer.enabled:
             tracer.instant("fsm", "transition", src=old_state.value,
                            dst=self.state.value,
                            signals=asdict(report.signals))
@@ -366,7 +366,7 @@ class IATPolicy(PolicyBase):
             action = f"{action}; {grown}"
         if self.shuffle:
             self._order = placement_order(control.tenants, self._last_refs)
-            if tracer is not None:
+            if tracer.enabled:
                 tracer.instant("shuffle", "order", reason="post-transition",
                                order=list(self._order))
         self._apply_layout()

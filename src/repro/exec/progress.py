@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 import time
 
-from ..obs import tracer as _obs
+from ..obs.tracer import current_tracer
 
 __all__ = ["SweepProgress"]
 
@@ -55,11 +55,9 @@ class SweepProgress:
         else:
             self._computed_s += seconds
         eta = self.eta_s()
-        # Module-attribute access so install_tracer's rebinding is seen:
-        # with tracing off this is one no-op call.
-        _obs.counter_hook("exec", self.name, done=self.done,
-                          total=self.total,
-                          cache_hits=self.cache_hits, eta_s=eta)
+        current_tracer().counter("exec", self.name, done=self.done,
+                                 total=self.total,
+                                 cache_hits=self.cache_hits, eta_s=eta)
         if self.echo:
             self.stream.write(
                 f"\r[{self.name}] {self.done}/{self.total} points "
@@ -69,10 +67,10 @@ class SweepProgress:
     def finish(self) -> float:
         """Emit the sweep-done instant; returns elapsed wall seconds."""
         elapsed = self.clock() - self._start
-        _obs.instant_hook("exec", "sweep_done", sweep=self.name,
-                          points=self.total,
-                          cache_hits=self.cache_hits,
-                          wall_s=elapsed)
+        current_tracer().instant("exec", "sweep_done", sweep=self.name,
+                                 points=self.total,
+                                 cache_hits=self.cache_hits,
+                                 wall_s=elapsed)
         if self.echo:
             self.stream.write(
                 f"\r[{self.name}] {self.done}/{self.total} points "

@@ -102,7 +102,8 @@ class TrafficQuantum:
 
 
 class TrafficGen:
-    """Draws per-interval packet counts and flow ids for one spec.
+    """Draws each quantum's arrivals — per-sub-step packet counts and
+    flow ids — for one spec (:meth:`sample_quantum`).
 
     ``samplers`` maps ``(n_flows, zipf_theta)`` to a flow sampler.  A
     :class:`~repro.sim.engine.Simulation` hands one map to all of its
@@ -139,46 +140,24 @@ class TrafficGen:
         self.spec = spec
         self._build_sampler()
 
-    def packets(self, dt: float) -> int:
-        """Number of packets arriving in an interval of ``dt`` seconds."""
-        mean = self.spec.pps * dt
-        if self.spec.burstiness > 0:
-            # Unbiased log-normal multiplier: E[factor] = 1, so bursts
-            # redistribute arrivals in time without inflating the mean
-            # offered rate.
-            sigma = self.spec.burstiness
-            factor = self._rng.lognormal(mean=-sigma * sigma / 2.0,
-                                         sigma=sigma)
-            mean *= factor
-        mean += self._carry
-        count = int(mean)
-        self._carry = mean - count
-        return count
-
-    def flow_ids(self, count: int) -> "np.ndarray":
-        """Flow ids for ``count`` packets, honouring the popularity skew."""
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        if self._sampler is None:
-            return np.zeros(count, dtype=np.int64)
-        return self._sampler.draw(self._rng, count)
-
     def sample_quantum(self, sub_dt: float, subquanta: int, start: float,
                        phased: "PhasedTraffic | None" = None) -> TrafficQuantum:
-        """Sample one quantum of arrivals as a single array bundle.
+        """Sample one quantum of ``subquanta`` sub-steps of ``sub_dt``
+        seconds each, starting at ``start``, as a single array bundle.
 
-        This *is* the per-quantum batch: one call covers every sub-step
-        of the quantum and returns one bundle, so the traffic stage pays
-        a handful of RNG/array launches per quantum rather than one set
-        per sub-quantum (the engine's quantum loop calls this exactly
-        once per tenant per quantum).
+        Sub-step ``k`` receives ``int(m)`` packets, where ``m`` is the
+        spec's mean ``pps * sub_dt`` — scaled by a log-normal burst
+        factor when ``burstiness > 0`` — plus the fraction carried over
+        from the sub-step before; what remains of ``m`` carries on, from
+        quantum to quantum too.  So fractional rates accumulate rather
+        than round away.  Flow ids follow the spec's popularity skew
+        (all zero for a single flow).
 
-        Phase scripts are honoured at sub-step granularity exactly as the
-        per-interval path would: the spec in force for each sub-step is
-        ``phased.spec_at`` of that sub-step's start time.  Within a run of
-        sub-steps sharing one spec, the burstiness multipliers are drawn
-        as one batch and the flow ids as one draw — the carry chain is the
-        same arithmetic as :meth:`packets`, applied per sub-step.
+        The engine calls this once per stream per quantum: within a run
+        of sub-steps sharing one spec, the burst factors are drawn as
+        one batch and the flow ids as one draw.  Phase scripts are
+        honoured at sub-step granularity: the spec in force for each
+        sub-step is ``phased.spec_at`` of that sub-step's start time.
         """
         if phased is None:
             specs = [self.spec] * subquanta
@@ -201,6 +180,9 @@ class TrafficGen:
             nsub = end - begin
             base_mean = spec.pps * sub_dt
             if spec.burstiness > 0:
+                # Unbiased log-normal factors: E[factor] = 1, so bursts
+                # redistribute arrivals in time without inflating the
+                # mean offered rate.
                 sigma = spec.burstiness
                 factors = self._rng.lognormal(mean=-sigma * sigma / 2.0,
                                               sigma=sigma, size=nsub)

@@ -2,9 +2,10 @@
 
 One tracer, threaded through every layer of the reproduction:
 
-* the simulation engine emits a span per quantum plus counter tracks
-  (DDIO events, memory bytes, per-tenant IPC/LLC, sampled LLC
-  fill/eviction/writeback deltas) and a ``metrics/quantum`` record;
+* the simulation engine emits a span per quantum, ``engine/*`` spans
+  for its stages (traffic, workloads, record, controllers), counter
+  tracks (DDIO events, memory bytes, per-tenant IPC/LLC, the quantum's
+  LLC fill/eviction/writeback deltas) and a ``metrics/quantum`` record;
 * the IAT daemon emits typed instants for FSM transitions, way-mask
   writes, shuffle decisions, and a ``daemon/iteration`` record, plus a
   span per control interval;
@@ -16,7 +17,9 @@ Built for always-on production telemetry:
   (:mod:`repro.obs.ring`): no per-event dicts, interned strings,
   counted (never silent) overflow;
 * **sampling** — ``Tracer(sample=N, seed=s)`` traces 1-in-N quanta
-  deterministically; un-sampled quanta run the hook-free fast path;
+  deterministically; un-sampled quanta emit nothing and read no clock;
+* **self-profiling** — ``Tracer.profile_shares()`` reads per-subsystem
+  wall-time shares off the buffered spans, so wall time is stored once;
 * **metrics** — :mod:`repro.obs.metrics` keeps counters/gauges/
   histograms (per-tenant IPC, DDIO hit rate, drop rate, quantum wall
   time) with Prometheus-text and JSON exposition;
@@ -41,13 +44,13 @@ from .ring import StructRing
 from .sinks import (JsonlSink, PerfettoSink, RingBufferSink, event_from_dict,
                     event_to_dict, perfetto_document)
 from .tracer import (NULL_TRACER, NullTracer, TraceEvent, Tracer,
-                     current_tracer, enabled_tracer, install_tracer, tracing)
+                     current_tracer, install_tracer, tracing)
 from .views import SampledStreamError
 
 __all__ = [
     "JsonlSink", "MetricsRegistry", "NULL_TRACER", "NullTracer",
     "PerfettoSink", "REGISTRY", "RingBufferSink", "SampledStreamError",
     "StructRing", "TraceEvent", "Tracer", "current_tracer",
-    "enabled_tracer", "event_from_dict", "event_to_dict", "install_tracer",
-    "merge", "metrics", "perfetto_document", "tracing", "views",
+    "event_from_dict", "event_to_dict", "install_tracer", "merge",
+    "metrics", "perfetto_document", "tracing", "views",
 ]

@@ -204,6 +204,22 @@ class StructRing:
         pairs.sort(key=lambda kv: (-kv[1], kv[0]))
         return dict(pairs)
 
+    def span_seconds(self) -> "dict[str, float]":
+        """Summed duration of the live complete spans per
+        ``category.name``, in key order."""
+        live = self._live_positions()
+        spans = live[self._phase[live] == PHASES.index("X")]
+        if spans.size == 0:
+            return {}
+        n = len(self.strings)
+        ids = self._cat[spans].astype(np.int64) * n + self._name[spans]
+        keys, inverse = np.unique(ids, return_inverse=True)
+        seconds = np.bincount(inverse, weights=self._dur[spans])
+        lookup = self.strings.lookup
+        pairs = sorted((f"{lookup(key // n)}.{lookup(key % n)}", float(s))
+                       for key, s in zip(keys.tolist(), seconds))
+        return dict(pairs)
+
     def to_events(self) -> list:
         """Materialize the live records as :class:`TraceEvent` objects,
         oldest first.  Exact: inline integer args come back as ``int``,

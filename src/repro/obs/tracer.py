@@ -22,27 +22,26 @@ overflow is reported, never silent.
 
 Always-on operation has three tiers:
 
-* **disabled** — instrumented subsystems fetch the process-wide current
-  tracer (:func:`current_tracer`) once per quantum/burst into a local
-  and guard hooks on ``tracer.enabled``; the default is the shared
-  :data:`NULL_TRACER` whose hooks are no-ops.  :func:`enabled_tracer`
-  (returns ``None`` unless tracing is live) and the module-level
-  :data:`instant_hook`/:data:`counter_hook` trampolines — rebound to
-  no-ops by :func:`install_tracer` whenever tracing is off — let cold
-  call sites compile their hooks down to a single no-op call.
+* **disabled** — instrumented code fetches the process-wide current
+  tracer (:func:`current_tracer`) once per quantum, burst or call into a
+  local and guards on ``tracer.enabled`` wherever it builds event
+  arguments; the default is the shared :data:`NULL_TRACER` whose hooks
+  are no-ops.
 * **full fidelity** — every event is recorded; the reconstruction
   guarantees of :mod:`repro.obs.views` hold exactly.
 * **sampled** — ``Tracer(sample=N, seed=s)`` traces 1-in-N simulation
   quanta, chosen deterministically from ``(seed, quantum index)`` by a
   splitmix64 hash, so identical runs sample identical quanta.  The
   engine gates each quantum through :meth:`Tracer.begin_quantum`;
-  un-sampled quanta run the completely hook-free fast path.  A sampled
-  stream carries an ``obs/mode`` marker event, and the exact-replay
-  views refuse it (:class:`~repro.obs.views.SampledStreamError`).
+  un-sampled quanta emit nothing and read no clock.  A sampled stream
+  carries an ``obs/mode`` marker event, and the exact-replay views
+  refuse it (:class:`~repro.obs.views.SampledStreamError`).
 
-Self-profiling: with ``profiling=True`` the tracer also accumulates
-wall seconds per subsystem key (``profile``), which
-``benchmarks/perf/bench_obs.py`` turns into per-subsystem time shares.
+Self-profiling is a view over the spans: :meth:`Tracer.profile_shares`
+gives each ``category.name``'s share of the retained spans' wall time
+(the engine's ``engine/*`` stage spans, ``sim/quantum``, ``dma/burst``,
+``daemon/interval``), which ``repro trace`` and
+``benchmarks/perf/bench_obs.py`` report.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class TraceEvent:
                  the span start).
     ``phase``    ``"i"`` instant, ``"X"`` complete span, ``"C"`` counter.
     ``category`` subsystem key (``fsm``, ``mask``, ``shuffle``,
-                 ``daemon``, ``sim``, ``dma``, ``llc``, ``ddio``,
+                 ``daemon``, ``sim``, ``engine``, ``dma``, ``llc``, ``ddio``,
                  ``mem``, ``tenant``, ``metrics``, ``obs``).
     ``name``     event name within the category.
     ``dur``      wall-clock duration, seconds (spans only).
@@ -108,16 +107,13 @@ class Tracer:
     ``enabled=False`` builds a disabled tracer: hooks return without
     touching storage.  ``capacity`` bounds the ring (None = unbounded);
     ``sample=N`` enables 1-in-N quantum sampling seeded by ``seed``.
-    ``profiling=True`` additionally accumulates per-subsystem wall time
-    from spans and :meth:`profile_add` calls.
     """
 
-    def __init__(self, *, enabled: bool = True, profiling: bool = False,
-                 clock=time.perf_counter, capacity: "int | None" = None,
+    def __init__(self, *, enabled: bool = True, clock=time.perf_counter,
+                 capacity: "int | None" = None,
                  sample: "int | None" = None, seed: int = 0) -> None:
         if sample is not None and sample < 1:
             raise ValueError(f"sample must be >= 1 or None, got {sample}")
-        self.profiling = profiling
         self.clock = clock
         self.sample = sample
         self.seed = seed
@@ -126,8 +122,6 @@ class Tracer:
         self._epoch = clock()
         self._seq = 0
         self._sim_now = 0.0
-        #: Accumulated wall seconds per subsystem key (profiling mode).
-        self.profile: "dict[str, float]" = {}
         #: The structured event storage (see :mod:`repro.obs.ring`).
         self.ring = StructRing(capacity)
         self._base_enabled = enabled
@@ -219,9 +213,6 @@ class Tracer:
             return
         self._push(_PHASE_X, category, name, dur, args,
                    wall=max(0.0, self._wall() - dur))
-        if self.profiling:
-            key = f"{category}.{name}"
-            self.profile[key] = self.profile.get(key, 0.0) + dur
 
     @contextmanager
     def span(self, category: str, name: str, **args):
@@ -247,18 +238,15 @@ class Tracer:
         return self.ring.category_counts()
 
     # -- self-profiling ----------------------------------------------------
-    def profile_add(self, key: str, seconds: float) -> None:
-        """Accumulate wall time against a subsystem key (no event)."""
-        if self.profiling:
-            self.profile[key] = self.profile.get(key, 0.0) + seconds
-
     def profile_shares(self) -> "dict[str, float]":
-        """Per-subsystem fraction of the accumulated profiled time."""
-        total = sum(self.profile.values())
+        """Each ``category.name``'s share of the buffered spans' summed
+        wall time (instants and counters carry none).  A bounded ring
+        covers only the spans it still holds."""
+        seconds = self.ring.span_seconds()
+        total = sum(seconds.values())
         if total <= 0.0:
             return {}
-        return {key: value / total
-                for key, value in sorted(self.profile.items())}
+        return {key: value / total for key, value in seconds.items()}
 
 
 class _NullSpan:
@@ -299,9 +287,6 @@ class NullTracer(Tracer):
     def span(self, category, name, **args):
         return _NULL_SPAN
 
-    def profile_add(self, key, seconds) -> None:  # pragma: no cover
-        pass
-
 
 #: Shared disabled tracer (the default current tracer).
 NULL_TRACER = NullTracer()
@@ -309,48 +294,17 @@ NULL_TRACER = NullTracer()
 _current: Tracer = NULL_TRACER
 
 
-def _noop_hook(category, name, **kwargs) -> None:
-    """Module-level no-op the hook trampolines rebind to when tracing
-    is off — an untraced call site pays one no-op call, nothing else."""
-    return None
-
-
-#: Module-level hook trampolines.  Cold call sites (progress reporting,
-#: cache flushes) invoke these through their owning module
-#: (``tracer.instant_hook(...)``); :func:`install_tracer` rebinds them
-#: to the live tracer's bound methods, and back to :func:`_noop_hook`
-#: when tracing ends — disabled hooks compile out to a no-op call.
-instant_hook = _noop_hook
-counter_hook = _noop_hook
-
-
 def current_tracer() -> Tracer:
     """The process-wide tracer instrumented subsystems report to."""
     return _current
 
 
-def enabled_tracer() -> "Tracer | None":
-    """The current tracer if it is live this quantum, else ``None`` —
-    hot sites cache the result in a local and guard on ``is not None``."""
-    tracer = _current
-    return tracer if tracer.enabled else None
-
-
 def install_tracer(tracer: "Tracer | None") -> Tracer:
     """Install ``tracer`` (None restores the null tracer); returns the
     previously installed tracer so callers can restore it."""
-    global _current, instant_hook, counter_hook
+    global _current
     previous = _current
-    current = tracer if tracer is not None else NULL_TRACER
-    _current = current
-    # A sampled tracer's .enabled flips per quantum, so bind its methods
-    # (they re-check); a plain disabled tracer binds the no-ops.
-    if current.enabled or current.sample is not None:
-        instant_hook = current.instant
-        counter_hook = current.counter
-    else:
-        instant_hook = _noop_hook
-        counter_hook = _noop_hook
+    _current = tracer if tracer is not None else NULL_TRACER
     return previous
 
 

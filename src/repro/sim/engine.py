@@ -16,7 +16,6 @@ flows appear...", Fig. 7).
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Protocol
 
@@ -104,12 +103,7 @@ class Simulation:
         self._counter_last: "dict[str, tuple[int, int, int, int]]" = {}
         self._ddio_last = (0, 0)
         self._vf_last: "dict[str, tuple[int, int]]" = {}
-        self._llc_stats_last: "dict[str, int]" = {}
         self._quantum_seq = 0
-        # Chunk/speculation accounting: baseline of the process-wide
-        # ENGINE_STATS so per-quantum deltas belong to this simulation.
-        self._engine_last = ENGINE_STATS.snapshot()
-        self._engine_delta: "dict | None" = None
         # Fairness export: per-tenant slowdown estimates fed to the
         # metrics registry each quantum (LFOC-style, peak-IPC proxy).
         self._slowdowns = SlowdownTracker()
@@ -197,24 +191,48 @@ class Simulation:
         return self.metrics
 
     def _run_quantum(self, dt: float) -> None:
+        """Advance one quantum: sample every stream's arrivals,
+        interleave each sub-step's DMA with the workload drains, record
+        the quantum, then run the due controllers.
+
+        On a quantum the current tracer samples
+        (:meth:`~repro.obs.tracer.Tracer.begin_quantum`) the loop also
+        closes back-to-back ``engine`` spans — ``traffic`` after
+        sampling and after each sub-step's DMA, ``workloads`` after each
+        sub-step's drains, then ``record`` and ``controllers`` — and the
+        ``sim/quantum`` span around them.  Any other quantum reads no
+        clock unless the metrics registry is on.  Neither changes what
+        is simulated.
+        """
         tracer = current_tracer()
         index = self._quantum_seq
         self._quantum_seq = index + 1
-        if tracer.begin_quantum(index):
-            self._run_quantum_traced(tracer, dt)
-            return
+        traced = tracer.begin_quantum(index)
         metrics_on = REGISTRY.enabled
-        t0 = time.perf_counter() if metrics_on else 0.0
-        spec = self.platform.spec
+        observed = traced or metrics_on
+        platform = self.platform
+        # This quantum's counter baselines: its deltas cover exactly the
+        # quantum, however many quanta went unobserved before it.
+        if observed:
+            clock = tracer.clock
+            t0 = clock()
+            engine_last = ENGINE_STATS.snapshot()
+        if traced:
+            llc_last = platform.llc.stats()
+            tracer.set_sim_time(self.now)
+        spec = platform.spec
+        bindings = self.bindings
         self._fire_events()
-        self.platform.mem.begin_window(dt)
-        for binding in self.bindings:
+        platform.mem.begin_window(dt)
+        for binding in bindings:
             binding.workload.begin_quantum(self.now)
         sub_dt = dt / spec.subquanta
         budget = spec.cycles_per_quantum / spec.subquanta
+        if traced:
+            mark = clock()
         bundles = self._sample_traffic(sub_dt, spec.subquanta)
-        platform = self.platform
-        bindings = self.bindings
+        if traced:
+            mark = _close_stage(tracer, "traffic", mark)
         for sub in range(spec.subquanta):
             sub_now = self.now + sub * sub_dt
             for binding, bundle in bundles:
@@ -226,66 +244,28 @@ class Simulation:
                         bundle.flows[lo:hi], platform.llc,
                         platform.ddio.mask, platform.mem,
                         platform.uncore, sub_now, tracer=tracer)
+            if traced:
+                mark = _close_stage(tracer, "traffic", mark)
             for binding in bindings:
                 binding.workload.run(budget, sub_now)
+            if traced:
+                mark = _close_stage(tracer, "workloads", mark)
         window_bytes = platform.mem.end_window()
         self.now += dt
-        record = self._record_quantum(window_bytes, tracer)
+        record = self._record_quantum(window_bytes)
+        if observed:
+            engine = _engine_stats_since(engine_last)
+        if traced:
+            self._trace_quantum(tracer, record, llc_last, engine)
+            mark = _close_stage(tracer, "record", mark)
+        self._run_controllers()
+        if traced:
+            mark = _close_stage(tracer, "controllers", mark)
+            tracer.complete("sim", "quantum", mark - t0, t=self.now)
+        elif metrics_on:
+            mark = clock()
         if metrics_on:
-            self._export_metrics(record, time.perf_counter() - t0)
-        self._run_controllers()
-
-    def _run_quantum_traced(self, tracer, dt: float) -> None:
-        """Instrumented twin of :meth:`_run_quantum`: one span per
-        quantum plus per-subsystem wall-time shares (self-profiling).
-        Simulation outcomes are identical to the fast path — only
-        clock reads and event emission are added."""
-        spec = self.platform.spec
-        clock = tracer.clock
-        t0 = clock()
-        tracer.set_sim_time(self.now)
-        self._fire_events()
-        self.platform.mem.begin_window(dt)
-        for binding in self.bindings:
-            binding.workload.begin_quantum(self.now)
-        sub_dt = dt / spec.subquanta
-        budget = spec.cycles_per_quantum / spec.subquanta
-        t1 = clock()
-        bundles = self._sample_traffic(sub_dt, spec.subquanta)
-        traffic_s = clock() - t1
-        workload_s = 0.0
-        platform = self.platform
-        for sub in range(spec.subquanta):
-            sub_now = self.now + sub * sub_dt
-            t1 = clock()
-            for binding, bundle in bundles:
-                lo = bundle.offsets[sub]
-                hi = bundle.offsets[sub + 1]
-                if hi > lo:
-                    binding.nic.dma_burst(
-                        binding.vf, bundle.sizes[lo:hi],
-                        bundle.flows[lo:hi], platform.llc,
-                        platform.ddio.mask, platform.mem,
-                        platform.uncore, sub_now, tracer=tracer)
-            t2 = clock()
-            for binding in self.bindings:
-                binding.workload.run(budget, sub_now)
-            traffic_s += t2 - t1
-            workload_s += clock() - t2
-        window_bytes = self.platform.mem.end_window()
-        self.now += dt
-        t3 = clock()
-        record = self._record_quantum(window_bytes, tracer)
-        t4 = clock()
-        self._run_controllers()
-        t5 = clock()
-        tracer.profile_add("engine.traffic", traffic_s)
-        tracer.profile_add("engine.workloads", workload_s)
-        tracer.profile_add("engine.record", t4 - t3)
-        tracer.profile_add("engine.controllers", t5 - t4)
-        tracer.complete("sim", "quantum", t5 - t0, t=self.now)
-        if REGISTRY.enabled:
-            self._export_metrics(record, t5 - t0)
+            self._export_metrics(record, mark - t0, engine)
 
     def _fire_events(self) -> None:
         while self._events and self._events[0].time <= self.now + 1e-12:
@@ -325,10 +305,8 @@ class Simulation:
         several streams (e.g. the KVS GET and SET streams)."""
         return list({id(b.vf): b.vf for b in self.traffic}.values())
 
-    def _record_quantum(self, window_bytes: "tuple[int, int]",
-                        tracer=None) -> QuantumRecord:
-        if tracer is None:
-            tracer = current_tracer()
+    def _record_quantum(self, window_bytes: "tuple[int, int]"
+                        ) -> QuantumRecord:
         tenants: "dict[str, TenantSnapshot]" = {}
         for binding in self.bindings:
             name = binding.tenant.name
@@ -361,30 +339,14 @@ class Simulation:
             record.vf_dropped[name] = vf.drops - last[1]
             self._vf_last[name] = (vf.delivered, vf.drops)
         self.metrics.append(record)
-        self._engine_delta = None
-        if tracer.enabled or REGISTRY.enabled:
-            self._engine_delta = self._engine_stats_delta()
-        if tracer.enabled:
-            self._trace_quantum(tracer, record)
         return record
 
-    def _engine_stats_delta(self) -> dict:
-        """Advance the ENGINE_STATS baseline; returns this quantum's
-        chunk/speculation deltas (observability only)."""
-        snap = ENGINE_STATS.snapshot()
-        last = self._engine_last
-        delta = {key: value - last[key] for key, value in snap.items()
-                 if key != "size_buckets"}
-        delta["size_buckets"] = tuple(
-            v - p for v, p in zip(snap["size_buckets"],
-                                  last["size_buckets"]))
-        self._engine_last = snap
-        return delta
-
-    def _trace_quantum(self, tracer, record: QuantumRecord) -> None:
+    def _trace_quantum(self, tracer, record: QuantumRecord,
+                       llc_last: "dict[str, int]", engine: dict) -> None:
         """Emit one quantum's telemetry: the full record (the
         ``metrics`` view's source of truth), per-track counters, and
-        the sampled LLC event-counter deltas."""
+        the LLC and chunk counters' change since the quantum began
+        (``llc_last``; ``engine`` is ENGINE_STATS' delta)."""
         tracer.set_sim_time(record.time)
         tracer.instant("metrics", "quantum", **asdict(record))
         tracer.counter("ddio", "events", hits=record.ddio_hits,
@@ -395,26 +357,24 @@ class Simulation:
             tracer.counter("tenant", name, ipc=snap.ipc,
                            llc_references=snap.llc_references,
                            llc_misses=snap.llc_misses, mask=snap.mask)
-        stats = self.platform.llc.stats()
-        last = self._llc_stats_last
         tracer.counter("llc", "events",
-                       **{key: value - last.get(key, 0)
-                          for key, value in stats.items()})
-        self._llc_stats_last = stats
-        delta = self._engine_delta
-        if delta is not None and delta["chunks"]:
+                       **{key: value - llc_last[key]
+                          for key, value in self.platform.llc.stats().items()})
+        if engine["chunks"]:
             tracer.counter("engine", "chunks",
-                           chunks=delta["chunks"],
-                           packets=delta["packets"],
-                           exec_packets=delta["exec_packets"],
-                           spec_chunks=delta["spec_chunks"],
-                           rollbacks=delta["rollbacks"],
-                           wasted_packets=delta["wasted_packets"],
-                           kernel_launches=delta["kernel_launches"])
+                           chunks=engine["chunks"],
+                           packets=engine["packets"],
+                           exec_packets=engine["exec_packets"],
+                           spec_chunks=engine["spec_chunks"],
+                           rollbacks=engine["rollbacks"],
+                           wasted_packets=engine["wasted_packets"],
+                           kernel_launches=engine["kernel_launches"])
 
-    def _export_metrics(self, record: QuantumRecord, wall_s: float) -> None:
+    def _export_metrics(self, record: QuantumRecord, wall_s: float,
+                        delta: dict) -> None:
         """Feed the process-wide metrics registry from one quantum's
-        record (callers gate on ``REGISTRY.enabled``)."""
+        record, its wall time and ENGINE_STATS' ``delta`` over it
+        (callers gate on ``REGISTRY.enabled``)."""
         reg = REGISTRY
         reg.gauge("repro_sim_time_seconds",
                   "Simulated time").set(record.time)
@@ -467,9 +427,6 @@ class Simulation:
         reg.gauge("repro_vf_drop_rate",
                   "Packet drop fraction over the last quantum").set(
             total_dropped / offered if offered else 0.0)
-        delta = self._engine_delta
-        if delta is None:
-            delta = self._engine_stats_delta()
         if delta["chunks"]:
             reg.counter("repro_engine_chunks_total",
                         "Executed vector-drain chunks").inc(delta["chunks"])
@@ -499,3 +456,22 @@ class Simulation:
                           buckets=EngineStats.SIZE_BUCKETS).add_counts(
                 delta["size_buckets"], delta["chunks"],
                 delta["exec_packets"])
+
+
+def _close_stage(tracer, name: str, start: float) -> float:
+    """Close the ``engine/<name>`` span opened at clock reading
+    ``start``; returns the reading that closes it, which opens the next
+    stage."""
+    end = tracer.clock()
+    tracer.complete("engine", name, end - start)
+    return end
+
+
+def _engine_stats_since(last: dict) -> dict:
+    """ENGINE_STATS' change since the snapshot ``last``."""
+    snap = ENGINE_STATS.snapshot()
+    delta = {key: value - last[key] for key, value in snap.items()
+             if key != "size_buckets"}
+    delta["size_buckets"] = tuple(
+        v - p for v, p in zip(snap["size_buckets"], last["size_buckets"]))
+    return delta

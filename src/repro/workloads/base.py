@@ -25,7 +25,6 @@ import numpy as np
 from ..cache.cat import CatController
 from ..cache.llc import SlicedLLC
 from ..mem.dram import MemoryController
-from ..obs.tracer import current_tracer
 from ..perf.counters import CoreCounterBlock
 
 #: Cycles for an access served by the (modelled) L2.
@@ -179,14 +178,9 @@ class CorePort:
         would have issued.  Returns per-packet charged cycles, indexed
         by the plan's packet slots (length ``npackets``).
         """
-        tracer = current_tracer()
-        prof = tracer.profiling
-        t0 = tracer.clock() if prof else 0.0
         flat = plan.materialize()
         if flat is None:
             return np.zeros(npackets)
-        if prof:
-            tracer.profile_add("engine.workloads.plan", tracer.clock() - t0)
         return self.run_lines(*flat, npackets)
 
     def run_lines(self, addrs, write, mlp_inv, device, pkt,
@@ -200,9 +194,6 @@ class CorePort:
         to this core; :meth:`move_counts` hands a packet range of them
         to another core afterwards.
         """
-        tracer = current_tracer()
-        prof = tracer.profiling
-        t1 = tracer.clock() if prof else 0.0
         # The way mask only governs fills and device lines never
         # allocate, so the core mask can be passed as a scalar for the
         # whole batch — bit-identical to a per-line masked vector.
@@ -221,8 +212,6 @@ class CorePort:
             block.llc_references += int(np.count_nonzero(core))
             block.llc_misses += int(np.count_nonzero(core & ~hit))
         self._lines = (pkt, device, hit)
-        if prof:
-            tracer.profile_add("engine.workloads.llc", tracer.clock() - t1)
         miss_total = out.misses
         if miss_total:
             self._mem.add_read(self._line * miss_total)

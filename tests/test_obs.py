@@ -16,8 +16,10 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.llc import SlicedLLC
+from repro.core import IATParams
 from repro.experiments import fig11_timeline
-from repro.experiments.common import leaky_dma_scenario, shuffle_scenario
+from repro.experiments.common import (latent_contender_scenario,
+                                      leaky_dma_scenario, shuffle_scenario)
 from repro.obs import (NULL_TRACER, JsonlSink, PerfettoSink, RingBufferSink,
                        Tracer, current_tracer, event_from_dict,
                        event_to_dict, install_tracer, perfetto_document,
@@ -94,13 +96,48 @@ class TestTracer:
         assert current_tracer() is NULL_TRACER
 
     def test_profiling_accumulates_shares(self):
-        tracer = Tracer(profiling=True)
-        tracer.profile_add("engine.workloads", 3.0)
+        """Profile shares are a view over the buffered spans: each
+        ``category.name``'s summed duration over all spans'."""
+        tracer = Tracer()
+        tracer.complete("engine", "workloads", 2.0)
+        tracer.complete("engine", "workloads", 1.0)
         tracer.complete("dma", "burst", 1.0)
-        shares = tracer.profile_shares()
-        assert shares["engine.workloads"] == pytest.approx(0.75)
-        assert shares["dma.burst"] == pytest.approx(0.25)
-        assert Tracer(profiling=True).profile_shares() == {}
+        assert tracer.profile_shares() == {"dma.burst": 0.25,
+                                           "engine.workloads": 0.75}
+        assert Tracer().profile_shares() == {}
+
+
+class TestProfileShares:
+    def test_counts_spans_only(self):
+        """Instants and counters carry no wall time, so they neither
+        add keys nor dilute the shares."""
+        tracer = Tracer()
+        tracer.instant("fsm", "transition", src="a", dst="b")
+        tracer.counter("engine", "chunks", chunks=4)
+        tracer.complete("sim", "quantum", 3.0)
+        tracer.instant("sim", "quantum")
+        tracer.complete("engine", "record", 1.0)
+        assert tracer.ring.span_seconds() == {"engine.record": 1.0,
+                                              "sim.quantum": 3.0}
+        assert tracer.profile_shares() == {"engine.record": 0.25,
+                                           "sim.quantum": 0.75}
+
+    def test_no_spans_no_shares(self):
+        tracer = Tracer()
+        assert tracer.ring.span_seconds() == {}
+        tracer.instant("fsm", "transition")
+        tracer.counter("ddio", "events", hits=1)
+        assert tracer.ring.span_seconds() == {}
+        assert tracer.profile_shares() == {}
+
+    def test_bounded_ring_covers_retained_spans(self):
+        tracer = Tracer(capacity=2)
+        tracer.complete("engine", "traffic", 5.0)
+        tracer.complete("engine", "workloads", 1.0)
+        tracer.complete("engine", "record", 3.0)
+        assert tracer.dropped == 1
+        assert tracer.profile_shares() == {"engine.record": 0.75,
+                                           "engine.workloads": 0.25}
 
 
 class TestSinks:
@@ -410,6 +447,126 @@ class TestDeterminism:
         first, second = keys(), keys()
         assert len(first) > 0
         assert first == second
+
+
+def iat_tiny_run(tracer):
+    """The Latent Contender slicing scenario on the TINY platform under
+    IAT (0.2 s interval), run for 1.5 s with ``tracer`` installed."""
+    scen = shuffle_scenario(packet_size=1500, spec=TINY_PLATFORM)
+    daemon = scen.attach_controller("iat",
+                                    params=IATParams(interval_s=0.2))
+    with tracing(tracer):
+        scen.sim.run(1.5)
+    return scen, daemon
+
+
+class TestTraceEquivalence:
+    """Tracing observes a run; it never changes what is simulated."""
+
+    def outcome(self, tracer):
+        scen, daemon = iat_tiny_run(tracer)
+        llc = scen.platform.llc
+        return {"records": scen.sim.metrics.records, "stats": llc.stats(),
+                "now": scen.sim.now,
+                "occupancy": llc.occupancy_by_owner(),
+                "history": daemon.history}
+
+    def test_traced_and_sampled_runs_match_untraced(self):
+        untraced = self.outcome(None)
+        assert len(untraced["history"]) == 8  # on_start + 7 intervals
+        assert self.outcome(Tracer()) == untraced
+        assert self.outcome(Tracer(sample=3, seed=5)) == untraced
+
+
+def quantum_spans(events):
+    """Pair each ``sim/quantum`` span with the ``engine`` spans before
+    it (a quantum's spans all precede the span that closes it); also
+    returns any ``engine`` spans left after the last quantum."""
+    quanta, engine = [], []
+    for event in events:
+        if event.phase != "X":
+            continue
+        if event.category == "engine":
+            engine.append(event)
+        elif (event.category, event.name) == ("sim", "quantum"):
+            quanta.append((engine, event))
+            engine = []
+    return quanta, engine
+
+
+class TestEngineSpans:
+    """A traced quantum closes one ``engine`` span per stage: traffic
+    after sampling, traffic and workloads per sub-step, then record and
+    controllers."""
+
+    STAGES = (["traffic"]
+              + ["traffic", "workloads"] * TINY_PLATFORM.subquanta
+              + ["record", "controllers"])
+
+    def test_traced_quantum_stage_spans(self):
+        tracer = Tracer()
+        iat_tiny_run(tracer)
+        quanta, rest = quantum_spans(tracer.events())
+        assert len(quanta) == 30 and rest == []
+        assert len(self.STAGES) == 2 * TINY_PLATFORM.subquanta + 3
+        for engine, quantum in quanta:
+            assert [e.name for e in engine] == self.STAGES
+            assert sum(e.dur for e in engine) <= quantum.dur
+        assert views.select(tracer.events(), "daemon", "interval")
+
+    def test_only_traced_quanta_carry_spans(self):
+        tracer = Tracer(sample=3, seed=5)
+        iat_tiny_run(tracer)
+        quanta, rest = quantum_spans(tracer.events())
+        assert 0 < len(quanta) < 30 and rest == []
+        for engine, _ in quanta:
+            assert [e.name for e in engine] == self.STAGES
+
+    def test_untraced_run_emits_nothing(self):
+        tracer = Tracer(enabled=False)
+        iat_tiny_run(tracer)
+        assert len(tracer.ring) == 0
+
+
+class TestQuantumCounters:
+    """A quantum's ``llc/events`` and ``engine/chunks`` counters cover
+    exactly that quantum."""
+
+    WATCHED = {("llc", "events"), ("engine", "chunks")}
+
+    def counters(self, tracer):
+        scen = leaky_dma_scenario(packet_size=1500, spec=TINY_PLATFORM)
+        with tracing(tracer):
+            scen.sim.run(0.5)
+        return {(e.category, e.name, e.ts): e.args for e in tracer.events()
+                if (e.category, e.name) in self.WATCHED}
+
+    def test_sampled_counters_equal_full_trace(self):
+        full = self.counters(Tracer())
+        sampled = self.counters(Tracer(sample=3, seed=5))
+        assert {key[:2] for key in sampled} == self.WATCHED
+        assert len(sampled) < len(full)
+        for key, args in sampled.items():
+            assert args == full[key], key
+
+    def test_first_quantum_excludes_prefill(self):
+        def scenario():
+            return latent_contender_scenario(xmem_ws_bytes=1 << 20,
+                                             overlap_ddio=True,
+                                             spec=TINY_PLATFORM)
+
+        quantum = TINY_PLATFORM.quantum_s
+        untraced = scenario()
+        untraced.sim.run(0.0)
+        prefilled = untraced.platform.llc.stats()["fills"]
+        untraced.sim.run(quantum)
+        fills = untraced.platform.llc.stats()["fills"] - prefilled
+        tracer = Tracer()
+        with tracing(tracer):
+            scenario().sim.run(quantum)
+        (first,) = views.select(tracer.events(), "llc", "events")
+        assert prefilled > 0
+        assert first.args["fills"] == fills
 
 
 def make_shard_events(n, wall0=0.0):

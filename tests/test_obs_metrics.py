@@ -3,6 +3,7 @@ histogram semantics, label families, both exposition formats, and the
 engine's per-quantum registry feed."""
 
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,19 @@ class TestPrometheusExposition:
         assert MetricsRegistry().to_prometheus() == ""
 
 
+class SleepyController:
+    """Runs after every quantum and spends 0.1 s of wall time there."""
+
+    def __init__(self, interval_s: float) -> None:
+        self.interval_s = interval_s
+
+    def on_start(self, now: float) -> None:
+        pass
+
+    def on_interval(self, now: float) -> None:
+        time.sleep(0.1)
+
+
 class TestEngineFeed:
     def run_quanta(self):
         scen = leaky_dma_scenario(packet_size=512, spec=TINY_PLATFORM)
@@ -126,3 +140,22 @@ class TestEngineFeed:
         assert REGISTRY.enabled is False
         self.run_quanta()
         assert REGISTRY.snapshot() == {}
+
+    def test_quantum_wall_covers_controllers(self):
+        """Every ``repro_quantum_wall_seconds`` observation spans the
+        whole quantum, controllers included, as ``sim/quantum`` does."""
+        quantum = TINY_PLATFORM.quantum_s
+        scen = leaky_dma_scenario(packet_size=512, spec=TINY_PLATFORM)
+        scen.sim.add_controller(SleepyController(quantum))
+        REGISTRY.clear()
+        REGISTRY.enabled = True
+        try:
+            scen.sim.run(2 * quantum)
+        finally:
+            REGISTRY.enabled = False
+        wall = REGISTRY.snapshot()["repro_quantum_wall_seconds"]
+        REGISTRY.clear()
+        series = wall["series"][""]
+        assert series["count"] == 2
+        assert series["buckets"]["0.1"] == 0
+        assert series["sum"] > 0.2

@@ -51,40 +51,57 @@ class TestTrafficSpec:
 
 
 class TestTrafficGen:
+    """The arrival recurrence the engine runs: ``sample_quantum``."""
+
     def test_deterministic_rate_with_carry(self, rng):
         gen = TrafficGen(TrafficSpec(pps=1000.0), rng)
-        total = sum(gen.packets(0.0101) for _ in range(100))
+        total = sum(gen.sample_quantum(0.0101, 10, 0.0).total
+                    for _ in range(10))
         assert total == pytest.approx(1000 * 1.01, rel=0.01)
 
     def test_fractional_rates_accumulate(self, rng):
+        """0.4 packets per sub-step: the carry adds up to whole packets,
+        across quanta too."""
         gen = TrafficGen(TrafficSpec(pps=0.4), rng)
-        total = sum(gen.packets(1.0) for _ in range(10))
-        assert total == 4
+        counts = np.concatenate([gen.sample_quantum(1.0, 3, 0.0).counts()
+                                 for _ in range(4)])
+        assert counts.tolist() == [0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0]
 
     def test_burstiness_varies_counts(self, rng):
         gen = TrafficGen(TrafficSpec(pps=1000.0, burstiness=0.5), rng)
-        counts = [gen.packets(0.1) for _ in range(50)]
-        assert len(set(counts)) > 5  # not deterministic
+        counts = gen.sample_quantum(0.1, 50, 0.0).counts()
+        assert len(set(counts.tolist())) > 5  # not deterministic
 
     def test_burstiness_preserves_mean_rate(self, rng):
         gen = TrafficGen(TrafficSpec(pps=1000.0, burstiness=0.6), rng)
-        total = sum(gen.packets(0.1) for _ in range(3000))
+        total = sum(gen.sample_quantum(0.1, 100, 0.0).total
+                    for _ in range(30))
         assert total == pytest.approx(1000.0 * 0.1 * 3000, rel=0.05)
 
     def test_single_flow_ids(self, rng):
         gen = TrafficGen(TrafficSpec(pps=10.0), rng)
-        assert set(gen.flow_ids(20).tolist()) == {0}
+        bundle = gen.sample_quantum(1.0, 2, 0.0)
+        assert bundle.total == 20
+        assert set(bundle.flows.tolist()) == {0}
+        assert set(bundle.sizes.tolist()) == {64}
 
     def test_zipf_flow_ids_skewed(self, rng):
-        gen = TrafficGen(TrafficSpec(pps=10.0, n_flows=1000,
+        gen = TrafficGen(TrafficSpec(pps=5000.0, n_flows=1000,
                                      zipf_theta=0.99), rng)
-        ids = gen.flow_ids(5000)
+        ids = gen.sample_quantum(1.0, 1, 0.0).flows
+        assert ids.size == 5000
         # Head flows dominate under Zipf(0.99).
         assert (ids < 10).mean() > 0.2
 
     def test_zero_count(self, rng):
-        gen = TrafficGen(TrafficSpec(pps=10.0, n_flows=10), rng)
-        assert gen.flow_ids(0).size == 0
+        """An empty quantum draws no flow id and leaves the RNG as it
+        was."""
+        gen = TrafficGen(TrafficSpec(pps=0.0, n_flows=10), rng)
+        state = rng.bit_generator.state
+        bundle = gen.sample_quantum(0.1, 4, 0.0)
+        assert bundle.total == 0 and bundle.flows.size == 0
+        assert bundle.counts().tolist() == [0, 0, 0, 0]
+        assert rng.bit_generator.state == state
 
 
 def reference_cdf(n, theta):
@@ -224,8 +241,9 @@ class TestSharedSamplers:
             private = TrafficGen(spec, np.random.default_rng())
             private._rng.bit_generator.state = gen._rng.bit_generator.state
             assert private._sampler is not gen._sampler
-            np.testing.assert_array_equal(gen.flow_ids(500),
-                                          private.flow_ids(500))
+            np.testing.assert_array_equal(
+                gen.sample_quantum(25.0, 2, 0.0).flows,
+                private.sample_quantum(25.0, 2, 0.0).flows)
 
 
 class TestPhasedTraffic:
