@@ -29,10 +29,16 @@ attacks each noise source directly:
    co-tenants, the single largest wall-clock contaminant.
 2. GC is collected, then disabled, around every timed region so
    collection cycles are not charged to whichever mode they land on.
-3. **Tight pairing**: the baseline is re-run immediately before every
-   mode sample, and each round contributes the ratio of the two
-   adjacent runs.  Host regime drifts on the scale of seconds; adjacent
-   runs see the same regime, so the ratio cancels it.
+3. **Quantum-level pairing**: each sample builds the scenario twice and
+   advances the untraced copy and the mode's copy one simulated quantum
+   at a time, alternating which goes first, so each side's CPU time is
+   the sum of its quanta and a round's ratio compares the two sides
+   quantum for quantum.  On a shared host the CPU time of one whole
+   run swings by up to a third between adjacent runs (the host's speed
+   drifts on the scale of a run, ~0.65 s at default scale); adjacent
+   ~30 ms quanta see the same regime, so the ratio cancels it.  Pairing
+   whole runs instead let six readings of ``enabled_overhead`` on one
+   tree span -6.2% to +11.4%, wider than ``check_perf.py``'s margin.
 4. The reported overhead is the **median** of the paired ratios across
    ``REPEATS`` rounds, discarding the heavy tails that any single
    contaminated run produces.
@@ -66,21 +72,34 @@ def _scenario(scale: str):
     return spec, 1500, 2.0
 
 
-def _timed_run(scale: str, tracer: "Tracer | None") -> float:
+def _paired_run(scale: str, tracer: Tracer) -> "tuple[float, float]":
+    """CPU seconds of the scenario run untraced and under ``tracer``.
+
+    Two copies of the scenario advance one quantum at a time in turn,
+    the untraced copy first on even quanta and second on odd ones.
+    """
     spec, packet_size, duration = _scenario(scale)
-    scen = leaky_dma_scenario(packet_size=packet_size, spec=spec)
+    base = leaky_dma_scenario(packet_size=packet_size, spec=spec).sim
+    mode = leaky_dma_scenario(packet_size=packet_size, spec=spec).sim
+    dt = spec.quantum_s
+    base_s = mode_s = 0.0
     gc.collect()
     gc.disable()
-    t0 = time.process_time()
     try:
-        if tracer is None:
-            scen.sim.run(duration)
-        else:
-            with tracing(tracer):
-                scen.sim.run(duration)
+        for k in range(round(duration / dt)):
+            for traced in ((False, True) if k % 2 == 0 else (True, False)):
+                if traced:
+                    with tracing(tracer):
+                        t0 = time.process_time()
+                        mode.run(dt)
+                        mode_s += time.process_time() - t0
+                else:
+                    t0 = time.process_time()
+                    base.run(dt)
+                    base_s += time.process_time() - t0
     finally:
         gc.enable()
-    return time.process_time() - t0
+    return base_s, mode_s
 
 
 def _full_tracer() -> Tracer:
@@ -100,10 +119,9 @@ def run_obs(scale: str = "default", repeats: int = REPEATS) -> dict:
         ("enabled", _full_tracer),
         ("sampled", _sampled_tracer),
     ]
-    # Warm-up pass per mode, never timed.
-    _timed_run(scale, None)
+    # Warm-up pass per mode, never counted.
     for _, make in modes:
-        _timed_run(scale, make())
+        _paired_run(scale, make())
 
     baseline: "list[float]" = []
     samples = {name: [] for name, _ in modes}
@@ -112,9 +130,8 @@ def run_obs(scale: str = "default", repeats: int = REPEATS) -> dict:
     shares: dict = {}
     for _ in range(repeats):
         for name, make in modes:
-            base_s = _timed_run(scale, None)
             tracer = make()
-            mode_s = _timed_run(scale, tracer)
+            base_s, mode_s = _paired_run(scale, tracer)
             baseline.append(base_s)
             samples[name].append(mode_s)
             ratios[name].append(mode_s / base_s)

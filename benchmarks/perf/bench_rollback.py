@@ -44,7 +44,7 @@ def _stream(geometry: CacheGeometry, n: int, seed: int) -> "np.ndarray":
 
 
 def _state(llc: SlicedLLC) -> tuple:
-    return (llc._tags.copy(), llc._stamp.copy(), llc._dirty.copy(),
+    return (llc._tags.copy(), llc._meta.copy(),
             llc._owner.copy(), llc._clock, llc._valid, dict(llc._occ),
             llc.stat_fills, llc.stat_evictions, llc.stat_writebacks,
             llc._rand_state)

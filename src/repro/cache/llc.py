@@ -23,7 +23,11 @@ Two interchangeable storage backends implement the same semantics:
   vectorized :meth:`SlicedLLC.access_batch` engine that processes an
   entire address vector per call.  Outcomes are bit-identical to the
   scalar backend for the same access sequence (the equivalence suite in
-  ``tests/test_llc_batch_equiv.py`` fuzzes this).
+  ``tests/test_llc_batch_equiv.py`` fuzzes this).  Each line takes 17
+  bytes in three ``(sets, ways)`` planes: an int64 tag, an int64 *meta
+  word* ``stamp << 1 | dirty``, and an int8 owner.  The stamps of a
+  set's valid lines are distinct, so ordering its lines by meta word is
+  exact LRU, and a victim's writeback bit sits in the word its key read.
 
 Batch ordering guarantee: ``access_batch`` behaves exactly as if its
 addresses were issued one at a time in vector order.  Recency stamps are
@@ -60,13 +64,17 @@ EMPTY = -1
 #: Owner id used for lines brought in by DDIO.
 DDIO_OWNER = -2
 
+#: Largest owner id: the array backend stores owners as int8.  Both
+#: backends accept exactly the ids ``DDIO_OWNER .. OWNER_MAX``.
+OWNER_MAX = 127
+
 #: ``victim_owner`` placeholder in batched outcomes when nothing was
 #: evicted (owner ids are >= DDIO_OWNER, so this value never collides).
 NO_VICTIM = -3
 
-#: Large stamp sentinels for vectorized victim selection: invalid ways
-#: sort below every real stamp, disallowed ways above.  Real stamps are
-#: access counts and stay far below 2**62.
+#: Large sentinels for vectorized victim selection: invalid ways sort
+#: below every real meta word, disallowed ways above.  Stamps are access
+#: counts, so meta words ``stamp << 1 | dirty`` stay far below 2**62.
 _STAMP_LO = -(1 << 62)
 _STAMP_HI = 1 << 62
 
@@ -86,8 +94,10 @@ _SEQ_MAX = 24
 #: one near-empty round per chain link).
 _ROUND_MIN = 12
 
-#: Journal entry kinds: a recency/dirty update (hit path) or a full
-#: cell replacement (fill path).  Entries store flat-slot pre-images.
+#: Journal entry kinds: a meta-word update (hit path), stored as
+#: ``(_J_TOUCH, slots, meta)``, or a full cell replacement (fill path),
+#: ``(_J_FILL, slots, tag, meta, owner)``.  Entries store flat-slot
+#: pre-images.
 _J_TOUCH = 0
 _J_FILL = 1
 
@@ -219,14 +229,32 @@ def _pick(value, idx):
     return value[idx] if isinstance(value, np.ndarray) else value
 
 
+def _check_owner(owner) -> None:
+    """Raise unless every owner id lies in ``DDIO_OWNER .. OWNER_MAX``.
+
+    ``owner`` is a scalar or a per-element sequence; the error names the
+    first offending id.
+    """
+    if isinstance(owner, (list, tuple, np.ndarray)):
+        ids = np.asarray(owner).reshape(-1)
+        bad = ids[(ids < DDIO_OWNER) | (ids > OWNER_MAX)]
+        if bad.size == 0:
+            return
+        owner = bad[0]
+    if not DDIO_OWNER <= owner <= OWNER_MAX:
+        raise ValueError(f"owner id {owner} outside the supported range "
+                         f"{DDIO_OWNER}..{OWNER_MAX}")
+
+
 def _owner_counts(owners: "np.ndarray"):
     """``(owner, count)`` pairs of an owner-id vector, ascending by id.
 
     Owner ids are never below :data:`DDIO_OWNER`, so shifting by it
     hands ``np.bincount`` the non-negative input it needs; a lower id
-    would make it raise rather than corrupt the counts.
+    would make it raise rather than corrupt the counts.  The shift is
+    computed in int64: the owner plane is int8, where it overflows.
     """
-    counts = np.bincount(owners - DDIO_OWNER)
+    counts = np.bincount(np.subtract(owners, DDIO_OWNER, dtype=np.int64))
     ids = np.flatnonzero(counts)
     return zip((ids + DDIO_OWNER).tolist(), counts[ids].tolist())
 
@@ -248,9 +276,11 @@ class SlicedLLC:
     Owners are small integers identifying the agent (tenant id or
     ``DDIO_OWNER``) that allocated each line; they feed occupancy
     introspection (used by tests and the Fig. 11 timeline) and victim
-    attribution.  Per-owner valid-line counts are maintained
-    incrementally, so :meth:`occupancy_by_owner` and :meth:`valid_lines`
-    are O(owners), not O(lines).
+    attribution.  Both backends accept owner ids ``DDIO_OWNER ..
+    OWNER_MAX`` (-2 .. 127, what the array backend's int8 owner plane
+    holds) and raise ``ValueError`` on any other.  Per-owner valid-line
+    counts are maintained incrementally, so :meth:`occupancy_by_owner`
+    and :meth:`valid_lines` are O(owners), not O(lines).
 
     ``policy`` selects the replacement policy within the permitted
     ways: ``"lru"`` (default, what the paper's analysis assumes) or
@@ -259,7 +289,8 @@ class SlicedLLC:
 
     ``backend`` selects the storage engine (see module docstring):
     ``"scalar"`` Python lists or ``"array"`` NumPy arrays with the
-    vectorized batch path.
+    vectorized batch path.  The array backend keeps each line's LRU
+    stamp and dirty bit in one int64 meta word, ``stamp << 1 | dirty``.
     """
 
     def __init__(self, geometry: CacheGeometry, *,
@@ -282,17 +313,15 @@ class SlicedLLC:
             self._owner = [[0] * nways for _ in range(nsets)]
         else:
             self._tags = np.full((nsets, nways), EMPTY, dtype=np.int64)
-            self._stamp = np.zeros((nsets, nways), dtype=np.int64)
-            self._dirty = np.zeros((nsets, nways), dtype=bool)
-            self._owner = np.zeros((nsets, nways), dtype=np.int64)
+            self._meta = np.zeros((nsets, nways), dtype=np.int64)
+            self._owner = np.zeros((nsets, nways), dtype=np.int8)
             self._way_range = np.arange(nways, dtype=np.int64)
             # Flat views over the (sets, ways) state: the batch engine
             # addresses cells as ``set * ways + way`` with single-index
             # fancy operations, which are cheaper than index pairs.
             self._nways = nways
             self._tags_flat = self._tags.reshape(-1)
-            self._stamp_flat = self._stamp.reshape(-1)
-            self._dirty_flat = self._dirty.reshape(-1)
+            self._meta_flat = self._meta.reshape(-1)
             self._owner_flat = self._owner.reshape(-1)
             self._invalid_key = _STAMP_LO + self._way_range
             self._total_lines = nsets * nways
@@ -361,19 +390,16 @@ class SlicedLLC:
         if journal is None:
             raise RuntimeError("rollback() without an active snapshot")
         tags = self._tags_flat
-        stamps = self._stamp_flat
-        dirty = self._dirty_flat
+        meta = self._meta_flat
         owner = self._owner_flat
         for entry in reversed(journal):
             if entry[0] == _J_TOUCH:
-                _, slots, spre, dpre = entry
-                stamps[slots] = spre
-                dirty[slots] = dpre
+                _, slots, mpre = entry
+                meta[slots] = mpre
             else:
-                _, slots, tpre, spre, dpre, opre = entry
+                _, slots, tpre, mpre, opre = entry
                 tags[slots] = tpre
-                stamps[slots] = spre
-                dirty[slots] = dpre
+                meta[slots] = mpre
                 owner[slots] = opre
         (self._clock, self._valid, occ, self.stat_fills,
          self.stat_evictions, self.stat_writebacks, self.stat_ddio_hits,
@@ -400,6 +426,10 @@ class SlicedLLC:
         honoured in any way.  With ``allocate=False`` a miss does not fill
         (used for device reads).
         """
+        # Inline compare: the per-access path pays no call unless the
+        # owner is out of range, and then _check_owner raises.
+        if not DDIO_OWNER <= owner <= OWNER_MAX:
+            _check_owner(owner)
         index, tag = self.geometry.frame_index(addr)
         self._clock += 1
         if self.backend == "scalar":
@@ -420,15 +450,13 @@ class SlicedLLC:
             except ValueError:
                 way = -1
             if way >= 0:
+                word = int(self._meta[index, way])
                 journal = self._journal
                 if journal is not None:
-                    slot = index * self._nways + way
-                    journal.append((_J_TOUCH, slot,
-                                    int(self._stamp_flat[slot]),
-                                    bool(self._dirty_flat[slot])))
-                self._stamp[index, way] = self._clock
-                if write:
-                    self._dirty[index, way] = True
+                    journal.append((_J_TOUCH, index * self._nways + way,
+                                    word))
+                self._meta[index, way] = ((self._clock << 1)
+                                          | (1 if write else word & 1))
                 return HIT
         if not allocate:
             return MISS
@@ -464,6 +492,7 @@ class SlicedLLC:
         :meth:`access` one address at a time, on either backend (see the
         module docstring for the ordering guarantee).
         """
+        _check_owner(owner)
         addrs = np.ascontiguousarray(addrs, dtype=np.int64)
         n = addrs.shape[0]
         if n == 0:
@@ -531,15 +560,20 @@ class SlicedLLC:
                                     allocate)
             if out is not None:
                 return out
-        clk0 = self._clock
-        self._clock = clk0 + n
-        clk = np.arange(clk0 + 1, clk0 + n + 1, dtype=np.int64)
         mask = _scalar_or_array(mask, n, np.int64)
         write = _scalar_or_array(write, n, bool)
         owner = _scalar_or_array(owner, n, np.int64)
         allocate = _scalar_or_array(allocate, n, bool)
+        # Each access's meta word as its fill writes it, ``clock << 1 |
+        # write``; a hit also keeps the line's dirty bit.
+        clk0 = self._clock
+        self._clock = clk0 + n
+        new_meta = np.arange(2 * clk0 + 2, 2 * (clk0 + n) + 2, 2,
+                             dtype=np.int64)
+        if write is not False:
+            new_meta |= write
         out = _empty_batch(n, index)
-        args = (tag, clk, mask & geom.full_mask, mask, write, owner,
+        args = (tag, new_meta, mask & geom.full_mask, mask, write, owner,
                 allocate, out)
 
         # Group by set, without sorting: scatter each access's batch
@@ -572,7 +606,7 @@ class SlicedLLC:
         # are rewritten to each set's resident slot, with -1 marking a
         # non-allocating first miss or a mixed-tag set; those followers
         # go through the rank rounds below.  Collapsed repeats need no
-        # journal entry: they only restamp (and maybe dirty) a slot the
+        # journal entry: they only rewrite the meta word of a slot the
         # first access already journaled, and rollback replays
         # newest-first, so that older entry restores the slot last.
         rest = np.flatnonzero(~first)
@@ -590,9 +624,16 @@ class SlicedLLC:
             keep = ~rep
             rest, rrow = rest[keep], rrow[keep]
         # Duplicate slots take the latest stamp via last-wins fancy
-        # assignment, exactly what the scalar loop would leave.
-        self._stamp_flat[slot] = clk[rep_sel]
-        self._set_dirty(slot, _pick(write, rep_sel))
+        # assignment, and any write among them sets the dirty bit:
+        # exactly what the scalar loop would leave.
+        meta = self._meta_flat
+        wr = _pick(write, rep_sel)
+        if wr is True:
+            meta[slot] = new_meta[rep_sel]
+        else:
+            meta[slot] = new_meta[rep_sel] | (meta[slot] & 1)
+            if wr is not False and wr.any():
+                meta[slot[wr]] |= 1
         out.hit[rep_sel] = True
         if rest.size < _SEQ_MAX:
             self._apply_sequential(rest.tolist(), index, *args)
@@ -705,7 +746,7 @@ class SlicedLLC:
         count = np.diff(starts, append=n)
         cells = si[starts].astype(np.int64)[:, None] * ways + aw
         vkey = np.where(self._tags_flat[cells] == EMPTY, _STAMP_LO + aw,
-                        self._stamp_flat[cells])
+                        self._meta_flat[cells])
         if not (vkey[:, 1:] >= vkey[:, :-1]).all():
             cells = np.take_along_axis(
                 cells, np.argsort(vkey, axis=1, kind="stable"), axis=1)
@@ -724,12 +765,11 @@ class SlicedLLC:
         # The first fills evict the cells' pre-batch lines; each later
         # fill evicts the line of its set's access w places before it.
         pre_tag = self._tags_flat[cells]
-        pre_dirty = self._dirty_flat[cells]
+        pre_meta = self._meta_flat[cells]
         pre_owner = self._owner_flat[cells]
         if self._journal is not None:
             # The used cells are exactly the cells the batch writes.
-            self._journal.append((_J_FILL, cells, pre_tag,
-                                  self._stamp_flat[cells], pre_dirty,
+            self._journal.append((_J_FILL, cells, pre_tag, pre_meta,
                                   pre_owner))
         out = _empty_batch(n, index)
         out.fill[:] = True
@@ -738,9 +778,9 @@ class SlicedLLC:
         at = perm[first]
         del first
         out.evicted[at] = pre_valid
-        out.writeback[at] = pre_dirty & pre_valid
+        out.writeback[at] = (pre_meta & 1) & pre_valid
         out.victim_owner[at[pre_valid]] = ev_owner
-        del pre_tag, pre_dirty, pre_owner, pre_valid
+        del pre_tag, pre_meta, pre_owner, pre_valid
         prev = np.flatnonzero(si[w:] == si[:-w])
         del si
         at = perm[prev + w]
@@ -757,8 +797,7 @@ class SlicedLLC:
         self._clock = clk0 + n
         new_owner = _pick(owner, at)
         self._tags_flat[cells] = ts[last]
-        self._stamp_flat[cells] = at + (clk0 + 1)
-        self._dirty_flat[cells] = _pick(write, at)
+        self._meta_flat[cells] = ((at + (clk0 + 1)) << 1) | _pick(write, at)
         self._owner_flat[cells] = new_owner
         n_evicted = int(np.count_nonzero(out.evicted))
         self.stat_fills += n
@@ -770,20 +809,11 @@ class SlicedLLC:
         self._occ_update(new_owner, cells.shape[0], ev_owner)
         return out
 
-    def _set_dirty(self, slot, write) -> None:
-        """Mark ``slot`` cells dirty where ``write`` (scalar-aware)."""
-        if isinstance(write, np.ndarray):
-            if write.any():
-                self._dirty_flat[slot[write]] = True
-        elif write:
-            self._dirty_flat[slot] = True
-
-    def _apply_sequential(self, sel, index, tag, clk, alloc_mask, raw_mask,
-                          write, owner, allocate, out) -> None:
+    def _apply_sequential(self, sel, index, tag, new_meta, alloc_mask,
+                          raw_mask, write, owner, allocate, out) -> None:
         """Apply the set-colliding remainder of a batch in order (LRU)."""
         tags_m = self._tags
-        stamp_m = self._stamp
-        dirty_m = self._dirty
+        meta_m = self._meta
         owner_m = self._owner
         occ = self._occ
         journal = self._journal
@@ -797,13 +827,10 @@ class SlicedLLC:
             except ValueError:
                 way = -1
             if way >= 0:
+                word = int(meta_m[row, way])
                 if journal is not None:
-                    journal.append((_J_TOUCH, row * ways + way,
-                                    int(stamp_m[row, way]),
-                                    bool(dirty_m[row, way])))
-                stamp_m[row, way] = clk[i]
-                if _pick(write, i):
-                    dirty_m[row, way] = True
+                    journal.append((_J_TOUCH, row * ways + way, word))
+                meta_m[row, way] = new_meta[i] | (word & 1)
                 out.hit[i] = True
                 continue
             if not _pick(allocate, i):
@@ -814,17 +841,18 @@ class SlicedLLC:
                     raise ValueError("cannot allocate with an empty way mask")
                 raise ValueError("way mask selects no ways within geometry")
             allowed = _ways_of_mask(m)
-            stamps = stamp_m[row].tolist()
+            words = meta_m[row].tolist()
             victim = -1
-            victim_stamp = None
+            victim_word = None
             for w in allowed:
                 if row_tags[w] == EMPTY:
                     victim = w
-                    victim_stamp = None
+                    victim_word = None
                     break
-                if victim_stamp is None or stamps[w] < victim_stamp:
+                if victim_word is None or words[w] < victim_word:
                     victim = w
-                    victim_stamp = stamps[w]
+                    victim_word = words[w]
+            word = words[victim]
             evicted = row_tags[victim] != EMPTY
             new_owner = int(_pick(owner, i))
             out.fill[i] = True
@@ -834,7 +862,7 @@ class SlicedLLC:
                 self.stat_evictions += 1
                 victim_owner = int(owner_m[row, victim])
                 out.victim_owner[i] = victim_owner
-                if dirty_m[row, victim]:
+                if word & 1:
                     out.writeback[i] = True
                     self.stat_writebacks += 1
                 left = occ[victim_owner] - 1
@@ -847,15 +875,13 @@ class SlicedLLC:
             occ[new_owner] = occ.get(new_owner, 0) + 1
             if journal is not None:
                 journal.append((_J_FILL, row * ways + victim,
-                                row_tags[victim], stamps[victim],
-                                bool(dirty_m[row, victim]),
+                                row_tags[victim], word,
                                 int(owner_m[row, victim])))
             tags_m[row, victim] = tg
-            stamp_m[row, victim] = clk[i]
-            dirty_m[row, victim] = bool(_pick(write, i))
+            meta_m[row, victim] = new_meta[i]
             owner_m[row, victim] = new_owner
 
-    def _apply_round(self, sel, rows, tag, clk, alloc_mask, raw_mask,
+    def _apply_round(self, sel, rows, tag, new_meta, alloc_mask, raw_mask,
                      write, owner, allocate, out) -> "np.ndarray":
         """Look up and apply one conflict-free (distinct-set) group.
 
@@ -863,7 +889,7 @@ class SlicedLLC:
         whole batch in position order) and ``rows`` their set indices.
         One ``np.take`` gathers the group's tag rows from current state;
         the sets are distinct and a hit never changes a tag, so the
-        miss path's victim scan reuses them.  Stamp rows are gathered
+        miss path's victim scan reuses them.  Meta rows are gathered
         for the group's *misses* only, and only under a wide way mask.
 
         Returns the flat slot (``set * ways + way``) each access
@@ -888,17 +914,21 @@ class SlicedLLC:
             else:
                 hit_sel = hit_at if sel is None else sel[hit_at]
                 slot = (rows[hit_at] - hit_at) * ways + hit_flat
-            if journal is not None:
-                journal.append((_J_TOUCH, slot, self._stamp_flat[slot],
-                                self._dirty_flat[slot]))
             if hit_sel is None:
-                self._stamp_flat[slot] = clk
-                self._set_dirty(slot, write)
+                hit_meta = new_meta
                 out.hit[:] = True
             else:
-                self._stamp_flat[slot] = clk[hit_sel]
-                self._set_dirty(slot, _pick(write, hit_sel))
+                hit_meta = new_meta[hit_sel]
                 out.hit[hit_sel] = True
+            # A hit keeps its line's dirty bit (a scalar write sets it
+            # anyway, so DDIO write updates skip the gather).
+            meta = self._meta_flat
+            if write is not True or journal is not None:
+                pre = meta[slot]
+                if journal is not None:
+                    journal.append((_J_TOUCH, slot, pre))
+                hit_meta = hit_meta | (pre & 1)
+            meta[slot] = hit_meta
             if nhit == m:
                 return slot
         slots = np.full(m, -1, dtype=np.int64)
@@ -927,13 +957,14 @@ class SlicedLLC:
             if a0 == 0:
                 self._raise_mask_error(_pick(raw_mask, miss_sel))
             # (ways,)-shaped row; ufunc broadcasting against the
-            # (k, ways) stamps below is free.
+            # (k, ways) meta words below is free.
             cached = self._allowed_rows.get(a0)
             if cached is None:
                 allowed = (a0 >> self._way_range) & 1 != 0
-                # Disallowed ways as an OR-able sentinel row: stamps are
-                # non-negative, so ``stamp | _STAMP_HI`` always exceeds
-                # every allowed key (which stays below the sentinel bit).
+                # Disallowed ways as an OR-able sentinel row: meta words
+                # are non-negative, so ``word | _STAMP_HI`` always
+                # exceeds every allowed key (which stays below the
+                # sentinel bit).
                 cached = (allowed, np.where(allowed, 0, _STAMP_HI),
                           tuple(int(w) for w in np.flatnonzero(allowed)))
                 self._allowed_rows[a0] = cached
@@ -944,73 +975,75 @@ class SlicedLLC:
             if not allowed.any(axis=1).all():
                 self._raise_mask_error(_pick(raw_mask, miss_sel))
         # Victim selection: invalid allowed ways sort first (lowest way
-        # index wins), then LRU stamp among allowed ways; first-match
-        # tie-breaks mirror the scalar scan order.  Narrow uniform masks
-        # (e.g. the two DDIO ways) scan their allowed columns with flat
-        # 1-D gathers — short-axis ``argmin`` over (k, ways) costs far
-        # more than a handful of length-k passes, and the per-way tag
-        # and stamp rows are never materialized.  Wide masks build the
-        # per-way key and let ``argmin`` pick; a full cache (no invalid
-        # ways anywhere) skips the tag comparison entirely.
+        # index wins), then the LRU meta word among allowed ways (valid
+        # lines' stamps are distinct, so the dirty bit never decides);
+        # first-match tie-breaks mirror the scalar scan order.  Narrow
+        # uniform masks (e.g. the two DDIO ways) scan their allowed
+        # columns with flat 1-D gathers — short-axis ``argmin`` over
+        # (k, ways) costs far more than a handful of length-k passes,
+        # and the per-way tag and meta rows are never materialized.
+        # Wide masks build the per-way key and let ``argmin`` pick; a
+        # full cache (no invalid ways anywhere) skips the tag comparison
+        # entirely, and its narrow scan's best key is the victim's word.
         full = self._valid == self._total_lines
         base = miss_rows * ways
         tags_flat = self._tags_flat
+        meta_flat = self._meta_flat
         if aw is not None and len(aw) <= 4:
-            stamp_flat = self._stamp_flat
             w = aw[0]
             fslot = base + w
             if full:
-                best = stamp_flat[fslot]
+                best = meta_flat[fslot]
                 for w in aw[1:]:
                     col = base + w
-                    cand = stamp_flat[col]
+                    cand = meta_flat[col]
                     better = cand < best
                     best = np.where(better, cand, best)
                     fslot = np.where(better, col, fslot)
+                victim_meta = best
             else:
                 best = np.where(tags_flat[fslot] == EMPTY,
-                                _STAMP_LO + w, stamp_flat[fslot])
+                                _STAMP_LO + w, meta_flat[fslot])
                 for w in aw[1:]:
                     col = base + w
                     cand = np.where(tags_flat[col] == EMPTY,
-                                    _STAMP_LO + w, stamp_flat[col])
+                                    _STAMP_LO + w, meta_flat[col])
                     better = cand < best
                     best = np.where(better, cand, best)
                     fslot = np.where(better, col, fslot)
+                victim_meta = meta_flat[fslot]
         else:
-            stamps = np.take(self._stamp, miss_rows, axis=0)
+            words = np.take(self._meta, miss_rows, axis=0)
             if full:
-                key = stamps | dis_row if dis_row is not None else \
-                    np.where(allowed, stamps, _STAMP_HI)
+                key = words | dis_row if dis_row is not None else \
+                    np.where(allowed, words, _STAMP_HI)
             else:
                 mtags = row_tags if k == m else row_tags[miss]
-                key = np.where(mtags == EMPTY, self._invalid_key, stamps)
+                key = np.where(mtags == EMPTY, self._invalid_key, words)
                 if aw is None or len(aw) != ways:
                     # Partial mask: push disallowed ways past every
                     # valid key (the key can be negative, so the OR
                     # trick does not apply here).
                     key = np.where(allowed, key, _STAMP_HI)
             fslot = base + key.argmin(axis=1)
+            victim_meta = meta_flat[fslot]
         if k == m:
             slots = fslot
         else:
             slots[miss] = fslot
-        dirty_flat = self._dirty_flat
-        dirty_pre = dirty_flat[fslot]
+        dirty_pre = victim_meta & 1
         victim_owner = self._owner_flat[fslot]
         new_owner = _pick(owner, miss_sel)
         if journal is not None or not full:
             victim_tags = tags_flat[fslot]
         if journal is not None:
             # Flat-slot gathers of the pre-write state (written below).
-            journal.append((_J_FILL, fslot, victim_tags,
-                            self._stamp_flat[fslot], dirty_pre,
+            journal.append((_J_FILL, fslot, victim_tags, victim_meta,
                             victim_owner))
         if not full:
             evicted = victim_tags != EMPTY
         tags_flat[fslot] = tag[miss_sel]
-        self._stamp_flat[fslot] = clk[miss_sel]
-        dirty_flat[fslot] = _pick(write, miss_sel)
+        meta_flat[fslot] = new_meta[miss_sel]
         self._owner_flat[fslot] = new_owner
         out.fill[miss_sel] = True
         self.stat_fills += k
@@ -1086,8 +1119,9 @@ class SlicedLLC:
             tags = self._tags[index]
             stamps = self._stamp[index]
         else:
+            # Meta words order valid lines exactly as their stamps do.
             tags = self._tags[index].tolist()
-            stamps = self._stamp[index].tolist()
+            stamps = self._meta[index].tolist()
         victim = -1
         victim_stamp = None
         for way in allowed:
@@ -1114,18 +1148,16 @@ class SlicedLLC:
             self._dirty[index][victim] = write
             self._owner[index][victim] = owner
         else:
-            writeback = evicted and bool(self._dirty[index, victim])
-            victim_owner = int(self._owner[index, victim]) if evicted \
-                else None
+            word = stamps[victim]
+            writeback = evicted and bool(word & 1)
+            pre_owner = int(self._owner[index, victim])
+            victim_owner = pre_owner if evicted else None
             journal = self._journal
             if journal is not None:
                 journal.append((_J_FILL, index * self._nways + victim,
-                                tags[victim], stamps[victim],
-                                bool(self._dirty[index, victim]),
-                                int(self._owner[index, victim])))
+                                tags[victim], word, pre_owner))
             self._tags[index, victim] = tag
-            self._stamp[index, victim] = self._clock
-            self._dirty[index, victim] = write
+            self._meta[index, victim] = (self._clock << 1) | bool(write)
             self._owner[index, victim] = owner
         # Occupancy bookkeeping.
         if evicted:
@@ -1200,7 +1232,7 @@ class SlicedLLC:
                 self._dirty[index] = [False] * nways
         else:
             self._tags.fill(EMPTY)
-            self._dirty.fill(False)
+            self._meta &= ~1        # clear dirty bits, keep stamps
         self._clock = 0
         self._occ = {}
         self._valid = 0

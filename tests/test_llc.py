@@ -1,9 +1,10 @@
 """Unit tests for the sliced LLC: hits, fills, LRU, CAT and DDIO semantics."""
 
+import numpy as np
 import pytest
 
-from repro.cache.geometry import CacheGeometry
-from repro.cache.llc import DDIO_OWNER, SlicedLLC
+from repro.cache.geometry import TINY_LLC, XEON_6140_LLC, CacheGeometry
+from repro.cache.llc import DDIO_OWNER, OWNER_MAX, SlicedLLC
 
 #: A single-set geometry makes LRU behaviour fully observable.
 ONE_SET = CacheGeometry(ways=4, sets_per_slice=1, slices=1)
@@ -197,3 +198,56 @@ class TestOwnerTracking:
             llc.access(addr, ONE_SET.full_mask, owner=9)
         out = llc.access(lines[4], ONE_SET.full_mask, owner=1)
         assert out.victim_owner == 9
+
+
+class TestOwnerRange:
+    """Owner ids are limited to what the array backend's int8 owner
+    plane holds, ``DDIO_OWNER .. OWNER_MAX``, on both backends."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "array"])
+    @pytest.mark.parametrize("owner", [DDIO_OWNER - 1, OWNER_MAX + 1])
+    def test_owner_outside_range_rejected(self, backend, owner):
+        llc = SlicedLLC(TINY_LLC, backend=backend)
+        full = TINY_LLC.full_mask
+        addrs = np.arange(16, dtype=np.int64) * 64
+        owners = np.ones(16, dtype=np.int64)
+        owners[5] = owner
+        named = f"owner id {owner} "
+        with pytest.raises(ValueError, match=named):
+            llc.access(0x1000, full, owner=owner)
+        with pytest.raises(ValueError, match=named):
+            llc.access_batch(addrs, full, owner=owner)
+        with pytest.raises(ValueError, match=named):
+            llc.access_batch(addrs, full, owner=owners)
+        with pytest.raises(ValueError, match=named):
+            llc.access_batch(addrs[:4], full, owner=owners[2:6])
+        assert llc.valid_lines() == 0
+        assert llc.stats()["fills"] == 0
+
+    def test_owner_max_evictions_count_alike_on_both_backends(self):
+        """Owners OWNER_MAX and 1 alternate in way 0, then owner 3
+        evicts a mix of them: the victims' owner counts must match the
+        scalar backend's (the int8 ids are widened before counting)."""
+        lines = np.arange(250, dtype=np.int64) * 64
+        owners = np.where(np.arange(250) % 2 == 0, OWNER_MAX, 1)
+        occupancy = []
+        for backend in ("scalar", "array"):
+            llc = SlicedLLC(TINY_LLC, backend=backend)
+            llc.access_batch(lines, 0b1, owner=owners)
+            llc.access_batch(lines + (1 << 24), 0b1, owner=3)
+            occupancy.append(llc.occupancy_by_owner())
+        assert occupancy[0] == occupancy[1]
+        assert set(occupancy[1]) == {OWNER_MAX, 1, 3}
+
+
+class TestArrayLayout:
+    def test_planes_take_17_bytes_per_line(self):
+        """Per line: an int64 tag, an int64 meta word (``stamp << 1 |
+        dirty``) and an int8 owner, and no other ``(sets, ways)``
+        plane."""
+        llc = SlicedLLC(XEON_6140_LLC, backend="array")
+        shape = (XEON_6140_LLC.total_sets, XEON_6140_LLC.ways)
+        planes = [a for a in vars(llc).values()
+                  if isinstance(a, np.ndarray) and a.shape == shape]
+        assert XEON_6140_LLC.lines == 405_504
+        assert sum(a.nbytes for a in planes) == 17 * 405_504 == 6_893_568

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cache.geometry import TINY_LLC, CacheGeometry
-from repro.cache.llc import DDIO_OWNER, SlicedLLC
+from repro.cache.llc import DDIO_OWNER, EMPTY, SlicedLLC
 
 SEEDS = [3, 17, 2021]
 
@@ -88,15 +88,26 @@ def apply_batch(llc, op):
 
 
 def assert_same_state(scalar, array):
+    """Every line's tag, stamp, dirty bit and owner, plus the counters.
+
+    The array backend packs each line's stamp and dirty bit into one
+    meta word, ``stamp << 1 | dirty``.
+    """
     assert scalar.occupancy_by_owner() == array.occupancy_by_owner()
     assert scalar.valid_lines() == array.valid_lines()
     assert scalar.stats() == array.stats()
     assert scalar._clock == array._clock
-    for row in range(TINY_LLC.total_sets):
+    for row in range(array.geometry.total_sets):
+        meta = array._meta[row]
         assert scalar._tags[row] == array._tags[row].tolist()
-        assert scalar._stamp[row] == array._stamp[row].tolist()
-        assert scalar._dirty[row] == array._dirty[row].tolist()
+        assert scalar._stamp[row] == (meta >> 1).tolist()
+        assert scalar._dirty[row] == (meta & 1 == 1).tolist()
         assert scalar._owner[row] == array._owner[row].tolist()
+    # The incremental occupancy counters recount from the owner plane.
+    owners, counts = np.unique(array._owner[array._tags != EMPTY],
+                               return_counts=True)
+    assert dict(zip(owners.tolist(), counts.tolist())) == \
+        array.occupancy_by_owner()
 
 
 class TestBatchEquivalence:
@@ -212,6 +223,59 @@ def mixed_op(accesses):
                                  allocate=allocate))
 
 
+def pairs_in_sets(count):
+    """``count`` pairs of line addresses, each pair sharing a TINY_LLC
+    set of its own."""
+    by_set = {}
+    pairs = []
+    line = 1 << 18
+    while len(pairs) < count:
+        members = by_set.setdefault(TINY_LLC.frame_index(line * 64)[0], [])
+        members.append(line * 64)
+        if len(members) == 2:
+            pairs.append(tuple(members))
+        line += 1
+    return pairs
+
+
+@pytest.fixture
+def round_sizes(monkeypatch):
+    """The group size of every vectorized round the engine applies."""
+    sizes = []
+    real = SlicedLLC._apply_round
+
+    def spy(self, sel, rows, *args):
+        sizes.append(rows.shape[0])
+        return real(self, sel, rows, *args)
+
+    monkeypatch.setattr(SlicedLLC, "_apply_round", spy)
+    return sizes
+
+
+def reread_batch(warm):
+    """Read, write and re-read of one line per set, as a ``mixed`` op:
+    three lines in sets of their own take the repeat collapse (one
+    reads-writes-reads, one writes first, one writes last), and 24 more
+    share each set with another tag, so their repeats go through the
+    rank rounds.  ``warm`` prepends an op that leaves every line
+    resident and clean, so each first access hits instead of filling."""
+    f = TINY_LLC.full_mask
+    pairs = pairs_in_sets(24)
+    solo = padding_lines(3, [TINY_LLC.frame_index(x)[0] for x, _ in pairs])
+    batch = [(x, f, w, 1, True) for x, pattern in zip(solo, (
+                 (False, True, False), (True, False, False),
+                 (False, False, True)))
+             for w in pattern]
+    for x, y in pairs:
+        batch += [(x, f, False, 1, True), (y, f, False, 2, True),
+                  (x, f, True, 1, True), (x, f, False, 1, True)]
+    ops = [mixed_op(batch)]
+    if warm:
+        ops.insert(0, ("access", solo + [x for x, _ in pairs],
+                       dict(mask=f, write=False, owner=1)))
+    return ops
+
+
 class TestTargetedBatches:
     """Hand-built batches aimed at the vector engine's repeat collapse:
     a set's followers may skip the lookup only when its first access
@@ -255,6 +319,44 @@ class TestTargetedBatches:
             ops.insert(0, ("access", [a], dict(mask=0b1, write=False,
                                                owner=1)))
         check_ops(ops)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_read_write_reread_keeps_dirty_bit(self, warm, round_sizes):
+        """Collapsed repeats keep their slot's last stamp and OR in every
+        write of the batch (a last-wins write vector would clear the
+        middle write's dirty bit); the rank rounds OR theirs in per
+        round."""
+        check_ops(reread_batch(warm))
+        # First touches (3 + 24 sets), then one rank round per follower
+        # of the mixed-tag sets.
+        assert round_sizes[-4:] == [27, 24, 24, 24]
+
+    def test_flush_clears_dirty_bits_and_keeps_stamps(self):
+        scalar, array = check_ops(reread_batch(False) + [
+            ("access", region(1 << 12, 300), dict(mask=FULL, write=True,
+                                                   owner=2))])
+        stamps = array._meta >> 1
+        assert (array._meta & 1).any()
+        scalar.flush()
+        array.flush()
+        assert_same_state(scalar, array)
+        assert not (array._meta & 1).any()
+        assert np.array_equal(array._meta >> 1, stamps)
+        check_ops(reread_batch(True), pair=(scalar, array))
+
+    def test_rollback_over_reread_batches(self):
+        """A journaled run of the read-write-reread batches over lines
+        resident before the snapshot (so its hits journal meta words)
+        rolls back to the pre-snapshot tags, meta words and owners."""
+        scalar, array = check_ops(reread_batch(True) + [
+            ("access", region(1 << 12, 300), dict(mask=FULL, write=True,
+                                                   owner=2))])
+        array.snapshot()
+        for op in reread_batch(True) + reread_batch(False):
+            apply_batch(array, op)
+        array.rollback()
+        assert_same_state(scalar, array)
+        check_ops(reread_batch(True), pair=(scalar, array))
 
     @pytest.mark.parametrize("packets", [1, 4])
     def test_core_reads_then_device_reads(self, packets):
@@ -446,9 +548,10 @@ class TestBulkAllMiss:
                           "victim_owner"):
                 assert np.array_equal(getattr(got, field),
                                       getattr(want, field))
-        for plane in ("_tags", "_stamp", "_dirty", "_owner"):
-            assert np.array_equal(getattr(bulk, plane),
-                                  getattr(engine, plane))
+        assert np.array_equal(bulk._tags, engine._tags)
+        assert np.array_equal(bulk._meta >> 1, engine._meta >> 1)
+        assert np.array_equal(bulk._meta & 1, engine._meta & 1)
+        assert np.array_equal(bulk._owner, engine._owner)
         assert bulk.stats() == engine.stats()
         assert bulk.occupancy_by_owner() == engine.occupancy_by_owner()
         assert bulk_calls == [True]

@@ -50,8 +50,12 @@ GEOMETRY = CacheGeometry(ways=4, sets_per_slice=32, slices=2)
 # LLC journal: fuzzed snapshot/rollback roundtrips
 # ---------------------------------------------------------------------------
 def _llc_state(llc: SlicedLLC) -> tuple:
-    """A deep copy of everything rollback promises to restore."""
-    return (llc._tags.copy(), llc._stamp.copy(), llc._dirty.copy(),
+    """A deep copy of everything rollback promises to restore.
+
+    Stamps and dirty bits are read from the meta words,
+    ``stamp << 1 | dirty``.
+    """
+    return (llc._tags.copy(), llc._meta >> 1, llc._meta & 1,
             llc._owner.copy(), llc._clock, llc._valid, dict(llc._occ),
             llc.stat_fills, llc.stat_evictions, llc.stat_writebacks,
             llc.stat_ddio_hits, llc.stat_ddio_misses, llc._rand_state)
