@@ -1,20 +1,24 @@
 """Rollback microbenchmark: what copy-on-write journaling costs.
 
-The speculative admission loop (PR 6) arms the array LLC's COW journal
-before every run-ahead chunk.  Chunks that fit the budget pay only the
-journaling overhead (pre-image appends on mutation); mispredicted
-chunks additionally pay a rollback (reverse replay of the journal).
-This benchmark prices both against the unjournaled baseline on the
-same access stream, and checks that a rollback really restores the
-pre-snapshot state (``restored_ok``).
+The speculative admission loop arms the array LLC's COW journal before
+every run-ahead chunk.  Chunks that fit the budget pay only the
+journaling overhead (journal appends on mutation); mispredicted chunks
+additionally pay a cut back to their admitted prefix (undoing the
+journal's later accesses).  This benchmark prices these against the
+unjournaled baseline on the same access stream, and checks that a
+rollback really restores the pre-snapshot state (``restored_ok``) and
+that a cut state equals a twin that only ran each chunk's prefix
+(``cut_ok``).
 
-Three timed modes over identical chunked address streams:
+Four timed modes over identical chunked address streams:
 
-* ``plain``     — ``access_batch`` with no snapshot (the PR-4 cost);
+* ``plain``     — ``access_batch`` with no snapshot;
 * ``journaled`` — ``snapshot()`` / mutate / ``commit()`` per chunk
   (the run-ahead *hit* path: every chunk admitted);
 * ``rollback``  — ``snapshot()`` / mutate / ``rollback()`` per chunk
-  (the worst case: every chunk mispredicted).
+  (every chunk undone whole);
+* ``cut``       — ``snapshot()`` / mutate / ``rollback(keep=...)`` per
+  chunk at a seeded prefix (the worst case: every chunk mispredicted).
 """
 
 from __future__ import annotations
@@ -56,17 +60,22 @@ def _states_equal(a: tuple, b: tuple) -> bool:
 
 
 def _timed(llc: SlicedLLC, addrs: "np.ndarray", mask: int,
-           mode: str) -> float:
+           mode: str, keep: "list[int]") -> float:
+    """Run the chunked stream in ``mode``; ``keep[i]`` is how many
+    accesses of chunk ``i`` a cut keeps."""
     t0 = time.perf_counter()
-    for start in range(0, addrs.shape[0], CHUNK):
+    for i, start in enumerate(range(0, addrs.shape[0], CHUNK)):
         chunk = addrs[start:start + CHUNK]
         if mode != "plain":
             llc.snapshot()
+        clock = llc.clock
         llc.access_batch(chunk, mask, write=True, owner=1)
         if mode == "journaled":
             llc.commit()
         elif mode == "rollback":
             llc.rollback()
+        elif mode == "cut":
+            llc.rollback(keep=clock + keep[i])
     return time.perf_counter() - t0
 
 
@@ -82,12 +91,23 @@ def run_rollback(scale: str = "default") -> dict:
         llc.access_batch(warm, mask, owner=1)
         return llc
 
-    plain_s = _timed(fresh(), addrs, mask, "plain")
-    journaled_s = _timed(fresh(), addrs, mask, "journaled")
+    # A seeded prefix of each chunk, at least one access long.
+    rng = np.random.default_rng(13)
+    keep = [int(rng.integers(1, min(CHUNK, n - start) + 1))
+            for start in range(0, n, CHUNK)]
+    plain_s = _timed(fresh(), addrs, mask, "plain", keep)
+    journaled_s = _timed(fresh(), addrs, mask, "journaled", keep)
     spec = fresh()
     before = _state(spec)
-    rollback_s = _timed(spec, addrs, mask, "rollback")
+    rollback_s = _timed(spec, addrs, mask, "rollback", keep)
     restored_ok = _states_equal(_state(spec), before)
+    cut = fresh()
+    cut_s = _timed(cut, addrs, mask, "cut", keep)
+    twin = fresh()
+    for i, start in enumerate(range(0, n, CHUNK)):
+        twin.access_batch(addrs[start:start + keep[i]], mask, write=True,
+                          owner=1)
+    cut_ok = _states_equal(_state(cut), _state(twin))
     return {
         "accesses": n,
         "chunk": CHUNK,
@@ -98,4 +118,6 @@ def run_rollback(scale: str = "default") -> dict:
         "journal_overhead": journaled_s / plain_s - 1.0 if plain_s else 0.0,
         "rollback_s": rollback_s,
         "restored_ok": restored_ok,
+        "cut_s": cut_s,
+        "cut_ok": cut_ok,
     }

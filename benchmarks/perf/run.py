@@ -95,6 +95,9 @@ def validate(doc: dict) -> None:
         assert rollback["restored_ok"] is True, \
             "rollback failed to restore the pre-snapshot LLC state"
         assert rollback["plain_s"] > 0 and rollback["journaled_s"] > 0
+        if "cut_ok" in rollback:  # absent in pre-cut documents (additive)
+            assert rollback["cut_ok"] is True, \
+                "a cut LLC differs from its prefix-only twin"
     stages = engine.get("stages")
     if stages is not None:  # absent in pre-breakdown documents (additive)
         assert isinstance(stages, dict)
@@ -189,7 +192,10 @@ def main(argv=None) -> int:
               f"  journaled {rollback['journaled_s']:.3f}s"
               f" ({rollback['journal_overhead']:+.1%})"
               f"  rollback {rollback['rollback_s']:.3f}s"
-              f"  restored_ok={rollback['restored_ok']}")
+              f"  restored_ok={rollback['restored_ok']}"
+              + (f"  cut {rollback['cut_s']:.3f}s"
+                 f"  cut_ok={rollback['cut_ok']}"
+                 if "cut_ok" in rollback else ""))
     obs = doc["obs"]
     line = (f"obs    {obs['scenario']}: baseline {obs['baseline_s']:.3f}s"
             f"  disabled {obs['disabled_overhead']:+.1%}"

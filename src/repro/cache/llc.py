@@ -38,14 +38,16 @@ Under the ``"random"`` policy the replacement LCG is global state, so
 batches degrade to an in-order loop to keep seed-for-seed equivalence.
 
 The array backend additionally supports cheap speculation via a
-copy-on-write journal: :meth:`SlicedLLC.snapshot` arms per-cell
-pre-image logging at every mutation site, :meth:`SlicedLLC.rollback`
-replays the journal in reverse and restores the scalar state
+copy-on-write journal: :meth:`SlicedLLC.snapshot` arms per-cell logging
+at every mutation site (each entry keeps the cells' pre-images and the
+meta words its accesses wrote, hence their stamps),
+:meth:`SlicedLLC.rollback` undoes, newest entry first, every access
+stamped after a given clock and with it the scalar state
 (clock/occupancy/cumulative stats/LCG), and :meth:`SlicedLLC.commit`
 drops the journal.  The vectorized drains use this for optimistic
-run-ahead chunk admission (execute a large chunk, roll back on budget
-overshoot) — journal cost is proportional to the cells *touched*, not
-to cache size.
+run-ahead chunk admission (execute a large chunk, cut it back to its
+admitted prefix on budget overshoot) — journal cost is proportional to
+the cells *touched*, not to cache size.
 """
 
 from __future__ import annotations
@@ -94,12 +96,18 @@ _SEQ_MAX = 24
 #: one near-empty round per chain link).
 _ROUND_MIN = 12
 
-#: Journal entry kinds: a meta-word update (hit path), stored as
-#: ``(_J_TOUCH, slots, meta)``, or a full cell replacement (fill path),
-#: ``(_J_FILL, slots, tag, meta, owner)``.  Entries store flat-slot
-#: pre-images.
-_J_TOUCH = 0
-_J_FILL = 1
+#: Journal entry kinds, over flat ``set * ways + way`` slots (an array,
+#: or one int for a per-access entry): a meta-word update by hits,
+#: ``(_J_META, slots, pre_meta, words)``; the same for the batch
+#: engine's collapsed repeats, whose slots may repeat, ``(_J_REPEAT,
+#: ...)``; or a cell replacement by fills, ``(_J_FILL, slots, pre_tag,
+#: pre_meta, pre_owner, words, lcg)``.  ``words`` are the meta words
+#: the accesses wrote, so their stamps date each access; ``lcg`` is the
+#: random policy's state before the entry.  An array entry lists its
+#: accesses in issue order, so its stamps ascend.
+_J_META = 0
+_J_REPEAT = 1
+_J_FILL = 2
 
 
 @lru_cache(maxsize=4096)
@@ -336,10 +344,9 @@ class SlicedLLC:
         # Cheap deterministic LCG for the random policy (avoids numpy
         # overhead in the per-access hot path).
         self._rand_state = seed or 1
-        # Copy-on-write journal: None when inactive; a list of
-        # (_J_TOUCH/_J_FILL, slots, pre-images...) entries while a
-        # snapshot is armed.  Mutation sites append pre-images before
-        # writing, so rollback replays them in reverse.
+        # Copy-on-write journal: None when inactive; while a snapshot
+        # is armed, its entries (see _J_META) in the order the writes
+        # were applied.
         self._journal: "list[tuple] | None" = None
         self._snap: "tuple | None" = None
         # Incremental occupancy accounting: owner id -> valid lines.
@@ -374,39 +381,140 @@ class SlicedLLC:
         if self._journal is not None:
             raise RuntimeError("a snapshot is already active")
         self._journal = []
-        self._snap = (self._clock, self._valid, dict(self._occ),
-                      self.stat_fills, self.stat_evictions,
-                      self.stat_writebacks, self.stat_ddio_hits,
-                      self.stat_ddio_misses, self._rand_state)
+        self._snap = (self._clock, self.stat_ddio_hits,
+                      self.stat_ddio_misses)
 
-    def rollback(self) -> None:
-        """Restore the state captured by the active :meth:`snapshot`.
+    @property
+    def journaling(self) -> bool:
+        """Whether a :meth:`snapshot` is active."""
+        return self._journal is not None
 
-        Cell pre-images are replayed newest-first; duplicate slots in
-        one entry are safe because every pre-image was read before any
-        write of its site, so duplicates carry identical values.
+    @property
+    def clock(self) -> int:
+        """Accesses issued so far: the stamp of the latest one."""
+        return self._clock
+
+    def rollback(self, keep: "int | None" = None) -> None:
+        """Undo every access stamped after clock ``keep`` and close the
+        active :meth:`snapshot`, keeping the accesses up to ``keep``.
+
+        ``keep`` defaults to the snapshot's clock, which undoes
+        everything.  Accesses apply to a cell in stamp order, so undoing
+        the journal newest entry first, and in each entry the elements
+        stamped after ``keep``, leaves every cell as its last kept
+        access left it.  Each undone fill gives its counters back, and
+        the clock, valid-line count, occupancy, :meth:`stats` and the
+        random policy's LCG end where the kept accesses left them.  DDIO
+        writes are counted outside the journal, so a snapshot that
+        issued any can only be rolled back whole.
         """
         journal = self._journal
         if journal is None:
             raise RuntimeError("rollback() without an active snapshot")
+        clock0, ddio_hits, ddio_misses = self._snap
+        if keep is None:
+            keep = clock0
+        elif not clock0 <= keep <= self._clock:
+            raise ValueError(f"keep={keep} outside the snapshot's clocks "
+                             f"{clock0}..{self._clock}")
+        if (self.stat_ddio_hits != ddio_hits
+                or self.stat_ddio_misses != ddio_misses):
+            if keep != clock0:
+                raise RuntimeError("cannot cut a snapshot that issued "
+                                   "DDIO writes")
+            self.stat_ddio_hits = ddio_hits
+            self.stat_ddio_misses = ddio_misses
+        if keep < self._clock:
+            self._undo(journal, (keep + 1) << 1)
+            self._clock = keep
+        self._journal = None
+        self._snap = None
+
+    def _undo(self, journal: list, cut_word: int) -> None:
+        """Undo, newest entry first, every journaled write whose meta
+        word is at least ``cut_word`` (its stamp is past the cut)."""
         tags = self._tags_flat
         meta = self._meta_flat
         owner = self._owner_flat
         for entry in reversed(journal):
-            if entry[0] == _J_TOUCH:
-                _, slots, mpre = entry
-                meta[slots] = mpre
-            else:
-                _, slots, tpre, mpre, opre = entry
-                tags[slots] = tpre
-                meta[slots] = mpre
-                owner[slots] = opre
-        (self._clock, self._valid, occ, self.stat_fills,
-         self.stat_evictions, self.stat_writebacks, self.stat_ddio_hits,
-         self.stat_ddio_misses, self._rand_state) = self._snap
-        self._occ = occ
-        self._journal = None
-        self._snap = None
+            kind = entry[0]
+            slots = entry[1]
+            words = entry[5] if kind == _J_FILL else entry[3]
+            if not isinstance(slots, np.ndarray):
+                # A per-access entry: undone whole or not at all.
+                if words < cut_word:
+                    continue
+                if kind != _J_FILL:
+                    meta[slots] = entry[2]
+                    continue
+                _, _, ptag, pmeta, powner, _, lcg = entry
+                self._unfill(int(owner[slots]), ptag, pmeta, powner)
+                tags[slots] = ptag
+                meta[slots] = pmeta
+                owner[slots] = powner
+                self._rand_state = lcg
+                continue
+            # Stamps ascend, so the undone accesses are a suffix.
+            a = int(words.searchsorted(cut_word))
+            if a == words.shape[0]:
+                continue
+            if kind != _J_FILL:
+                meta[slots[a:]] = entry[2][a:]
+                if kind == _J_REPEAT and a:
+                    # A repeated slot may also hold kept accesses, which
+                    # precede its undone ones: re-apply those by the
+                    # forward rule, the last stamp winning and any write
+                    # ORing in the dirty bit (a kept word carries it).
+                    # They are the kept words newer than their cell now
+                    # is; every other kept cell holds its word already,
+                    # or a newer kept one.
+                    ks = slots[:a]
+                    kw = words[:a]
+                    redo = meta[ks] < kw
+                    if redo.any():
+                        ks = ks[redo]
+                        kw = kw[redo]
+                        meta[ks] = kw
+                        meta[ks[(kw & 1) != 0]] |= 1
+                continue
+            _, _, ptag, pmeta, powner, _, lcg = entry
+            if a:
+                slots = slots[a:]
+                ptag = ptag[a:]
+                pmeta = pmeta[a:]
+                powner = powner[a:]
+            # Newer writes are undone, so a cell's current owner is its
+            # fill's; a valid pre-tag was that fill's victim.
+            n = slots.shape[0]
+            valid = ptag != EMPTY
+            n_evicted = int(np.count_nonzero(valid))
+            self.stat_fills -= n
+            self.stat_evictions -= n_evicted
+            self.stat_writebacks -= int(np.count_nonzero(pmeta[valid] & 1))
+            self._valid -= n - n_evicted
+            self._occ_update(powner[valid], n_evicted, owner[slots])
+            tags[slots] = ptag
+            meta[slots] = pmeta
+            owner[slots] = powner
+            self._rand_state = lcg
+
+    def _unfill(self, fill_owner: int, ptag: int, pmeta: int,
+                powner: int) -> None:
+        """Give back the counters of one undone fill."""
+        occ = self._occ
+        self.stat_fills -= 1
+        if ptag != EMPTY:
+            self.stat_evictions -= 1
+            if pmeta & 1:
+                self.stat_writebacks -= 1
+            occ[powner] = occ.get(powner, 0) + 1
+        else:
+            self._valid -= 1
+        left = occ[fill_owner] - 1
+        if left:
+            occ[fill_owner] = left
+        else:
+            del occ[fill_owner]
 
     def commit(self) -> None:
         """Drop the active snapshot's journal, keeping all mutations."""
@@ -451,12 +559,12 @@ class SlicedLLC:
                 way = -1
             if way >= 0:
                 word = int(self._meta[index, way])
+                new = (self._clock << 1) | (1 if write else word & 1)
                 journal = self._journal
                 if journal is not None:
-                    journal.append((_J_TOUCH, index * self._nways + way,
-                                    word))
-                self._meta[index, way] = ((self._clock << 1)
-                                          | (1 if write else word & 1))
+                    journal.append((_J_META, index * self._nways + way,
+                                    word, new))
+                self._meta[index, way] = new
                 return HIT
         if not allocate:
             return MISS
@@ -605,10 +713,7 @@ class SlicedLLC:
         # fill of another tag could evict the line.  The scratch cells
         # are rewritten to each set's resident slot, with -1 marking a
         # non-allocating first miss or a mixed-tag set; those followers
-        # go through the rank rounds below.  Collapsed repeats need no
-        # journal entry: they only rewrite the meta word of a slot the
-        # first access already journaled, and rollback replays
-        # newest-first, so that older entry restores the slot last.
+        # go through the rank rounds below.
         rest = np.flatnonzero(~first)
         rrow = index[rest]
         fpos[rows0] = slot0
@@ -625,9 +730,14 @@ class SlicedLLC:
             rest, rrow = rest[keep], rrow[keep]
         # Duplicate slots take the latest stamp via last-wins fancy
         # assignment, and any write among them sets the dirty bit:
-        # exactly what the scalar loop would leave.
+        # exactly what the scalar loop would leave.  The journal entry
+        # keeps each repeat's own word, so a cut can re-apply a prefix.
         meta = self._meta_flat
         wr = _pick(write, rep_sel)
+        if self._journal is not None:
+            pre = meta[slot]
+            self._journal.append((_J_REPEAT, slot, pre,
+                                  new_meta[rep_sel] | (pre & 1)))
         if wr is True:
             meta[slot] = new_meta[rep_sel]
         else:
@@ -659,6 +769,9 @@ class SlicedLLC:
                 break
             head = rank == r
             sel = rest[head]
+            # Issue order within the round, which the journal expects
+            # (the round's sets are distinct, so the order is free).
+            sel.sort()
             if sel.shape[0] < _ROUND_MIN:
                 # A tiny round means a few sets carry long chains: the
                 # whole remainder drains faster access-at-a-time than
@@ -680,7 +793,10 @@ class SlicedLLC:
         everywhere under one way mask, and this path proves the rest of
         its precondition: no tag of the batch is resident, and no tag
         repeats within ``w`` accesses of its set.  Where any of that
-        fails it returns ``None``, having changed nothing.
+        fails it returns ``None``, having changed nothing.  It also
+        declines under a snapshot: it may fill one cell several times,
+        which one journal entry per cell cannot cut between (only
+        prefill issues such batches, outside any snapshot).
 
         Then every access misses and fills, and LRU cycles a set's
         fills through its ``w`` allowed ways in one fixed order: empty
@@ -693,7 +809,8 @@ class SlicedLLC:
         """
         n = index.shape[0]
         mask = _scalar_or_array(mask, n, np.int64)
-        if (_scalar_or_array(allocate, n, bool) is not True
+        if (self._journal is not None
+                or _scalar_or_array(allocate, n, bool) is not True
                 or isinstance(mask, np.ndarray)):
             return None
         amask = mask & self.geometry.full_mask
@@ -767,10 +884,6 @@ class SlicedLLC:
         pre_tag = self._tags_flat[cells]
         pre_meta = self._meta_flat[cells]
         pre_owner = self._owner_flat[cells]
-        if self._journal is not None:
-            # The used cells are exactly the cells the batch writes.
-            self._journal.append((_J_FILL, cells, pre_tag, pre_meta,
-                                  pre_owner))
         out = _empty_batch(n, index)
         out.fill[:] = True
         pre_valid = pre_tag != EMPTY
@@ -828,9 +941,10 @@ class SlicedLLC:
                 way = -1
             if way >= 0:
                 word = int(meta_m[row, way])
+                new = int(new_meta[i]) | (word & 1)
                 if journal is not None:
-                    journal.append((_J_TOUCH, row * ways + way, word))
-                meta_m[row, way] = new_meta[i] | (word & 1)
+                    journal.append((_J_META, row * ways + way, word, new))
+                meta_m[row, way] = new
                 out.hit[i] = True
                 continue
             if not _pick(allocate, i):
@@ -873,12 +987,14 @@ class SlicedLLC:
             else:
                 self._valid += 1
             occ[new_owner] = occ.get(new_owner, 0) + 1
+            new = int(new_meta[i])
             if journal is not None:
                 journal.append((_J_FILL, row * ways + victim,
                                 row_tags[victim], word,
-                                int(owner_m[row, victim])))
+                                int(owner_m[row, victim]), new,
+                                self._rand_state))
             tags_m[row, victim] = tg
-            meta_m[row, victim] = new_meta[i]
+            meta_m[row, victim] = new
             owner_m[row, victim] = new_owner
 
     def _apply_round(self, sel, rows, tag, new_meta, alloc_mask, raw_mask,
@@ -925,9 +1041,9 @@ class SlicedLLC:
             meta = self._meta_flat
             if write is not True or journal is not None:
                 pre = meta[slot]
-                if journal is not None:
-                    journal.append((_J_TOUCH, slot, pre))
                 hit_meta = hit_meta | (pre & 1)
+                if journal is not None:
+                    journal.append((_J_META, slot, pre, hit_meta))
             meta[slot] = hit_meta
             if nhit == m:
                 return slot
@@ -1034,16 +1150,17 @@ class SlicedLLC:
         dirty_pre = victim_meta & 1
         victim_owner = self._owner_flat[fslot]
         new_owner = _pick(owner, miss_sel)
+        fill_meta = new_meta[miss_sel]
         if journal is not None or not full:
             victim_tags = tags_flat[fslot]
         if journal is not None:
             # Flat-slot gathers of the pre-write state (written below).
             journal.append((_J_FILL, fslot, victim_tags, victim_meta,
-                            victim_owner))
+                            victim_owner, fill_meta, self._rand_state))
         if not full:
             evicted = victim_tags != EMPTY
         tags_flat[fslot] = tag[miss_sel]
-        meta_flat[fslot] = new_meta[miss_sel]
+        meta_flat[fslot] = fill_meta
         self._owner_flat[fslot] = new_owner
         out.fill[miss_sel] = True
         self.stat_fills += k
@@ -1081,7 +1198,7 @@ class SlicedLLC:
         if not isinstance(filled_owners, np.ndarray):
             f0 = int(filled_owners)
             occ[f0] = occ.get(f0, 0) + n_filled
-        else:
+        elif n_filled:
             f0 = int(filled_owners[0])
             if bool((filled_owners == f0).all()):
                 occ[f0] = occ.get(f0, 0) + n_filled
@@ -1114,6 +1231,7 @@ class SlicedLLC:
         allowed = _ways_of_mask(mask & self.geometry.full_mask)
         if not allowed:
             raise ValueError("way mask selects no ways within geometry")
+        lcg = self._rand_state
         scalar = self.backend == "scalar"
         if scalar:
             tags = self._tags[index]
@@ -1152,12 +1270,13 @@ class SlicedLLC:
             writeback = evicted and bool(word & 1)
             pre_owner = int(self._owner[index, victim])
             victim_owner = pre_owner if evicted else None
+            new = (self._clock << 1) | bool(write)
             journal = self._journal
             if journal is not None:
                 journal.append((_J_FILL, index * self._nways + victim,
-                                tags[victim], word, pre_owner))
+                                tags[victim], word, pre_owner, new, lcg))
             self._tags[index, victim] = tag
-            self._meta[index, victim] = (self._clock << 1) | bool(write)
+            self._meta[index, victim] = new
             self._owner[index, victim] = owner
         # Occupancy bookkeeping.
         if evicted:

@@ -194,5 +194,30 @@ class DescRing:
         self._count -= k
         self.dequeued += k
 
+    def state(self) -> tuple:
+        """The cursors and counters :meth:`cut` returns to."""
+        return (self._head, self._rd, self._count, self.enqueued,
+                self.dequeued, self.dropped)
+
+    def cut(self, state: tuple, consumed: int = 0, posted: int = 0) -> None:
+        """Return to ``state`` (from :meth:`state`), then dequeue
+        ``consumed`` packets and offer ``posted`` more, as if only the
+        admitted prefix of a run-ahead chunk had run since.
+
+        Like a chunk, the prefix consumes before it posts, and the posts
+        it accepts are a prefix of the chunk's own, whose slot payloads
+        are already in place; slots past the kept count are rewritten
+        before they ever become readable.
+        """
+        head, rd, count, enqueued, dequeued, dropped = state
+        count -= consumed
+        accepted = min(posted, self.entries - count)
+        self._head = head + accepted
+        self._rd = rd + consumed
+        self._count = count + accepted
+        self.enqueued = enqueued + accepted
+        self.dequeued = dequeued + consumed
+        self.dropped = dropped + posted - accepted
+
     def reset_counters(self) -> None:
         self.enqueued = self.dequeued = self.dropped = 0

@@ -437,10 +437,10 @@ class Simulation:
                         "Chunks executed under a speculative snapshot"
                         ).inc(delta["spec_chunks"])
             reg.counter("repro_spec_rollbacks_total",
-                        "Speculative chunks rolled back on budget "
-                        "overshoot").inc(delta["rollbacks"])
+                        "Speculative chunks cut to their admitted prefix "
+                        "on budget overshoot").inc(delta["rollbacks"])
             reg.counter("repro_spec_wasted_packets_total",
-                        "Packets executed and then rolled back"
+                        "Packets executed and then cut off"
                         ).inc(delta["wasted_packets"])
             spec = delta["spec_chunks"]
             reg.gauge("repro_spec_rollback_rate",

@@ -59,30 +59,52 @@ class FlowTables:
         self._mega_base = region_base + emc_entries * EMC_ENTRY_BYTES
         self.emc_hits = 0
         self.emc_misses = 0
-        # COW journal for speculative execution (see SlicedLLC.snapshot):
-        # pre-images of overwritten EMC tags, replayed newest-first.
+        # Journal for speculative execution (see SlicedLLC.snapshot):
+        # per lookup call, the pre-images of the EMC slots it wrote and
+        # the flows it looked up with their hit flags.
         self._journal: "list[tuple] | None" = None
         self._snap: "tuple[int, int] | None" = None
 
     # -- speculation support ---------------------------------------------
     def snapshot(self) -> None:
-        """Start journaling EMC mutations for a possible rollback."""
+        """Start journaling EMC lookups for a possible cut."""
         if self._journal is not None:
             raise RuntimeError("a FlowTables snapshot is already active")
         self._journal = []
         self._snap = (self.emc_hits, self.emc_misses)
 
-    def rollback(self) -> None:
-        """Undo every EMC mutation since :meth:`snapshot`."""
+    def cut(self, n: int) -> None:
+        """Keep the first ``n`` lookups since :meth:`snapshot`, undo the
+        rest, and close the snapshot.
+
+        Every lookup leaves its slot holding its flow, and a prefix's
+        hits are the first ``n`` hit flags, so restoring the pre-images
+        and writing each slot's last kept flow is exact.
+        """
         journal = self._journal
         if journal is None:
-            raise RuntimeError("rollback() without an active snapshot")
+            raise RuntimeError("cut() without an active snapshot")
         tags = self._emc_tags
-        for slots, pre in reversed(journal):
+        for slots, pre, _, _ in reversed(journal):
             tags[slots] = pre
         self.emc_hits, self.emc_misses = self._snap
+        if n:
+            flows = np.concatenate([entry[2] for entry in journal])[:n]
+            hits = int(np.count_nonzero(
+                np.concatenate([entry[3] for entry in journal])[:n]))
+            self.emc_hits += hits
+            self.emc_misses += n - hits
+            # np.unique's first occurrence in reverse is the last one.
+            flows = flows[::-1]
+            slots, last = np.unique(flows % self.emc_entries,
+                                    return_index=True)
+            tags[slots] = flows[last]
         self._journal = None
         self._snap = None
+
+    def rollback(self) -> None:
+        """Undo every EMC lookup since :meth:`snapshot`."""
+        self.cut(0)
 
     def commit(self) -> None:
         """Drop the journal, keeping the speculative mutations."""
@@ -110,13 +132,14 @@ class FlowTables:
         :data:`MEGAFLOW_CYCLES`), which callers add last."""
         slot = flow_id % self.emc_entries
         cycles += port.access(self._emc_base + slot * EMC_ENTRY_BYTES)
-        if self._emc_tags[slot] == flow_id:
+        tag = int(self._emc_tags[slot])
+        if self._journal is not None:
+            self._journal.append((slot, tag, (flow_id,), (tag == flow_id,)))
+        if tag == flow_id:
             self.emc_hits += 1
             return True, cycles
         # EMC miss: wildcard lookup, then install into the EMC slot.
         self.emc_misses += 1
-        if self._journal is not None:
-            self._journal.append((slot, int(self._emc_tags[slot])))
         self._emc_tags[slot] = flow_id
         entry = self._mega_base + (flow_id % self.megaflow_capacity) \
             * MEGAFLOW_ENTRY_BYTES
@@ -153,7 +176,8 @@ class FlowTables:
             hit[0] = int(tags[s0]) == f0
             touched = np.asarray([s0], dtype=np.int64)
             if self._journal is not None:
-                self._journal.append((touched, tags[touched]))
+                self._journal.append((touched, tags[touched], flow_ids,
+                                      hit))
             tags[s0] = f0
             nhits = int(np.count_nonzero(hit))
             self.emc_hits += nhits
@@ -192,7 +216,7 @@ class FlowTables:
         touched = so[last]
         if self._journal is not None:
             # Fancy-index read is a copy, so this is a true pre-image.
-            self._journal.append((touched, tags[touched]))
+            self._journal.append((touched, tags[touched], flow_ids, hit))
         tags[touched] = fo[last]
         nhits = int(np.count_nonzero(hit))
         self.emc_hits += nhits

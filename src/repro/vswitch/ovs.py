@@ -54,11 +54,17 @@ class OvsDataplane(RingConsumer):
         for index, dests in self.routes.items():
             if not dests:
                 raise ValueError(f"route {index} has no destinations")
+            if any(dest is ring for dest in dests for ring in rings):
+                raise ValueError(f"route {index} leads back into a ring "
+                                 f"the switch polls")
         self._emc_entries = emc_entries
         self.tables: "FlowTables | None" = None
         self.forwarded = 0
         self.output_drops = 0
         self._consumed_from = 0  # ring index of the packet in flight
+        # Destination ring id of each packet of the vector chunk in
+        # flight (None when every route shares one ring): a cut reads it.
+        self._dest = None
         # Destination rings deduplicated (routes may share a ring), with
         # per-source-ring id vectors for array routing.
         self._dest_rings: "list[DescRing]" = []
@@ -121,10 +127,11 @@ class OvsDataplane(RingConsumer):
         if ndest == 1:
             # Every route lands on the same ring: forward the whole
             # chunk in order without building a destination vector.
+            self._dest = None
             self._forward(plan, self._dest_rings[0], pkts, sizes, flows,
                           arrivals, nlines)
             return OVS_INSTRUCTIONS, fixed
-        dest = np.empty(k, dtype=np.int64)
+        dest = self._dest = np.empty(k, dtype=np.int64)
         if rings is None:
             ids = self._route_ids[0]
             dest[:] = ids[0] if ids.shape[0] == 1 \
@@ -196,23 +203,25 @@ class OvsDataplane(RingConsumer):
 
     # -- speculation support ---------------------------------------------
     # Beyond the base checkpoint, a speculative OVS chunk mutates the EMC
-    # (journaled inside FlowTables) and the destination virtio rings:
-    # cursors/counters are saved here, while the slot payloads written by
-    # rolled-back posts sit beyond the restored ``_count`` and are
-    # rewritten before they ever become readable.
+    # (journaled inside FlowTables), the destination virtio rings and the
+    # forwarding counters, which a cut derives from the rings it cuts.
     def _spec_state(self):
         self.tables.snapshot()
-        return (super()._spec_state(), self.forwarded, self.output_drops,
-                tuple((r._head, r._rd, r._count, r.enqueued, r.dequeued,
-                       r.dropped) for r in self._dest_rings))
+        return (super()._spec_state(),
+                [ring.state() for ring in self._dest_rings])
 
-    def _spec_restore(self, state) -> None:
-        self.tables.rollback()
-        base, self.forwarded, self.output_drops, ring_states = state
-        super()._spec_restore(base)
-        for ring, s in zip(self._dest_rings, ring_states):
-            (ring._head, ring._rd, ring._count, ring.enqueued,
-             ring.dequeued, ring.dropped) = s
+    def _spec_cut(self, state, n: int) -> None:
+        polled, marks = state
+        super()._spec_cut(polled, n)
+        self.tables.cut(n)
+        dest = self._dest
+        posted = [n] if dest is None else np.bincount(
+            dest[:n], minlength=len(self._dest_rings)).tolist()
+        for ring, mark, count in zip(self._dest_rings, marks, posted):
+            enqueued, dropped = ring.enqueued, ring.dropped
+            ring.cut(mark, posted=count)
+            self.forwarded += ring.enqueued - enqueued
+            self.output_drops += ring.dropped - dropped
 
     def _spec_commit(self) -> None:
         self.tables.commit()
@@ -223,6 +232,9 @@ class OvsDataplane(RingConsumer):
     def plan_transmit_chunk(self, plan: VectorPlan, pkts, sizes, addrs,
                             nlines) -> None:
         """Forwarding replaces Tx (see :meth:`transmit`)."""
+
+    def tx_bytes_of(self, sizes) -> int:
+        return 0
 
     # -- reporting ---------------------------------------------------------
     def cycles_per_packet(self) -> float:

@@ -33,16 +33,17 @@ L2_HIT_CYCLES = 14.0
 #: Cycles for an access served by the LLC.
 LLC_HIT_CYCLES = 44.0
 
-#: Fraction of the EMA-predicted budget fit admitted per run-ahead
-#: chunk (:meth:`Workload._run_ahead`).  Slightly under 1 so a
-#: well-predicted chunk *commits* and the drain converges on the
-#: boundary with a couple of shrinking chunks; rollback then only pays
-#: for genuine prediction error (cost spikes, e.g. a leaked buffer
-#: turning buffer reads into DRAM misses).  Sweeping 0.7–1.25 on the
-#: Fig. 8 workload: ≥1 rolls back ~10–50% of chunks and re-executes up
-#: to ~60% of packets; 0.95 commits >99% of chunks at the same wall time
-#: with the largest mean chunk of the no-waste settings.
-SPEC_HEADROOM = 0.95
+#: Multiple of the EMA-predicted budget fit admitted per run-ahead
+#: chunk (:meth:`Workload._run_ahead`).  Above 1, so that a
+#: budget-bound sub-step usually takes one execution, which overshoots
+#: the budget and is cut back to its admitted prefix: a cut costs only
+#: its suffix's wasted items and the undo, while a chunk that falls
+#: short of the budget costs a second execution with its whole fixed
+#: cost.  Sweeping 0.95–1.5 on the simbench workloads, throughput
+#: peaks at 1.05–1.2 on all three and falls beyond, where each cut
+#: wastes more; the low end keeps chunks, and the memory their
+#: batches take, smallest (docs/modeling.md §5).
+SPEC_HEADROOM = 1.05
 
 #: Run-ahead chunk size tried before any cost observation exists.
 SPEC_BOOTSTRAP = 32
@@ -63,7 +64,7 @@ class CorePort:
 
     __slots__ = ("core_id", "owner", "_llc", "_cat", "_mem", "_mba",
                  "block", "_mask", "_dram_cycles", "_line", "_lat_buf",
-                 "_lines")
+                 "_last")
 
     def __init__(self, core_id: int, owner: int, llc: SlicedLLC,
                  cat: CatController, mem: MemoryController,
@@ -79,8 +80,11 @@ class CorePort:
         self._mask = cat.mask_of_core(core_id)
         self._dram_cycles = mem.spec.idle_latency_cycles
         self._lat_buf = np.empty(0)
-        # (pkt, device, hit) of the last run_lines batch.
-        self._lines = None
+        # (pkt, device, hit, writeback) of the last batch that may be
+        # cut or split, what move_counts and cut read: every run_lines
+        # batch, and an access_batch one issued under a snapshot (pkt
+        # and device None).  A prefill batch is never kept alive here.
+        self._last = None
 
     def begin_quantum(self) -> None:
         """Refresh cached mask and DRAM latency at a quantum boundary."""
@@ -145,10 +149,14 @@ class CorePort:
         """
         addrs = np.ascontiguousarray(addrs, dtype=np.int64)
         n = addrs.shape[0]
+        llc = self._llc
         if n == 0:
+            self._last = None
             return np.zeros(0)
-        out = self._llc.access_batch(addrs, self._mask, write=write,
-                                     owner=self.owner)
+        out = llc.access_batch(addrs, self._mask, write=write,
+                               owner=self.owner)
+        if llc.journaling:
+            self._last = (None, None, out.hit, out.writeback)
         block = self.block
         block.llc_references += n
         misses = out.misses
@@ -180,6 +188,7 @@ class CorePort:
         """
         flat = plan.materialize()
         if flat is None:
+            self._last = None
             return np.zeros(npackets)
         return self.run_lines(*flat, npackets)
 
@@ -192,7 +201,8 @@ class CorePort:
         slot ``0 .. npackets - 1``, each slot's line latencies summed
         from 0.0 in issue order.  The batch's references and misses go
         to this core; :meth:`move_counts` hands a packet range of them
-        to another core afterwards.
+        to another core afterwards, and :meth:`cut` takes a trailing
+        range back out.
         """
         # The way mask only governs fills and device lines never
         # allocate, so the core mask can be passed as a scalar for the
@@ -211,7 +221,7 @@ class CorePort:
             hit = out.hit
             block.llc_references += int(np.count_nonzero(core))
             block.llc_misses += int(np.count_nonzero(core & ~hit))
-        self._lines = (pkt, device, hit)
+        self._last = (pkt, device, hit, out.writeback)
         miss_total = out.misses
         if miss_total:
             self._mem.add_read(self._line * miss_total)
@@ -241,7 +251,7 @@ class CorePort:
         hi - 1`` of the last :meth:`run_lines` batch from this core's
         counters to ``dest``'s.  The batch's packet slots must ascend,
         as materialized plans' do."""
-        pkt, device, hit = self._lines
+        pkt, device, hit, _ = self._last
         a, b = np.searchsorted(pkt, (lo, hi)).tolist()
         if device is None:
             refs = b - a
@@ -257,6 +267,46 @@ class CorePort:
         block = dest.block
         block.llc_references += refs
         block.llc_misses += misses
+
+    def cut(self, slot: int) -> None:
+        """Cut the last batch at packet slot ``slot``: roll the LLC back
+        to the clock before that slot's first line, closing the snapshot
+        :meth:`Workload._run_ahead` armed, and take the undone lines'
+        references, misses and memory bytes back out of this core's
+        counters and the memory controller.  It must follow the batch
+        directly, before :meth:`move_counts`.  In an
+        :meth:`access_batch` batch each address is its own slot."""
+        llc = self._llc
+        last = self._last
+        if last is None:    # nothing was issued
+            llc.rollback(keep=llc.clock)
+            return
+        pkt, device, hit, writeback = last
+        n = hit.shape[0]
+        a = slot if pkt is None else int(np.searchsorted(pkt, slot))
+        llc.rollback(keep=llc.clock - (n - a))
+        hit = hit[a:]
+        # Every missed line was read from DRAM, device lines included;
+        # only core lines count as references.
+        reads = n - a - int(np.count_nonzero(hit))
+        if device is None:
+            refs, misses = n - a, reads
+        else:
+            core = ~device[a:]
+            refs = int(np.count_nonzero(core))
+            misses = refs - int(np.count_nonzero(core & hit))
+        block = self.block
+        block.llc_references -= refs
+        block.llc_misses -= misses
+        line = self._line
+        if reads:
+            self._mem.add_read(-line * reads)
+        writebacks = int(np.count_nonzero(writeback[a:]))
+        if writebacks:
+            self._mem.add_write(-line * writebacks)
+        # As run_lines counts its batch: the rollback call plus the
+        # searchsorted and counting kernels above.
+        ENGINE_STATS.kernel_launches += 6
 
     def charge(self, instructions: float, cycles: float) -> None:
         """Credit retired instructions and consumed cycles to the core."""
@@ -298,9 +348,13 @@ class EngineStats:
     executes is recorded here — ring drains count packets, the
     closed-loop RocksDB and X-Mem drains count ops, and the
     ``*packets`` fields hold both: chunk sizes into a power-of-two
-    histogram, speculative executions and rollbacks, and the
-    approximate NumPy kernel-launch count of those same drains' plan
-    and execute stages.  The engine samples per-quantum deltas into the
+    histogram, speculative executions, and the approximate NumPy
+    kernel-launch count of those same drains' plan, execute and cut
+    stages.  Each chunk executes once: an overshooting chunk is cut to
+    its admitted prefix, which counts one rollback and wastes the
+    ``k - n`` items of its suffix, so ``exec_packets == packets +
+    wasted_packets``.  A high rollback rate means many cheap cuts, not
+    replays.  The engine samples per-quantum deltas into the
     tracer and the metrics registry, ``repro trace`` prints the totals
     at exit, and the perf benchmarks read the means directly.  Like
     ``repro.obs.metrics.REGISTRY`` this is process-global state shared
@@ -319,12 +373,12 @@ class EngineStats:
         self.reset()
 
     def reset(self) -> None:
-        self.chunks = 0           # chunk executions (replays included)
+        self.chunks = 0           # chunk executions
         self.packets = 0          # items admitted and committed
-        self.exec_packets = 0     # items executed (rolled back included)
+        self.exec_packets = 0     # items executed (cut suffixes included)
         self.spec_chunks = 0      # chunks executed under a snapshot
-        self.rollbacks = 0        # mispredicted admissions rolled back
-        self.wasted_packets = 0   # items executed and then rolled back
+        self.rollbacks = 0        # overshooting chunks cut to a prefix
+        self.wasted_packets = 0   # items executed and then cut off
         self.kernel_launches = 0  # NumPy launches in the drain pipeline
         self.size_buckets = [0] * len(self.SIZE_BUCKETS)
 
@@ -853,18 +907,20 @@ class Workload(ABC):
     # spent before it cannot know chunk membership until the chunk has
     # run.  ``_run_ahead`` executes a predicted chunk under a checkpoint,
     # lets the caller's admission test pick the prefix the scalar loop
-    # would have run, and either commits or rolls back and replays that
-    # prefix.  Replays are bit-identical to the first execution's prefix
-    # (batched access is sequential-order exact), so speculation only
-    # changes how many items execute per NumPy batch.
+    # would have run, and either commits or cuts the chunk back to that
+    # prefix.  A cut keeps the prefix as executed, which is bit-identical
+    # to executing the prefix alone (batched access is sequential-order
+    # exact), so speculation only changes how many items execute per
+    # NumPy batch.
 
     def _spec_state(self):
         """Workload state a chunk's ``execute`` mutates beyond the LLC,
         the port's counters and the memory controller (default: none)."""
         return None
 
-    def _spec_restore(self, state) -> None:
-        """Undo the extra state back to :meth:`_spec_state`'s snapshot."""
+    def _spec_cut(self, state, n: int) -> None:
+        """Cut the extra state to the chunk's first ``n`` items, from
+        :meth:`_spec_state`'s snapshot taken before the chunk."""
 
     def _spec_commit(self) -> None:
         """Discard any extra journal after a committed speculation."""
@@ -919,49 +975,45 @@ class Workload(ABC):
                 return ends
             used = 0.0
 
-    def _run_ahead(self, port: CorePort, k: int, execute, admit):
+    def _run_ahead(self, port: CorePort, k: int, execute, admit,
+                   slot=None):
         """Execute ``k`` items and keep the prefix the scalar loop admits.
 
-        ``execute(n)`` runs the caller's first ``n`` items and returns
-        their result; it may mutate only the LLC, ``port``'s reference
-        and miss counters, the memory controller's byte counters, and
-        what :meth:`_spec_state` snapshots.  ``admit(result)`` returns
-        how many leading items (at least one) the scalar loop would have
-        run.  A one-item chunk is always admitted, so it runs
-        unjournaled.  Returns ``(n, result)`` for the committed prefix,
-        and records every executed chunk, rollback and wasted item in
+        ``execute(k)`` runs the caller's next ``k`` items as one LLC
+        batch on ``port`` and returns their result; it may mutate only
+        the LLC, ``port``'s reference and miss counters, the memory
+        controller's byte counters, and what :meth:`_spec_state`
+        snapshots.  ``admit(result)`` returns how many leading items
+        ``n`` (at least one) the scalar loop would have run.  When ``n <
+        k`` the chunk is cut: :meth:`CorePort.cut` undoes the batch from
+        packet slot ``slot(n)`` on (default ``n``), and
+        :meth:`_spec_cut` cuts the workload state.  A one-item chunk is
+        always admitted, so it runs unjournaled.  Returns ``(n,
+        result)``; the first ``n`` items of ``result`` are the admitted
+        prefix's, exactly what executing ``n`` items alone returns.
+        Records every executed chunk, cut and wasted item in
         :data:`ENGINE_STATS`.
         """
         estats = ENGINE_STATS
+        estats.record_chunk(k)
         if k > 1:
             llc = port._llc
-            block = port.block
-            mem = port._mem
             llc.snapshot()
-            counters = (block.llc_references, block.llc_misses,
-                        mem.read_bytes, mem.write_bytes,
-                        mem._window_read, mem._window_write)
             state = self._spec_state()
             estats.spec_chunks += 1
             result = execute(k)
             n = admit(result)
             if n < k:
-                llc.rollback()
-                (block.llc_references, block.llc_misses,
-                 mem.read_bytes, mem.write_bytes,
-                 mem._window_read, mem._window_write) = counters
-                self._spec_restore(state)
-                estats.record_chunk(k)
+                port.cut(n if slot is None else slot(n))
+                self._spec_cut(state, n)
                 estats.rollbacks += 1
-                estats.wasted_packets += k
+                estats.wasted_packets += k - n
                 k = n
-                result = execute(n)
             else:
                 llc.commit()
                 self._spec_commit()
         else:
             result = execute(k)
-        estats.record_chunk(k)
         estats.packets += k
         return k, result
 

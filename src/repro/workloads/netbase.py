@@ -77,8 +77,11 @@ class RingConsumer(Workload):
         self._stall_index = 0
         #: 1-in-N latency sampling to bound memory.
         self.latency_sample_stride = 7
-        # Vector-drain scratch: one plan reused chunk after chunk.
+        # Vector-drain scratch: one plan reused chunk after chunk, and
+        # the source ring of each packet of the chunk in flight (None
+        # with one ring), which a cut reads.
         self._vplan = VectorPlan()
+        self._chunk_rings = None
 
     def begin_quantum(self, now: float) -> None:
         super().begin_quantum(now)
@@ -144,13 +147,17 @@ class RingConsumer(Workload):
     def plan_transmit_chunk(self, plan: VectorPlan, pkts: "np.ndarray",
                             sizes: "np.ndarray", addrs: "np.ndarray",
                             nlines) -> None:
-        """Vectorized twin of :meth:`transmit` for a whole chunk (device
-        reads charge no core cycles, so only the plan entries are
-        needed; ``nlines`` is per-packet buffer line counts, scalar or
-        array)."""
+        """Vectorized twin of :meth:`transmit`'s accesses for a whole
+        chunk (device reads charge no core cycles, so only the plan
+        entries are needed; ``nlines`` is per-packet buffer line counts,
+        scalar or array).  The drain counts the admitted packets' bytes
+        through :meth:`tx_bytes_of` afterwards."""
         plan.add_batch(addrs, nlines, pkts=pkts, rank=self.TX_RANK,
                        device=True)
-        self.tx_bytes += int(sizes.sum())
+
+    def tx_bytes_of(self, sizes: "np.ndarray") -> int:
+        """Bytes :meth:`transmit` sends for packets of ``sizes``."""
+        return int(sizes.sum())
 
     # -- poll loop ---------------------------------------------------------
     def _next_packet(self) -> "PacketRecord | None":
@@ -227,24 +234,21 @@ class RingConsumer(Workload):
         port.charge(instructions, used)
 
     # -- speculation support ---------------------------------------------
-    # A speculative chunk consumes ring slots and bumps the forwarding
-    # counters; the LLC, core counters and memory traffic are covered by
-    # :meth:`Workload._run_ahead` itself.  Subclasses whose ``plan_chunk``
-    # mutates more extend these hooks; see OvsDataplane for the
-    # EMC/destination-ring example.  Ring *slot* writes need no undo —
-    # slots past the restored count are rewritten before they ever
-    # become readable.
+    # A speculative chunk consumes ring slots; the LLC, core counters and
+    # memory traffic are covered by :meth:`Workload._run_ahead` itself,
+    # and the drain's own counters and ring cursor move only for
+    # admitted packets.  Subclasses whose ``plan_chunk`` mutates more
+    # extend these hooks; see OvsDataplane for the EMC/destination-ring
+    # example.
     def _spec_state(self):
-        return (tuple((r._head, r._rd, r._count, r.enqueued, r.dequeued,
-                       r.dropped) for r in self.rings),
-                self._ring_cursor, self.packets_processed, self.tx_bytes)
+        return [ring.state() for ring in self.rings]
 
-    def _spec_restore(self, state) -> None:
-        ring_states, self._ring_cursor, self.packets_processed, \
-            self.tx_bytes = state
-        for ring, s in zip(self.rings, ring_states):
-            (ring._head, ring._rd, ring._count, ring.enqueued,
-             ring.dequeued, ring.dropped) = s
+    def _spec_cut(self, state, n: int) -> None:
+        rings = self._chunk_rings
+        consumed = [n] if rings is None else np.bincount(
+            rings[:n], minlength=len(self.rings)).tolist()
+        for ring, mark, count in zip(self.rings, state, consumed):
+            ring.cut(mark, consumed=count)
 
     def _exec_chunk(self, port: CorePort, start: int, k: int, sizes,
                     flows, addrs, arrivals, ring_idx, nlines,
@@ -252,8 +256,9 @@ class RingConsumer(Workload):
         """Consume, plan, and execute packets ``[start, start + k)`` of
         the backlog snapshot on ``port``; returns ``(instructions per
         packet, service)`` with ``service`` the per-packet charged
-        cycles.  Caller accounting (``used``, stats, sampling) stays
-        outside so speculative executions can be discarded wholesale.
+        cycles.  Caller accounting (``used``, stats, sampling, the
+        drain's counters) stays outside, so a cut only has to undo what
+        this executed.
         """
         rings = self.rings
         nrings = len(rings)
@@ -270,7 +275,7 @@ class RingConsumer(Workload):
                                                 minlength=nrings)):
                 if cnt:
                     rings[r].consume_batch(int(cnt))
-            self._ring_cursor = (int(chunk_rings[-1]) + 1) % nrings
+        self._chunk_rings = chunk_rings
         pkts = _PKT_ARANGE[:k]
         nl = nlines[sl]
         first = int(nl[0])
@@ -287,7 +292,6 @@ class RingConsumer(Workload):
         self.plan_transmit_chunk(plan, pkts, chunk_sizes, chunk_addrs,
                                  counts)
         service = port.run_plan(plan, k) + fixed
-        self.packets_processed += k
         return instr, service
 
     def _run_stream(self, ports: "list[CorePort]", budget_cycles: float,
@@ -312,7 +316,7 @@ class RingConsumer(Workload):
         budgets executes on the current core's port, then the *actual*
         accumulated cost decides which core each packet lands on
         (:meth:`Workload._admit_cores`); a chunk that overruns the last
-        core rolls back and replays the admitted prefix.  Interchangeable
+        core is cut to the admitted prefix.  Interchangeable
         cores see the same mask, owner and DRAM latency, so a packet
         costs the same whichever core runs it; each core is then charged
         exactly its own packets' cycles, instructions, LLC references
@@ -384,8 +388,15 @@ class RingConsumer(Workload):
                     budget_cycles - used + (last - core) * budget_cycles),
                     CHUNK_PACKETS, backlog - start),
                 execute, admit)
+            service = service[:k]
+            self.packets_processed += k
+            self.tx_bytes += self.tx_bytes_of(sizes[start:start + k])
+            if ring_idx is not None:
+                self._ring_cursor = (int(ring_idx[start + k - 1]) + 1) \
+                    % nrings
             # Charge each core the chunk reached its own packets; the
-            # executing port moves the later cores' LLC counts over.
+            # executing port moves the later cores' LLC counts over
+            # (after any cut, which only undoes the executing port's).
             lo = 0
             ran = port
             for hi in ends or (k,):

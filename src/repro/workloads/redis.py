@@ -129,7 +129,9 @@ class RedisServer(RingConsumer):
                             nlines) -> None:
         plan.add_batch(addrs, 1, pkts=pkts, rank=self.TX_RANK,
                        device=True)
-        self.tx_bytes += self.value_bytes * pkts.shape[0]
+
+    def tx_bytes_of(self, sizes) -> int:
+        return self.value_bytes * sizes.shape[0]
 
     # -- reporting ---------------------------------------------------------
     def throughput_ops(self, elapsed_seconds: float,

@@ -202,7 +202,8 @@ class RocksDb(Workload):
         (:meth:`Workload._run_ahead`) admitted by the scalar loop's own
         test — op ``i`` runs iff the cycles used before it are under
         budget — so a chunk is one contiguous slice of the draw's
-        lines."""
+        lines, and a cut chunk keeps a shorter one.  The lines' packet
+        slots are op indices within the draw."""
         used = 0.0
         ops = 0
         op_types = self._stream.ops
@@ -221,6 +222,9 @@ class RocksDb(Workload):
         def admit(service) -> int:
             return self._admit_budget(service, used, budget_cycles)
 
+        def slot(n: int) -> int:
+            return start + n
+
         while used < budget_cycles:
             op_idx, keys, walks = self._draw()
             (addrs, write, mlp_inv, _, pkt), bounds = self._plan_draw(
@@ -229,7 +233,8 @@ class RocksDb(Workload):
             while start < _BATCH and used < budget_cycles:
                 k, service = self._run_ahead(
                     port, min(self._spec_size(budget_cycles - used),
-                              _BATCH - start), execute, admit)
+                              _BATCH - start), execute, admit, slot)
+                service = service[:k]
                 used = seq_accumulate(used, service)
                 ops += k
                 chunk_ops = op_idx[start:start + k]

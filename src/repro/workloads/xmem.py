@@ -123,8 +123,9 @@ class XMem(Workload):
         scalar loop sums per slice (pairwise), so its slice boundaries
         are part of the model's float results and cannot be dropped in
         favour of one running sum.  When the budget ends inside the
-        draw, the chunk rolls back and reissues only the admitted ops'
-        LLC accesses.
+        draw, the chunk is cut after the admitted ops' LLC accesses;
+        their latencies are the ones admission read, so its result
+        stands.
         """
         used = 0.0
         ops = 0
@@ -135,17 +136,13 @@ class XMem(Workload):
         after = None
 
         def execute(n: int) -> "np.ndarray":
-            # One LLC batch plus its latency select.
+            # The whole draw: one LLC batch plus its latency select.
             ENGINE_STATS.kernel_launches += 2
-            if n < _BATCH:
-                return port.access_batch(
-                    llc_addrs[:int(np.searchsorted(to_llc, n))])
             return port.access_batch(llc_addrs)
 
         def admit(llc_latencies) -> int:
             # The scalar recurrence over this draw; its end state is kept
-            # for the caller (a replayed prefix has the same latencies,
-            # so it stays valid after a rollback).
+            # for the caller.
             nonlocal after
             latencies = np.full(_BATCH, L2_HIT_CYCLES)
             latencies[to_llc] = llc_latencies
@@ -170,11 +167,15 @@ class XMem(Workload):
             ENGINE_STATS.kernel_launches += 2 + slices
             return start
 
+        def slot(n: int) -> int:
+            # Each LLC-bound op is one address of the batch.
+            return int(np.searchsorted(to_llc, n))
+
         while used < budget_cycles:
             addrs, l2_hits = self._draw(p_l2)
             to_llc = np.flatnonzero(~l2_hits)
             llc_addrs = addrs[to_llc]
-            n, _ = self._run_ahead(port, _BATCH, execute, admit)
+            n, _ = self._run_ahead(port, _BATCH, execute, admit, slot)
             used, latency_sum = after
             ops += n
         stats.ops += ops

@@ -15,8 +15,10 @@ def geometry() -> CacheGeometry:
 
 
 @pytest.fixture
-def llc(geometry) -> SlicedLLC:
-    return SlicedLLC(geometry)
+def llc(geometry, request) -> SlicedLLC:
+    """A cache on the test class's ``backend`` (default: scalar)."""
+    return SlicedLLC(geometry,
+                     backend=getattr(request.cls, "backend", "scalar"))
 
 
 @pytest.fixture

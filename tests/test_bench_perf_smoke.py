@@ -66,6 +66,20 @@ class TestBenchSchema:
         with pytest.raises(AssertionError):
             runner.validate(broken)
 
+    def test_rollback_entry(self, bench_doc):
+        """The journal bench restores a whole rollback and leaves a cut
+        cache equal to its prefix-only twin; a cut that does not is
+        rejected."""
+        rollback = bench_doc["rollback"]
+        assert rollback["restored_ok"] is True
+        assert rollback["cut_ok"] is True
+        assert rollback["cut_s"] > 0
+        runner = _load("run")
+        broken = json.loads(json.dumps(bench_doc))
+        broken["rollback"]["cut_ok"] = False
+        with pytest.raises(AssertionError):
+            runner.validate(broken)
+
     def test_obs_entry(self, bench_doc):
         obs = bench_doc["obs"]
         assert obs["scenario"] == "fig08_leaky_dma"

@@ -196,7 +196,7 @@ def _l3fwd2(seed: int):
 
 def _record_spans(monkeypatch) -> "tuple[list, list]":
     """Record each ring drain's streams (type, cores) and each admitted
-    chunk's split (type, cores reached, rolled back)."""
+    chunk's split (type, cores reached, cut)."""
     streams: "list[tuple[type, int]]" = []
     splits: "list[tuple[type, int, bool]]" = []
     run_stream = RingConsumer._run_stream
@@ -254,7 +254,7 @@ class TestStreamBoundaries:
     @pytest.mark.parametrize("seed", [8, 21])
     def test_rollback_across_core_boundary(self, monkeypatch, seed):
         """Headroom 2.5 makes OVS's chunks overrun its second core, so
-        they roll back and replay a prefix that spans both cores."""
+        they are cut to a prefix that spans both cores."""
         monkeypatch.setattr(base, "SPEC_HEADROOM", 2.5)
         _, splits = _record_spans(monkeypatch)
         build = functools.partial(_leaky, n_flows=16)

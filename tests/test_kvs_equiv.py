@@ -74,18 +74,18 @@ class TestKvsVectorEqualsScalar:
 
     def test_forced_rollbacks_match_scalar(self, monkeypatch):
         """Crank the run-ahead headroom so chunks overshoot their budget:
-        RocksDB and X-Mem must both roll back and replay, and still
-        match the scalar loop."""
+        RocksDB and X-Mem must both cut chunks back to their admitted
+        prefix, and still match the scalar loop."""
         monkeypatch.setattr(base, "SPEC_HEADROOM", 2.5)
         rollbacks: "collections.Counter[type]" = collections.Counter()
-        restore = Workload._spec_restore
+        cut = Workload._spec_cut
 
-        def counting(self, state):
+        def counting(self, state, n):
             rollbacks[type(self)] += 1
-            return restore(self, state)
+            return cut(self, state, n)
 
         # Ring drains override the hook; RocksDB and X-Mem inherit it.
-        monkeypatch.setattr(Workload, "_spec_restore", counting)
+        monkeypatch.setattr(Workload, "_spec_cut", counting)
         ENGINE_STATS.reset()
         vec = _run("vector", "A", 3)
         assert rollbacks[RocksDb] > 0

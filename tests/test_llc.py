@@ -23,6 +23,8 @@ def addrs_in_same_set(geometry, count):
 
 
 class TestBasicAccess:
+    backend = "scalar"
+
     def test_miss_then_hit(self, llc):
         full = llc.geometry.full_mask
         first = llc.access(0x1000, full)
@@ -67,8 +69,10 @@ class TestBasicAccess:
 
 
 class TestLRUWithinMask:
+    backend = "scalar"
+
     def test_lru_victim_is_least_recent(self):
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         full = ONE_SET.full_mask
         lines = addrs_in_same_set(ONE_SET, 5)
         for addr in lines[:4]:
@@ -80,7 +84,7 @@ class TestLRUWithinMask:
         assert not llc.contains(lines[1])
 
     def test_fill_prefers_invalid_way(self):
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 3)
         llc.access(lines[0], 0b0011)
         out = llc.access(lines[1], 0b0011)
@@ -88,7 +92,7 @@ class TestLRUWithinMask:
 
     def test_eviction_within_mask_only(self):
         """CAT: a masked agent may only displace lines in its own ways."""
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 6)
         llc.access(lines[0], 0b1100)  # victim lives in ways 2-3
         llc.access(lines[1], 0b1100)
@@ -100,21 +104,23 @@ class TestLRUWithinMask:
 
     def test_hit_allowed_in_foreign_way(self):
         """Footnote 1: a core hits lines in ways outside its mask."""
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 2)
         llc.access(lines[0], 0b1000)          # allocated in way 3
         out = llc.access(lines[0], 0b0001)    # masked to way 0 only
         assert out.hit
 
     def test_mask_outside_geometry_rejected(self):
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         with pytest.raises(ValueError):
             llc.access(0, 0b10000)  # way 4 of a 4-way cache
 
 
 class TestDirtyAndWriteback:
+    backend = "scalar"
+
     def test_clean_eviction_no_writeback(self):
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 5)
         for addr in lines[:4]:
             llc.access(addr, ONE_SET.full_mask)           # clean reads
@@ -122,7 +128,7 @@ class TestDirtyAndWriteback:
         assert out.evicted and not out.writeback
 
     def test_dirty_eviction_writes_back(self):
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 5)
         llc.access(lines[0], ONE_SET.full_mask, write=True)
         for addr in lines[1:4]:
@@ -131,7 +137,7 @@ class TestDirtyAndWriteback:
         assert out.evicted and out.writeback
 
     def test_write_hit_marks_dirty(self):
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 5)
         llc.access(lines[0], ONE_SET.full_mask)           # clean fill
         llc.access(lines[0], ONE_SET.full_mask, write=True)
@@ -142,6 +148,8 @@ class TestDirtyAndWriteback:
 
 
 class TestDdioSemantics:
+    backend = "scalar"
+
     def test_ddio_write_update_on_hit(self, llc):
         full = llc.geometry.full_mask
         llc.access(0x5000, full, owner=7)
@@ -172,7 +180,7 @@ class TestDdioSemantics:
     def test_write_update_keeps_line_in_place(self):
         """A DDIO hit updates the line where it lives; it does not
         migrate into the DDIO ways."""
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 1)
         llc.access(lines[0], 0b0001, owner=3)  # core fills way 0
         way_before = llc.way_of(lines[0])
@@ -181,6 +189,8 @@ class TestDdioSemantics:
 
 
 class TestOwnerTracking:
+    backend = "scalar"
+
     def test_occupancy_by_owner(self, llc):
         full = llc.geometry.full_mask
         for i in range(5):
@@ -192,7 +202,7 @@ class TestOwnerTracking:
         assert occ[2] == 3
 
     def test_victim_owner_reported(self):
-        llc = SlicedLLC(ONE_SET)
+        llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 5)
         for addr in lines[:4]:
             llc.access(addr, ONE_SET.full_mask, owner=9)
@@ -251,3 +261,26 @@ class TestArrayLayout:
                   if isinstance(a, np.ndarray) and a.shape == shape]
         assert XEON_6140_LLC.lines == 405_504
         assert sum(a.nbytes for a in planes) == 17 * 405_504 == 6_893_568
+
+
+# The semantic classes above again on the array backend, the platform
+# default (the ``llc`` fixture and the classes' own caches read the
+# class's ``backend``).
+class TestBasicAccessArray(TestBasicAccess):
+    backend = "array"
+
+
+class TestLRUWithinMaskArray(TestLRUWithinMask):
+    backend = "array"
+
+
+class TestDirtyAndWritebackArray(TestDirtyAndWriteback):
+    backend = "array"
+
+
+class TestDdioSemanticsArray(TestDdioSemantics):
+    backend = "array"
+
+
+class TestOwnerTrackingArray(TestOwnerTracking):
+    backend = "array"

@@ -222,6 +222,14 @@ class TestOvs:
         with pytest.raises(ValueError):
             OvsDataplane("ovs", [make_ring(platform)], routes={})
 
+    def test_route_into_polled_ring_rejected(self, platform):
+        """A cut chunk undoes a polled ring's consumes and a destination
+        ring's posts separately, so one ring cannot be both."""
+        nic_rings = [make_ring(platform) for _ in range(2)]
+        with pytest.raises(ValueError):
+            OvsDataplane("ovs", nic_rings, routes={0: nic_rings[1],
+                                                   1: make_ring(platform)})
+
     def test_cpp_reported(self, platform):
         ovs, nic_rings, _ = self.build_ovs(platform)
         for _ in range(20):

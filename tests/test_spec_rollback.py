@@ -2,15 +2,19 @@
 
 The run-ahead engine (:meth:`repro.workloads.base.Workload._run_ahead`,
 shared by the ring, RocksDB and X-Mem drains) admits chunks on
-*predicted* cost and undoes any overshoot with the LLC's copy-on-write
-journal plus counter snapshots.
-These tests attack that machinery from three sides:
+*predicted* cost and cuts any overshooting chunk back to its admitted
+prefix with the LLC's copy-on-write journal, the port's last-batch
+record and the workloads' own cut hooks.
+These tests attack that machinery from four sides:
 
 * **journal fuzz** — randomized mixed mutation streams against
   :class:`~repro.cache.llc.SlicedLLC` between ``snapshot()`` and
   ``rollback()``, asserting the full structure-of-arrays state (tags,
   LRU stamps, dirty bits, owners), the occupancy accounting, every
   cumulative stat counter and the replacement RNG come back bit-exact;
+* **cut twins** — ``rollback(keep=c)`` of the LLC, and the cuts of a
+  core port, a descriptor ring and the EMC, must each equal a twin that
+  only ever ran the accesses, packets or lookups up to the cut;
 * **commit twin** — the journal must be *pure overhead*: a committed
   speculative run ends in the same state as an unjournaled twin;
 * **forced mispredictions** — end-to-end runs with
@@ -31,6 +35,7 @@ from repro.cache.llc import DDIO_OWNER, CacheGeometry, SlicedLLC
 from repro.core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
 from repro.experiments.common import leaky_dma_scenario
 from repro.net.traffic import TrafficSpec
+from repro.pci.ring import DescRing
 from repro.sim.config import TINY_PLATFORM
 from repro.sim.engine import Simulation
 from repro.sim.platform import Platform
@@ -100,7 +105,7 @@ def _mutate(llc: SlicedLLC, rng: np.random.Generator) -> None:
     else:
         # One batch that re-reads its own lines as device reads (the Tx
         # shape): the repeats collapse onto their first access's slot
-        # and write no journal entry of their own.
+        # and journal a repeat entry.
         core = np.arange(2 * n) < n
         llc.access_batch(np.concatenate([addrs, addrs]),
                          int(rng.integers(1, full + 1)),
@@ -158,8 +163,8 @@ class TestLLCJournal:
         _assert_state_equal(_llc_state(a), _llc_state(b))
 
     def test_rollback_then_replay_equals_plain_run(self):
-        """The engine's actual pattern: execute, roll back, replay a
-        prefix — the end state must match never having speculated."""
+        """Execute, roll back whole, replay a prefix: the end state
+        must match never having speculated."""
         rng = np.random.default_rng(9)
         addrs = rng.integers(0, GEOMETRY.lines * 2, size=200) * 64
         full = (1 << GEOMETRY.ways) - 1
@@ -203,6 +208,291 @@ class TestLLCJournal:
 
 
 # ---------------------------------------------------------------------------
+# LLC cut: rollback(keep=c) equals a twin that ran only accesses <= c
+# ---------------------------------------------------------------------------
+#: Eight ways, so way masks reach both victim scans: the narrow one over
+#: at most four allowed ways and the wide one over more.
+CUT_GEOMETRY = CacheGeometry(ways=8, sets_per_slice=16, slices=2)
+CUT_MASKS = (0b1, 0b11, 0b111100, 0xFF)
+
+
+def _cut_ops(rng: np.random.Generator, count: int) -> list:
+    """``count`` random ops, each ``(kind, addrs, kwargs)``: a batch
+    (``kwargs`` scalars or per-element arrays) or per-access calls."""
+    ops = []
+    for _ in range(count):
+        kind = int(rng.integers(0, 6))
+        n = int(rng.integers(8, 240))
+        # A pool of three cache sizes over 32 sets: hits, fills and
+        # evictions, and every set touched by several tags per batch,
+        # deep enough for rank rounds and the per-access tail.
+        addrs = rng.integers(0, CUT_GEOMETRY.lines * 3, size=n) * 64
+        mask = int(rng.choice(CUT_MASKS))
+        owner = int(rng.integers(0, 4))
+        write = rng.integers(0, 2, size=n).astype(bool)
+        if kind == 0:
+            ops.append(("batch", addrs,
+                        dict(mask=mask, write=write, owner=owner)))
+        elif kind == 1:
+            # Lines revisited within the batch: collapsed repeats with
+            # a mixed write vector.
+            again = np.concatenate([addrs, addrs[::-1]])
+            ops.append(("batch", again, dict(
+                mask=mask, write=rng.integers(0, 2, size=2 * n)
+                .astype(bool), owner=owner)))
+        elif kind == 2:
+            # Per-element masks and owners.
+            ops.append(("batch", addrs, dict(
+                mask=rng.choice(CUT_MASKS, size=n),
+                write=write, owner=rng.integers(0, 4, size=n))))
+        elif kind == 3:
+            # The Tx shape: the batch re-reads its own lines as device
+            # reads, which never allocate.
+            core = np.arange(2 * n) < n
+            ops.append(("batch", np.concatenate([addrs, addrs]), dict(
+                mask=mask, write=core & np.concatenate([write, write]),
+                owner=owner, allocate=core)))
+        elif kind == 4:
+            ops.append(("batch", addrs,
+                        dict(mask=0, write=False, allocate=False)))
+        else:
+            ops.append(("access", addrs[:12], dict(
+                mask=mask, write=bool(write[0]), owner=owner,
+                allocate=bool(rng.integers(0, 4)))))
+    return ops
+
+
+def _apply_cut_op(llc: SlicedLLC, op, limit: "int | None" = None) -> int:
+    """Issue the op's first ``limit`` accesses (all by default); returns
+    how many it issued."""
+    kind, addrs, kwargs = op
+    n = addrs.shape[0] if limit is None else min(limit, addrs.shape[0])
+    if n <= 0:
+        return 0
+    if kind == "access":
+        for addr in addrs[:n].tolist():
+            llc.access(addr, **kwargs)
+        return n
+    llc.access_batch(addrs[:n], **{
+        key: value[:n] if isinstance(value, np.ndarray) else value
+        for key, value in kwargs.items()})
+    return n
+
+
+def _cut_llc(warm: str, policy: str, seed: int) -> SlicedLLC:
+    llc = SlicedLLC(CUT_GEOMETRY, backend="array", policy=policy,
+                    seed=seed + 1)
+    if warm == "full":
+        # Eight cache sizes of distinct lines, a quarter of them
+        # written: every way valid, a dirty mix of owners.
+        lines = np.arange(CUT_GEOMETRY.lines * 8, dtype=np.int64)
+        llc.access_batch(lines * 64, 0xFF, write=lines % 4 == 0,
+                         owner=lines % 3)
+        assert llc.valid_lines() == CUT_GEOMETRY.lines
+    return llc
+
+
+def _speculate(llc: SlicedLLC, ops: list) -> int:
+    """Arm a snapshot and issue ``ops`` under it; returns the snapshot's
+    clock."""
+    clock0 = llc.clock
+    llc.snapshot()
+    for op in ops:
+        _apply_cut_op(llc, op)
+    return clock0
+
+
+class TestLLCCut:
+    @pytest.mark.parametrize("policy", ["lru", "random"])
+    @pytest.mark.parametrize("warm", ["cold", "full"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cut_equals_prefix_twin(self, seed, warm, policy):
+        rng = np.random.default_rng(seed)
+        ops = _cut_ops(rng, int(rng.integers(2, 6)))
+        spec = _cut_llc(warm, policy, seed)
+        twin = _cut_llc(warm, policy, seed)
+        clock0 = _speculate(spec, ops)
+        keep = int(rng.integers(clock0, spec.clock + 1))
+        spec.rollback(keep=keep)
+        left = keep - clock0
+        for op in ops:
+            left -= _apply_cut_op(twin, op, left)
+        assert spec.occupancy_by_owner() == twin.occupancy_by_owner()
+        assert spec.stats() == twin.stats()
+        _assert_state_equal(_llc_state(spec), _llc_state(twin))
+        # The journal is closed: the cut cache keeps evolving like its
+        # twin.
+        for op in ops[:1]:
+            _apply_cut_op(spec, op)
+            _apply_cut_op(twin, op)
+        _assert_state_equal(_llc_state(spec), _llc_state(twin))
+
+    @pytest.mark.parametrize("keep", [70, 111, 150, 172, 199])
+    def test_cut_inside_collapsed_repeats(self, keep):
+        """Cuts among a batch's collapsed repeats: a line's kept repeats
+        stay applied (last stamp, any write's dirty bit), its undone
+        ones go."""
+        rng = np.random.default_rng(keep)
+        lines = rng.choice(CUT_GEOMETRY.lines * 2, size=60,
+                           replace=False) * 64
+        addrs = np.concatenate([lines, lines[::-1], lines, lines[:20]])
+        op = ("batch", addrs, dict(
+            mask=0xFF, owner=2,
+            write=rng.integers(0, 4, size=addrs.shape[0]) == 0))
+        spec = _cut_llc("full", "lru", 1)
+        twin = _cut_llc("full", "lru", 1)
+        clock0 = _speculate(spec, [op])
+        assert any(entry[0] == 1 for entry in spec._journal)
+        spec.rollback(keep=clock0 + keep)
+        _apply_cut_op(twin, op, keep)
+        _assert_state_equal(_llc_state(spec), _llc_state(twin))
+
+    @pytest.mark.parametrize("policy", ["lru", "random"])
+    def test_keep_at_snapshot_clock_is_rollback(self, policy):
+        ops = _cut_ops(np.random.default_rng(5), 5)
+        cut = _cut_llc("full", policy, 5)
+        whole = _cut_llc("full", policy, 5)
+        before = _llc_state(cut)
+        clock0 = _speculate(cut, ops)
+        cut.rollback(keep=clock0)
+        _speculate(whole, ops)
+        whole.rollback()
+        _assert_state_equal(_llc_state(cut), _llc_state(whole))
+        _assert_state_equal(_llc_state(cut), before)
+
+    def test_fuzz_reaches_every_journal_path(self, monkeypatch):
+        """The cut fuzz's streams journal collapsed repeats, rank rounds,
+        per-access entries and both victim scans."""
+        rounds = []
+        real_round = SlicedLLC._apply_round
+
+        def spy(self, sel, rows, *args):
+            rounds.append((sel is not None, rows.shape[0]))
+            return real_round(self, sel, rows, *args)
+
+        monkeypatch.setattr(SlicedLLC, "_apply_round", spy)
+        kinds = set()
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            llc = _cut_llc("full" if seed % 2 else "cold", "lru", seed)
+            llc.snapshot()
+            for op in _cut_ops(rng, int(rng.integers(2, 6))):
+                del rounds[:]
+                _apply_cut_op(llc, op)
+                if len(rounds) > 1:
+                    kinds.add("rank round")
+            for entry in llc._journal:
+                kinds.add((entry[0], isinstance(entry[1], np.ndarray)))
+            llc.commit()
+        assert "rank round" in kinds
+        assert {(0, True), (1, True), (2, True), (0, False),
+                (2, False)} <= kinds
+
+    def test_cut_guards(self):
+        llc = _cut_llc("cold", "lru", 0)
+        llc.snapshot()
+        llc.access_batch(np.arange(40, dtype=np.int64) * 64, 0xFF)
+        with pytest.raises(ValueError):
+            llc.rollback(keep=llc.clock + 1)
+        llc.commit()
+        # DDIO counters live outside the journal: only a whole rollback
+        # may undo a DDIO write.
+        clock0 = llc.clock
+        llc.snapshot()
+        llc.ddio_write_batch(np.arange(40, 80, dtype=np.int64) * 64, 0b11)
+        with pytest.raises(RuntimeError):
+            llc.rollback(keep=clock0 + 1)
+        llc.rollback()
+        assert llc.stat_ddio_hits + llc.stat_ddio_misses == 0
+
+
+class TestCorePortCut:
+    def test_cut_equals_prefix_twin(self):
+        """A port cut at a packet slot leaves the LLC, the core's
+        references and misses, and the memory controller's byte
+        counters as a twin port that issued only the kept slots."""
+        rng = np.random.default_rng(4)
+        k = 40
+        counts = rng.integers(1, 6, size=k)
+        pkt = np.repeat(np.arange(k, dtype=np.int64), counts)
+        n = pkt.shape[0]
+        addrs = (1 << 24) + rng.integers(0, 4 * ARRAY_TINY.llc.lines,
+                                          size=n) * 64
+        write = rng.integers(0, 2, size=n).astype(bool)
+        device = rng.integers(0, 4, size=n) == 0
+        mlp_inv = np.where(device, 0.0, 0.5)
+        ports = []
+        for _ in range(2):
+            platform = Platform(ARRAY_TINY)
+            port = platform.core_port(0, 1)
+            # A dirty, full cache: the batch's fills write back.
+            warm = np.arange(4 * ARRAY_TINY.llc.lines, dtype=np.int64)
+            port.access_batch(warm * 64, write=True)
+            ports.append((platform, port))
+        (p_spec, spec), (p_twin, twin) = ports
+        cut = 23
+        p_spec.llc.snapshot()
+        spec.run_lines(addrs, write, mlp_inv, device, pkt, k)
+        written = p_spec.mem.write_bytes
+        spec.cut(cut)
+        assert p_spec.mem.write_bytes < written, \
+            "the cut suffix was expected to write back dirty lines"
+        a = int(np.searchsorted(pkt, cut))
+        twin.run_lines(addrs[:a], write[:a], mlp_inv[:a], device[:a],
+                       pkt[:a], cut)
+
+        def counters(platform, port):
+            mem = platform.mem
+            return (port.block.llc_references, port.block.llc_misses,
+                    mem.read_bytes, mem.write_bytes, mem._window_read,
+                    mem._window_write)
+
+        assert counters(p_spec, spec) == counters(p_twin, twin)
+        _assert_state_equal(_llc_state(p_spec.llc), _llc_state(p_twin.llc))
+
+
+# ---------------------------------------------------------------------------
+# Descriptor rings: a cut ring equals one that saw only the prefix
+# ---------------------------------------------------------------------------
+def _ring_fields(ring: DescRing) -> tuple:
+    return (ring._head, ring._rd, ring._count, ring.enqueued,
+            ring.dequeued, ring.dropped,
+            tuple(map(tuple, ring.peek_batch())))
+
+
+class TestRingCut:
+    def _ring(self, queued: int) -> DescRing:
+        ring = DescRing(32, base_addr=1 << 20)
+        ring.post_batch(np.full(queued, 64), np.arange(queued),
+                        np.arange(queued, dtype=float))
+        ring.consume_batch(2)
+        return ring
+
+    @pytest.mark.parametrize("queued", [4, 27])
+    @pytest.mark.parametrize("n", [0, 3, 11, 20])
+    def test_post_cut_equals_prefix(self, queued, n):
+        """Posts past the ring's space drop, as in ``post_batch``."""
+        sizes = np.arange(20) + 64
+        flows = np.arange(20) * 7
+        arrivals = np.arange(20) * 0.5
+        spec, twin = self._ring(queued), self._ring(queued)
+        mark = spec.state()
+        spec.post_batch(sizes, flows, arrivals)
+        spec.cut(mark, posted=n)
+        twin.post_batch(sizes[:n], flows[:n], arrivals[:n])
+        assert _ring_fields(spec) == _ring_fields(twin)
+
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_consume_cut_equals_prefix(self, n):
+        spec, twin = self._ring(27), self._ring(27)
+        mark = spec.state()
+        spec.consume_batch(9)
+        spec.cut(mark, consumed=n)
+        twin.consume_batch(n)
+        assert _ring_fields(spec) == _ring_fields(twin)
+
+
+# ---------------------------------------------------------------------------
 # FlowTables (EMC) journal
 # ---------------------------------------------------------------------------
 class _NullPort:
@@ -231,6 +521,27 @@ class TestFlowTablesJournal:
         assert np.array_equal(tables._emc_tags, tags)
         assert (tables.emc_hits, tables.emc_misses) == counts
 
+    @pytest.mark.parametrize("n", [0, 1, 37, 80])
+    @pytest.mark.parametrize("single_flow", [False, True])
+    def test_chunk_cut_equals_prefix_twin(self, n, single_flow):
+        """An EMC cut at lookup ``n`` keeps the tags and hit/miss counts
+        of a twin that looked up only the first ``n`` flows."""
+        rng = np.random.default_rng(31)
+        spec, twin = self._tables(), self._tables()
+        warm = rng.integers(0, 500, size=120)
+        spec.lookup_chunk(VectorPlan(), warm, np.arange(120))
+        twin.lookup_chunk(VectorPlan(), warm, np.arange(120))
+        flows = np.full(80, warm[5]) if single_flow \
+            else rng.integers(0, 500, size=80)
+        spec.snapshot()
+        spec.lookup_chunk(VectorPlan(), flows, np.arange(80))
+        spec.cut(n)
+        if n:
+            twin.lookup_chunk(VectorPlan(), flows[:n], np.arange(n))
+        assert np.array_equal(spec._emc_tags, twin._emc_tags)
+        assert (spec.emc_hits, spec.emc_misses) == (twin.emc_hits,
+                                                   twin.emc_misses)
+
     def test_chunk_lookup_rollback_and_commit_twin(self):
         rng = np.random.default_rng(23)
         spec, plain = self._tables(), self._tables()
@@ -256,7 +567,7 @@ class TestFlowTablesJournal:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: forced mispredictions roll back to the scalar truth
+# End-to-end: forced mispredictions cut back to the scalar truth
 # ---------------------------------------------------------------------------
 def _records(metrics) -> list:
     return [dataclasses.asdict(record) for record in metrics.records]
@@ -299,12 +610,23 @@ def _run_pmd_xmem(exec_mode: str, seed: int) -> "tuple[list, list]":
                                for h in daemon.history]
 
 
+def _run_flows(exec_mode: str, seed: int) -> list:
+    """``flows-64``'s shape: 64 B packets over 100k flows at 0.6 line
+    rate, so OVS drains two NIC rings through a multi-flow EMC into two
+    virtio rings."""
+    scen = leaky_dma_scenario(packet_size=64, n_flows=100_000,
+                              rate_fraction=0.6, spec=ARRAY_TINY,
+                              seed=seed)
+    scen.sim.exec_mode = exec_mode
+    return _records(scen.sim.run(0.4))
+
+
 class TestForcedMisprediction:
     @pytest.mark.parametrize("seed", [8, 21])
     def test_overshoot_rollback_matches_scalar(self, monkeypatch, seed):
         """Crank the run-ahead headroom so nearly every speculative chunk
-        overshoots its quantum budget: the engine must roll back and
-        replay constantly, and every record must still equal scalar."""
+        overshoots its quantum budget: the engine must cut chunks back
+        constantly, and every record must still equal scalar."""
         monkeypatch.setattr(base, "SPEC_HEADROOM", 2.5)
         ENGINE_STATS.reset()
         vec = _run_leaky("vector", seed)
@@ -314,6 +636,15 @@ class TestForcedMisprediction:
         assert (ENGINE_STATS.exec_packets
                 == ENGINE_STATS.packets + ENGINE_STATS.wasted_packets)
         assert vec == _run_leaky("scalar", seed)
+
+    def test_many_flows_cuts_match_scalar(self, monkeypatch):
+        monkeypatch.setattr(base, "SPEC_HEADROOM", 2.5)
+        ENGINE_STATS.reset()
+        vec = _run_flows("vector", 8)
+        assert ENGINE_STATS.rollbacks > 0
+        assert (ENGINE_STATS.exec_packets
+                == ENGINE_STATS.packets + ENGINE_STATS.wasted_packets)
+        assert vec == _run_flows("scalar", 8)
 
     def test_xmem_mix_cost_spikes_match_scalar(self, monkeypatch):
         monkeypatch.setattr(base, "SPEC_HEADROOM", 2.0)
