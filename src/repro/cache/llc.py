@@ -611,13 +611,29 @@ class SlicedLLC:
                                              allocate)
         return self._access_batch_loop(addrs, mask, write, owner, allocate)
 
-    def ddio_write_batch(self, addrs, ddio_mask: int) -> BatchOutcome:
-        """Batched :meth:`ddio_write` over an address vector."""
+    def ddio_write_batch(self, addrs, ddio_mask, allocate=True
+                         ) -> BatchOutcome:
+        """Batched :meth:`ddio_write` over an address vector.
+
+        ``ddio_mask`` and ``allocate`` may be per-element arrays.  An
+        element that does not allocate is a device write bypassing DDIO
+        (a header-only VF's payload line): it updates the line in place
+        on a hit and otherwise leaves the cache alone.  It is not a DDIO
+        transaction, so only allocating elements count as DDIO hits and
+        misses.
+        """
         out = self.access_batch(addrs, ddio_mask, write=True,
-                                owner=DDIO_OWNER)
-        hits = out.hits
+                                owner=DDIO_OWNER, allocate=allocate)
+        if isinstance(allocate, np.ndarray) and allocate.ndim:
+            hits = int(np.count_nonzero(out.hit & allocate))
+            writes = int(np.count_nonzero(allocate))
+        elif allocate:
+            hits = out.hits
+            writes = len(out)
+        else:
+            hits = writes = 0
         self.stat_ddio_hits += hits
-        self.stat_ddio_misses += len(out) - hits
+        self.stat_ddio_misses += writes - hits
         return out
 
     def device_read_batch(self, addrs) -> BatchOutcome:

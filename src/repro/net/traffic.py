@@ -84,9 +84,9 @@ class TrafficQuantum:
     """One quantum's arrivals for a single stream, pre-sampled.
 
     ``offsets[sub] : offsets[sub + 1]`` slices ``flows``/``sizes`` down to
-    the packets arriving in sub-step ``sub``; the engine hands each slice
-    to :meth:`repro.pci.nic.Nic.dma_burst` whole, so traffic delivery does
-    no per-packet Python work.
+    the packets arriving in sub-step ``sub``; the engine hands the slices
+    of every stream to one :meth:`repro.pci.nic.Nic.dma_burst` call per
+    sub-step, so traffic delivery does no per-packet Python work.
     """
 
     offsets: "np.ndarray"   # (subquanta + 1,) int64, cumulative counts

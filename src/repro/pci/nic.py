@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cache.llc import DDIO_OWNER
 from ..obs.tracer import current_tracer
 from .ring import DEFAULT_RING_ENTRIES, MBUF_STRIDE, DescRing
 
@@ -130,97 +129,123 @@ class Nic:
         override, and header-only injection (payload lines bypass the
         LLC and go straight to memory, like a DDIO-disabled write).
         """
-        return self.dma_burst(vf, [size], [flow_id], llc, ddio_mask, mem,
-                              uncore, now) == 1
+        return self.dma_burst([(vf, [size], [flow_id])], llc, ddio_mask,
+                              mem, uncore, now) == 1
 
-    def dma_burst(self, vf: VirtualFunction, sizes, flow_ids, llc,
-                  ddio_mask: int, mem, uncore, now: float = 0.0,
-                  tracer=None) -> int:
-        """Deliver a burst of inbound packets into ``vf``'s ring.
+    def dma_burst(self, bursts, llc, ddio_mask: int, mem, uncore,
+                  now: float = 0.0, tracer=None) -> int:
+        """Deliver bursts of inbound packets through DDIO as one batch.
 
-        Posts the whole burst with one ring operation (drops are counted
-        by the ring when it is full), then issues all touched cachelines
-        as one interleaved DDIO batch — per-packet line order preserved —
-        with aggregate uncore/memory accounting.  Equivalent to calling
-        :meth:`dma_packet` once per packet; the per-VF extension knobs
-        (``ddio_mask_override``, ``header_only_ddio``) are resolved once
-        per burst instead of once per line.  Callers on the quantum loop
-        pass their cached ``tracer`` so the disabled-tracing path costs
-        one attribute load; ``tracer.enabled`` is itself cached in a
-        local, so the sampled/disabled path pays a single flag read per
-        burst.  Returns the number of packets enqueued.
+        ``bursts`` lists ``(vf, sizes, flow_ids)`` in delivery order.
+        Nothing here reads this NIC's own state, so one call carries
+        every NIC's bursts: the engine passes all of a sub-step's
+        streams at once.  Each burst is first posted to its VF's ring
+        with one ring operation (the ring counts drops when it is
+        full); posts never touch the LLC.  Then the accepted packets'
+        lines, burst by burst and packet by packet with each packet's
+        line order preserved, go through DDIO as one LLC batch,
+        recorded in ``uncore`` and ``mem`` once.  Batched access follows
+        issue order exactly, so this equals delivering the bursts one
+        after another, or calling :meth:`dma_packet` once per packet.
+
+        The batch takes the global ``ddio_mask`` as a scalar unless a
+        VF sets a Sec. VII knob.  Then each line carries its own mask
+        and allocate flag: a VF's ``ddio_mask_override`` replaces its
+        lines' mask, and a ``header_only_ddio`` VF writes only each
+        packet's first line through DDIO, while its payload lines
+        update in place when cached and otherwise go to memory.  Each
+        DDIO line counts once in the LLC's DDIO statistics, once in the
+        uncore and once in its VF's ``ddio_hits``/``ddio_misses``.
+        Callers on the quantum loop pass their cached ``tracer``.
+        Returns the number of packets enqueued.
         """
         if tracer is None:
             tracer = current_tracer()
         traced = tracer.enabled
         t0 = tracer.clock() if traced else 0.0
-        # Hoisted Sec. VII knobs: resolved once for the whole burst.
-        if vf.ddio_mask_override is not None:
-            ddio_mask = vf.ddio_mask_override
-        header_only = vf.header_only_ddio
-        sizes = np.asarray(sizes, dtype=np.int64)
-        buf_addrs = vf.rx_ring.post_batch(sizes, flow_ids, now)
-        accepted = buf_addrs.shape[0]
-        if accepted == 0:
-            return 0
         line = llc.geometry.line_size
-        nlines = -(-sizes[:accepted] // line)
-        total = int(nlines.sum())
-        # Flatten to per-line addresses, packet-major, line order within
-        # each packet preserved: base[k] + line * within-packet index.
-        # Fixed-size bursts (the common case) flatten by broadcasting the
-        # line-offset vector against the bases, skipping the
-        # cumsum/repeat chain needed for ragged line counts.
-        c0 = int(nlines[0])
-        if bool((nlines == c0).all()):
-            offsets = np.arange(c0, dtype=np.int64) * line
-            addrs = (buf_addrs[:, None] + offsets).reshape(-1)
-            within = None
+        # Per burst with accepted packets: its VF, its lines' addresses
+        # and where each packet's first line sits among them (the line
+        # count, when every packet has the same).
+        parts = []
+        special = False
+        accepted = 0
+        for vf, sizes, flow_ids in bursts:
+            sizes = np.asarray(sizes, dtype=np.int64)
+            buf_addrs = vf.rx_ring.post_batch(sizes, flow_ids, now)
+            n = buf_addrs.shape[0]
+            if not n:
+                continue
+            accepted += n
+            nlines = -(-sizes[:n] // line)
+            # Flatten to per-line addresses, packet-major: base[k] +
+            # line * within-packet index.  Fixed-size bursts (the common
+            # case) flatten by broadcasting one line-offset vector.
+            c0 = int(nlines[0])
+            if bool((nlines == c0).all()):
+                addrs = (buf_addrs[:, None]
+                         + np.arange(0, c0 * line, line, dtype=np.int64)
+                         ).reshape(-1)
+                heads = c0
+            else:
+                heads = np.cumsum(nlines) - nlines
+                within = (np.arange(int(nlines.sum()), dtype=np.int64)
+                          - np.repeat(heads, nlines))
+                addrs = np.repeat(buf_addrs, nlines) + within * line
+            parts.append((vf, addrs, heads))
+            special = special or vf.header_only_ddio \
+                or vf.ddio_mask_override is not None
+        if not parts:
+            return 0
+        addrs = parts[0][1] if len(parts) == 1 \
+            else np.concatenate([part[1] for part in parts])
+        total = addrs.shape[0]
+        if special:
+            mask = np.empty(total, dtype=np.int64)
+            ddio = np.ones(total, dtype=bool)
+            lo = 0
+            for vf, part_addrs, heads in parts:
+                hi = lo + part_addrs.shape[0]
+                vf_mask = ddio_mask if vf.ddio_mask_override is None \
+                    else vf.ddio_mask_override
+                if vf.header_only_ddio:
+                    mask[lo:hi] = 0
+                    ddio[lo:hi] = False
+                    first = lo + (np.arange(0, hi - lo, heads)
+                                  if isinstance(heads, int) else heads)
+                    mask[first] = vf_mask
+                    ddio[first] = True
+                else:
+                    mask[lo:hi] = vf_mask
+                lo = hi
+            out = llc.ddio_write_batch(addrs, mask, ddio)
+            hit = out.hit & ddio
+            uncore.record_ddio_batch(
+                addrs[ddio], hit[ddio],
+                None if out.index is None else out.index[ddio])
+            # Payload lines that missed were written to memory.
+            written = out.writebacks + int(np.count_nonzero(~(out.hit
+                                                              | ddio)))
         else:
-            starts = np.concatenate(([0], np.cumsum(nlines)[:-1]))
-            within = (np.arange(total, dtype=np.int64)
-                      - np.repeat(starts, nlines))
-            addrs = np.repeat(buf_addrs, nlines) + within * line
-        if not header_only:
             out = llc.ddio_write_batch(addrs, ddio_mask)
-            uncore.record_ddio_batch(addrs, out.hit, out.index)
-            hits = out.hits
-            vf.ddio_hits += hits
-            vf.ddio_misses += out.misses
-            if out.writebacks:
-                mem.add_write(line * out.writebacks)
-            if traced:
-                tracer.complete("dma", "burst", tracer.clock() - t0,
-                                vf=vf.name, packets=accepted, lines=total,
-                                ddio_hits=hits, ddio_misses=total - hits)
-            return accepted
-        # Header-only DDIO: the first line of each packet goes through
-        # the DDIO path; payload lines bypass the cache (update in place
-        # if cached, else the write lands in DRAM without allocating).
-        if within is None:
-            header = np.zeros(total, dtype=bool)
-            header[::c0] = True
-        else:
-            header = within == 0
-        out = llc.access_batch(addrs, np.where(header, ddio_mask, 0),
-                               write=True, owner=DDIO_OWNER,
-                               allocate=header)
-        header_hit = out.hit[header]
-        uncore.record_ddio_batch(
-            addrs[header], header_hit,
-            None if out.index is None else out.index[header])
-        ddio_hits = int(np.count_nonzero(header_hit))
-        vf.ddio_hits += ddio_hits
-        vf.ddio_misses += int(header.sum()) - ddio_hits
-        writebacks = int(np.count_nonzero(out.writeback))
-        if writebacks:
-            mem.add_write(line * writebacks)
-        payload_misses = int(np.count_nonzero(~out.hit[~header]))
-        if payload_misses:
-            mem.add_write(line * payload_misses)
+            hit = out.hit
+            ddio = None
+            uncore.record_ddio_batch(addrs, hit, out.index)
+            written = out.writebacks
+        if written:
+            mem.add_write(line * written)
+        # Split the DDIO hits and writes back per burst.
+        starts = np.cumsum([0] + [part[1].shape[0] for part in parts[:-1]])
+        hits = np.add.reduceat(hit, starts, dtype=np.int64).tolist()
+        writes = np.diff(starts, append=total).tolist() if ddio is None \
+            else np.add.reduceat(ddio, starts, dtype=np.int64).tolist()
+        for (vf, _, _), h, w in zip(parts, hits, writes):
+            vf.ddio_hits += h
+            vf.ddio_misses += w - h
         if traced:
+            h = sum(hits)
             tracer.complete("dma", "burst", tracer.clock() - t0,
-                            vf=vf.name, packets=accepted, lines=total,
-                            ddio_hits=ddio_hits,
-                            ddio_misses=int(header.sum()) - ddio_hits)
+                            bursts=len(parts), packets=accepted,
+                            lines=total, ddio_hits=h,
+                            ddio_misses=sum(writes) - h)
         return accepted

@@ -167,11 +167,14 @@ class DescRing:
                             buf_addr=int(self._addr[idx]),
                             arrival=float(self._arrival[idx]))
 
-    def peek_batch(self, limit: "int | None" = None):
-        """Oldest ``limit`` packets (default: all) as parallel arrays
-        ``(sizes, flows, buf_addrs, arrivals)`` without consuming them."""
-        k = self._count if limit is None else min(limit, self._count)
-        idx = (self._rd + np.arange(k)) & self._mask
+    def peek_batch(self, limit: "int | None" = None, skip: int = 0):
+        """Oldest ``limit`` packets (default: all) after the first
+        ``skip``, as parallel arrays ``(sizes, flows, buf_addrs,
+        arrivals)``, without consuming them."""
+        k = max(0, self._count - skip)
+        if limit is not None:
+            k = min(limit, k)
+        idx = (self._rd + skip + np.arange(k)) & self._mask
         return (self._size[idx], self._flow[idx], self._addr[idx],
                 self._arrival[idx])
 

@@ -235,15 +235,19 @@ class Simulation:
             mark = _close_stage(tracer, "traffic", mark)
         for sub in range(spec.subquanta):
             sub_now = self.now + sub * sub_dt
+            bursts = []
             for binding, bundle in bundles:
                 lo = bundle.offsets[sub]
                 hi = bundle.offsets[sub + 1]
                 if hi > lo:
-                    binding.nic.dma_burst(
-                        binding.vf, bundle.sizes[lo:hi],
-                        bundle.flows[lo:hi], platform.llc,
-                        platform.ddio.mask, platform.mem,
-                        platform.uncore, sub_now, tracer=tracer)
+                    bursts.append((binding.vf, bundle.sizes[lo:hi],
+                                   bundle.flows[lo:hi]))
+            if bursts:
+                # One DDIO batch for every stream's burst; dma_burst
+                # reads no state of the NIC it is called on.
+                bundles[0][0].nic.dma_burst(
+                    bursts, platform.llc, platform.ddio.mask,
+                    platform.mem, platform.uncore, sub_now, tracer=tracer)
             if traced:
                 mark = _close_stage(tracer, "traffic", mark)
             for binding in bindings:

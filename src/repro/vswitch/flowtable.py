@@ -60,8 +60,9 @@ class FlowTables:
         self.emc_hits = 0
         self.emc_misses = 0
         # Journal for speculative execution (see SlicedLLC.snapshot):
-        # per lookup call, the pre-images of the EMC slots it wrote and
-        # the flows it looked up with their hit flags.
+        # per lookup call, the EMC slots it wrote with their pre-images,
+        # its hit flags, and for a multi-flow chunk its lookups in slot
+        # order (see cut).
         self._journal: "list[tuple] | None" = None
         self._snap: "tuple[int, int] | None" = None
 
@@ -77,28 +78,43 @@ class FlowTables:
         """Keep the first ``n`` lookups since :meth:`snapshot`, undo the
         rest, and close the snapshot.
 
-        Every lookup leaves its slot holding its flow, and a prefix's
-        hits are the first ``n`` hit flags, so restoring the pre-images
-        and writing each slot's last kept flow is exact.
+        Lookups after the entry holding the cut are undone whole, newest
+        first, from their slots' pre-images.  Within that entry only the
+        slots of the cut suffix change: each takes the tag it held just
+        before its first cut lookup, which :meth:`lookup_chunk` already
+        computed in slot order (``prev``).  A prefix's hits are the
+        first ``n`` hit flags.
         """
         journal = self._journal
         if journal is None:
             raise RuntimeError("cut() without an active snapshot")
         tags = self._emc_tags
-        for slots, pre, _, _ in reversed(journal):
-            tags[slots] = pre
         self.emc_hits, self.emc_misses = self._snap
-        if n:
-            flows = np.concatenate([entry[2] for entry in journal])[:n]
-            hits = int(np.count_nonzero(
-                np.concatenate([entry[3] for entry in journal])[:n]))
-            self.emc_hits += hits
-            self.emc_misses += n - hits
-            # np.unique's first occurrence in reverse is the last one.
-            flows = flows[::-1]
-            slots, last = np.unique(flows % self.emc_entries,
-                                    return_index=True)
-            tags[slots] = flows[last]
+        kept = n
+        hits = 0
+        for index, (slots, pre, hit, by_slot) in enumerate(journal):
+            m = len(hit)
+            if kept >= m:
+                hits += int(np.count_nonzero(hit))
+                kept -= m
+                continue
+            for later in reversed(journal[index + 1:]):
+                tags[later[0]] = later[1]
+            if not kept:
+                tags[slots] = pre
+            elif by_slot is not None:
+                # In slot order a slot's lookups ascend, so its cut ones
+                # are a suffix; its first cut lookup's ``prev`` is its
+                # tag after the kept ones.  A single-flow entry keeps
+                # its one slot on the flow it already holds.
+                pos, so, prev, first = by_slot
+                head = pos >= kept
+                head[1:] &= first[1:] | ~head[:-1]
+                tags[so[head]] = prev[head]
+            hits += int(np.count_nonzero(hit[:kept]))
+            break
+        self.emc_hits += hits
+        self.emc_misses += n - hits
         self._journal = None
         self._snap = None
 
@@ -134,7 +150,7 @@ class FlowTables:
         cycles += port.access(self._emc_base + slot * EMC_ENTRY_BYTES)
         tag = int(self._emc_tags[slot])
         if self._journal is not None:
-            self._journal.append((slot, tag, (flow_id,), (tag == flow_id,)))
+            self._journal.append((slot, tag, (tag == flow_id,), None))
         if tag == flow_id:
             self.emc_hits += 1
             return True, cycles
@@ -176,8 +192,7 @@ class FlowTables:
             hit[0] = int(tags[s0]) == f0
             touched = np.asarray([s0], dtype=np.int64)
             if self._journal is not None:
-                self._journal.append((touched, tags[touched], flow_ids,
-                                      hit))
+                self._journal.append((touched, tags[touched], hit, None))
             tags[s0] = f0
             nhits = int(np.count_nonzero(hit))
             self.emc_hits += nhits
@@ -215,8 +230,10 @@ class FlowTables:
         last[-1] = True
         touched = so[last]
         if self._journal is not None:
-            # Fancy-index read is a copy, so this is a true pre-image.
-            self._journal.append((touched, tags[touched], flow_ids, hit))
+            # Fancy-index read is a copy, so this is a true pre-image;
+            # a cut reads the slot order's arrays, never written again.
+            self._journal.append((touched, tags[touched], hit,
+                                  (order, so, prev, first)))
         tags[touched] = fo[last]
         nhits = int(np.count_nonzero(hit))
         self.emc_hits += nhits

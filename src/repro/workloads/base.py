@@ -362,8 +362,11 @@ class EngineStats:
     it, so it cannot perturb determinism.
     """
 
-    #: Upper bucket bounds (packets per chunk) of the size histogram.
-    SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+    #: Upper bucket bounds (items per chunk) of the size histogram.  The
+    #: top one is the largest chunk a drain issues: X-Mem's 16 draws of
+    #: 256 ops (ring drains stop at 256 packets, RocksDB at its draw).
+    SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
+                    4096)
 
     __slots__ = ("chunks", "packets", "exec_packets", "spec_chunks",
                  "rollbacks", "wasted_packets", "kernel_launches",
@@ -933,6 +936,12 @@ class Workload(ABC):
             return int(budget_left / ema * SPEC_HEADROOM) + 1
         return SPEC_BOOTSTRAP
 
+    def _observe_cost(self, mean: float) -> None:
+        """Fold one chunk's mean per-item cost into the sizing EMA."""
+        ema = self._spec_ema
+        self._spec_ema = mean if ema <= 0.0 \
+            else ema + SPEC_ALPHA * (mean - ema)
+
     def _admit_budget(self, service: "np.ndarray", used: float,
                       budget_cycles: float) -> int:
         """Prefix of a speculative chunk the scalar loop admits on one
@@ -964,10 +973,7 @@ class Workload(ABC):
             cum[1:] = service[lo:]
             np.cumsum(cum, out=cum)
             if not lo:
-                mean = (float(cum[k]) - used) / k
-                ema = self._spec_ema
-                self._spec_ema = mean if ema <= 0.0 \
-                    else ema + SPEC_ALPHA * (mean - ema)
+                self._observe_cost((float(cum[k]) - used) / k)
             lo += 1 + int(np.searchsorted(cum[1:m], budget_cycles,
                                           side="left"))
             ends.append(lo)

@@ -250,11 +250,10 @@ class RingConsumer(Workload):
         for ring, mark, count in zip(self.rings, state, consumed):
             ring.cut(mark, consumed=count)
 
-    def _exec_chunk(self, port: CorePort, start: int, k: int, sizes,
-                    flows, addrs, arrivals, ring_idx, nlines,
-                    now: float) -> "tuple[float, np.ndarray]":
+    def _exec_chunk(self, port: CorePort, backlog: "_Backlog", start: int,
+                    k: int, now: float) -> "tuple[float, np.ndarray]":
         """Consume, plan, and execute packets ``[start, start + k)`` of
-        the backlog snapshot on ``port``; returns ``(instructions per
+        the stream's pop order on ``port``; returns ``(instructions per
         packet, service)`` with ``service`` the per-packet charged
         cycles.  Caller accounting (``used``, stats, sampling, the
         drain's counters) stays outside, so a cut only has to undo what
@@ -270,25 +269,25 @@ class RingConsumer(Workload):
             rings[0].consume_batch(k)
             chunk_rings = None
         else:
-            chunk_rings = ring_idx[sl]
+            chunk_rings = backlog.ring_idx[sl]
             for r, cnt in enumerate(np.bincount(chunk_rings,
                                                 minlength=nrings)):
                 if cnt:
                     rings[r].consume_batch(int(cnt))
         self._chunk_rings = chunk_rings
         pkts = _PKT_ARANGE[:k]
-        nl = nlines[sl]
+        nl = backlog.nlines[sl]
         first = int(nl[0])
         counts = first if bool((nl == first).all()) else nl
-        chunk_sizes = sizes[sl]
-        chunk_addrs = addrs[sl]
+        chunk_sizes = backlog.sizes[sl]
+        chunk_addrs = backlog.addrs[sl]
         plan = self._vplan
         plan.reset()
         plan.add_batch(chunk_addrs, counts, pkts=pkts, rank=0,
                        mlp=BUFFER_MLP)
         instr, fixed = self.plan_chunk(
-            plan, port, pkts, chunk_sizes, flows[sl], chunk_addrs,
-            arrivals[sl], chunk_rings, now)
+            plan, port, pkts, chunk_sizes, backlog.flows[sl], chunk_addrs,
+            backlog.arrivals[sl], chunk_rings, now)
         self.plan_transmit_chunk(plan, pkts, chunk_sizes, chunk_addrs,
                                  counts)
         service = port.run_plan(plan, k) + fixed
@@ -297,18 +296,20 @@ class RingConsumer(Workload):
     def _run_stream(self, ports: "list[CorePort]", budget_cycles: float,
                     now: float) -> None:
         """Fully vectorized drain of ``ports``, interchangeable cores
-        that the scalar loop would run one after another: snapshot the
-        backlog once, then run budget-guarded chunks with no per-packet
-        Python, each free to carry on from one core onto the next.
+        that the scalar loop would run one after another: budget-guarded
+        chunks over the backlog's pop order with no per-packet Python,
+        each free to carry on from one core onto the next.
 
         Equivalent to the scalar loop in :meth:`run_core` run on each
         port in turn: nothing posts to this workload's rings while it
         runs, so the round-robin pop order over the whole drain — every
         core of it — is a pure function of the starting backlog: each
         ring's packets in FIFO order, ties at the same queue depth
-        broken by ring distance from the cursor.  Empty polls then only
-        ever happen as a trailing phase, on the core the backlog ran out
-        on and every core after it.
+        broken by ring distance from the cursor.  The drain peeks that
+        order a window of queue depths at a time, as its chunks reach
+        them (:class:`_Backlog`).  Empty polls then only ever happen as
+        a trailing phase, on the core the backlog ran out on and every
+        core after it.
 
         Admission is journaled run-ahead (:meth:`Workload._run_ahead`):
         a chunk sized from the EMA of observed per-packet cost over the
@@ -324,48 +325,21 @@ class RingConsumer(Workload):
         its own trailing empty polls, on the same left-to-right float
         sums as the scalar loop.
         """
-        rings = self.rings
-        nrings = len(rings)
-        if nrings == 1:
-            sizes, flows, addrs, arrivals = rings[0].peek_batch()
-            ring_idx = None
-            backlog = sizes.shape[0]
-        else:
-            parts = [ring.peek_batch() for ring in rings]
-            lens = [part[0].shape[0] for part in parts]
-            backlog = sum(lens)
-            sizes = np.concatenate([part[0] for part in parts])
-            flows = np.concatenate([part[1] for part in parts])
-            addrs = np.concatenate([part[2] for part in parts])
-            arrivals = np.concatenate([part[3] for part in parts])
-            ring_idx = np.repeat(np.arange(nrings, dtype=np.int64), lens)
-            within = np.concatenate(
-                [np.arange(n, dtype=np.int64) for n in lens])
-            # Pop order: FIFO depth first, then ring distance from the
-            # round-robin cursor (primary key is the *last* lexsort key).
-            order = np.lexsort(
-                ((ring_idx - self._ring_cursor) % nrings, within))
-            sizes = sizes[order]
-            flows = flows[order]
-            addrs = addrs[order]
-            arrivals = arrivals[order]
-            ring_idx = ring_idx[order]
+        backlog = _Backlog(self.rings, self._ring_cursor, now,
+                           self.core_freq_hz * self.time_scale)
+        nrings = len(self.rings)
         last = len(ports) - 1
         core = 0
         port = ports[0]
         used = 0.0
         instructions = 0.0
         stats = self.stats
-        freq_scale = self.core_freq_hz * self.time_scale
         stride = self.latency_sample_stride
         start = 0
-        if backlog:
-            nlines = -(-sizes // 64)
-            queue_cycles = np.maximum(0.0, (now - arrivals) * freq_scale)
+        total = backlog.total
 
         def execute(n: int):
-            return self._exec_chunk(port, start, n, sizes, flows, addrs,
-                                    arrivals, ring_idx, nlines, now)
+            return self._exec_chunk(port, backlog, start, n, now)
 
         def admit(result) -> int:
             nonlocal ends
@@ -373,7 +347,7 @@ class RingConsumer(Workload):
                                      last - core + 1)
             return ends[-1]
 
-        while start < backlog:
+        while start < total:
             if used >= budget_cycles:
                 if core == last:
                     break
@@ -383,17 +357,17 @@ class RingConsumer(Workload):
                 used = 0.0
                 instructions = 0.0
             ends = None
-            k, (instr, service) = self._run_ahead(
-                port, min(self._spec_size(
-                    budget_cycles - used + (last - core) * budget_cycles),
-                    CHUNK_PACKETS, backlog - start),
-                execute, admit)
+            k = min(self._spec_size(
+                budget_cycles - used + (last - core) * budget_cycles),
+                CHUNK_PACKETS, total - start)
+            backlog.cover(start + k, start)
+            k, (instr, service) = self._run_ahead(port, k, execute, admit)
             service = service[:k]
             self.packets_processed += k
-            self.tx_bytes += self.tx_bytes_of(sizes[start:start + k])
-            if ring_idx is not None:
-                self._ring_cursor = (int(ring_idx[start + k - 1]) + 1) \
-                    % nrings
+            self.tx_bytes += self.tx_bytes_of(backlog.sizes[start:start + k])
+            if nrings > 1:
+                self._ring_cursor = (int(backlog.ring_idx[start + k - 1])
+                                     + 1) % nrings
             # Charge each core the chunk reached its own packets; the
             # executing port moves the later cores' LLC counts over
             # (after any cut, which only undoes the executing port's).
@@ -411,7 +385,7 @@ class RingConsumer(Workload):
                 instructions += instr * (hi - lo)
                 lo = hi
             stats.busy_cycles = seq_accumulate(stats.busy_cycles, service)
-            lat = queue_cycles[start:start + k] + service
+            lat = backlog.queue_cycles[start:start + k] + service
             stats.latency_sum_cycles = seq_accumulate(
                 stats.latency_sum_cycles, lat)
             # The next sampled op is a python-arithmetic question; build
@@ -451,3 +425,82 @@ class RingConsumer(Workload):
     @property
     def drops(self) -> int:
         return sum(ring.dropped for ring in self.rings)
+
+
+class _Backlog:
+    """The pop order of a ring drain's backlog, peeked a window of FIFO
+    depths at a time.
+
+    The scalar loop pops its rings round-robin from the cursor, so the
+    order runs by queue depth, ties broken by ring distance from the
+    cursor; the packets below depth ``d`` are exactly a prefix of it.
+    A drain therefore peeks only the depths its chunks reach: each
+    :meth:`cover` merges the next depths of every ring onto the end of
+    the arrays (``sizes``, ``flows``, ``addrs``, ``arrivals``, the
+    source ring ``ring_idx`` — None with one ring — line counts
+    ``nlines`` and queueing delays ``queue_cycles``), leaving the order
+    already held unchanged.
+    """
+
+    __slots__ = ("rings", "cursor", "now", "freq_scale", "total",
+                 "depth", "count", "sizes", "flows", "addrs", "arrivals",
+                 "ring_idx", "nlines", "queue_cycles")
+
+    def __init__(self, rings: "list[DescRing]", cursor: int, now: float,
+                 freq_scale: float) -> None:
+        self.rings = rings
+        self.cursor = cursor
+        self.now = now
+        self.freq_scale = freq_scale
+        self.total = sum(ring.occupancy for ring in rings)
+        self.depth = 0
+        self.count = 0
+        self.ring_idx = None
+
+    def cover(self, need: int, start: int) -> None:
+        """Peek further depths until the first ``need`` packets of the
+        order are held; the first ``start`` of them, all below the
+        depths peeked so far, have been consumed from the rings."""
+        rings = self.rings
+        nrings = len(rings)
+        while self.count < need:
+            lo = self.depth
+            hi = max(2 * lo, lo + -(-(need - self.count) // nrings))
+            self.depth = hi
+            # Depth ``lo`` of a ring sits past the packets it lost to
+            # consumption.
+            if nrings == 1:
+                part = rings[0].peek_batch(hi - lo, lo - start)
+                ring_idx = None
+            else:
+                taken = np.bincount(self.ring_idx[:start],
+                                    minlength=nrings).tolist() \
+                    if start else [0] * nrings
+                parts = [ring.peek_batch(hi - lo, lo - t)
+                         for ring, t in zip(rings, taken)]
+                lens = [p[0].shape[0] for p in parts]
+                ring_idx = np.repeat(np.arange(nrings, dtype=np.int64),
+                                     lens)
+                within = np.concatenate(
+                    [np.arange(n, dtype=np.int64) for n in lens])
+                # Pop order: FIFO depth first, then ring distance from
+                # the round-robin cursor (primary key is the *last*
+                # lexsort key).
+                order = np.lexsort(
+                    ((ring_idx - self.cursor) % nrings, within))
+                ring_idx = ring_idx[order]
+                part = [np.concatenate([p[f] for p in parts])[order]
+                        for f in range(4)]
+            sizes, flows, addrs, arrivals = part
+            nlines = -(-sizes // 64)
+            queue = np.maximum(0.0, (self.now - arrivals) * self.freq_scale)
+            fresh = (sizes, flows, addrs, arrivals, ring_idx, nlines, queue)
+            if self.count:
+                fresh = [None if new is None else np.concatenate((old, new))
+                         for old, new in zip(
+                             (self.sizes, self.flows, self.addrs,
+                              self.arrivals, self.ring_idx, self.nlines,
+                              self.queue_cycles), fresh)]
+            (self.sizes, self.flows, self.addrs, self.arrivals,
+             self.ring_idx, self.nlines, self.queue_cycles) = fresh
+            self.count += sizes.shape[0]

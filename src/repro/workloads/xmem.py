@@ -23,6 +23,12 @@ XMEM_OVERHEAD_CYCLES = 4.0
 
 _BATCH = 256
 
+#: Most draws one vector chunk takes, which bounds its LLC batch at 4096
+#: ops.  The cost EMA never falls below an all-L2 op's 18 cycles, so on
+#: the shipped platforms (at most 57.5k cycles per sub-step) a sub-step
+#: needs at most 14 draws and the bound never binds.
+_CHUNK_DRAWS = 16
+
 
 class XMem(Workload):
     """Random-read (default) or sequential-read memory prober."""
@@ -113,19 +119,28 @@ class XMem(Workload):
         port.charge(ops * XMEM_INSTRUCTIONS_PER_OP, used)
 
     def _run_core_vector(self, port: CorePort, budget_cycles: float) -> None:
-        """Vectorized twin of the scalar loop, one LLC batch per draw.
+        """Vectorized twin of the scalar loop, many draws per LLC batch.
 
-        Each draw's LLC-bound ops (those missing the modelled L2) run
-        as one journaled :meth:`Workload._run_ahead` chunk.  Admission
-        then replays the scalar loop's chunk recurrence on the resulting
-        latencies — the same ``(budget - used) // worst`` slices, the
-        same NumPy ``sum`` per slice, the same single-op tail.  The
-        scalar loop sums per slice (pairwise), so its slice boundaries
-        are part of the model's float results and cannot be dropped in
-        favour of one running sum.  When the budget ends inside the
-        draw, the chunk is cut after the admitted ops' LLC accesses;
-        their latencies are the ones admission read, so its result
-        stands.
+        Each chunk takes as many 256-op draws as the cost EMA says fit
+        the remaining budget (:meth:`Workload._spec_size`, rounded up to
+        whole draws, at most :data:`_CHUNK_DRAWS`) and runs their
+        LLC-bound ops (those missing the modelled L2) as one journaled
+        :meth:`Workload._run_ahead` chunk.  Admission then replays the
+        scalar loop's chunk recurrence on the resulting latencies, draw
+        by draw: the same ``(budget - used) // worst`` slices, the same
+        NumPy ``sum`` per slice, the same single-op tail
+        (:meth:`_replay`).  The scalar loop sums per slice (pairwise), so
+        its slice boundaries are part of the model's float results and
+        cannot be dropped in favour of one running sum.
+
+        When the budget ends before the chunk does, the chunk is cut
+        after the admitted ops' LLC accesses, whose latencies are the
+        ones admission read, and the generator goes back to the state
+        read after the last kept draw, with the sequential cursor:
+        the scalar loop never took the later draws.  A chunk whose draws
+        send no op to the LLC arms no journal: its slices each sum to
+        exactly ``count * L2_HIT_CYCLES``, so it replays on Python
+        floats, and :data:`ENGINE_STATS` does not count it.
         """
         used = 0.0
         ops = 0
@@ -133,54 +148,95 @@ class XMem(Workload):
         stats = self.stats
         worst = XMEM_OVERHEAD_CYCLES + LLC_HIT_CYCLES + port.dram_cycles
         latency_sum = stats.latency_sum_cycles
+        generator = self.rng.bit_generator
         after = None
 
         def execute(n: int) -> "np.ndarray":
-            # The whole draw: one LLC batch plus its latency select.
+            # The whole chunk: one LLC batch plus its latency select.
             ENGINE_STATS.kernel_launches += 2
-            return port.access_batch(llc_addrs)
+            return port.access_batch(addrs[to_llc])
 
         def admit(llc_latencies) -> int:
-            # The scalar recurrence over this draw; its end state is kept
-            # for the caller.
             nonlocal after
-            latencies = np.full(_BATCH, L2_HIT_CYCLES)
+            latencies = np.full(k, L2_HIT_CYCLES)
             latencies[to_llc] = llc_latencies
-            u, total = used, latency_sum
-            start = slices = 0
-            while start < _BATCH and u < budget_cycles:
-                safe = int((budget_cycles - u) // worst)
-                if safe < 1:
-                    latency = float(latencies[start])
-                    u += XMEM_OVERHEAD_CYCLES + latency
-                    total += latency
-                    start += 1
-                    continue
-                stop = min(_BATCH, start + safe)
-                seg_sum = float(latencies[start:stop].sum())
-                u += (stop - start) * XMEM_OVERHEAD_CYCLES + seg_sum
-                total += seg_sum
-                start = stop
-                slices += 1
-            after = u, total
-            # Latency fill + scatter, then one sum per slice.
-            ENGINE_STATS.kernel_launches += 2 + slices
-            return start
+            after = self._replay(latencies, k, used, latency_sum,
+                                 budget_cycles, worst)
+            return after[0]
 
         def slot(n: int) -> int:
             # Each LLC-bound op is one address of the batch.
             return int(np.searchsorted(to_llc, n))
 
         while used < budget_cycles:
-            addrs, l2_hits = self._draw(p_l2)
+            draws = min(-(-self._spec_size(budget_cycles - used)
+                          // _BATCH), _CHUNK_DRAWS)
+            k = draws * _BATCH
+            # The state after each draw but the last, read as it is
+            # taken: a cut returns to the end of its last kept draw.
+            marks = []
+            parts = []
+            for d in range(draws):
+                parts.append(self._draw(p_l2))
+                if d + 1 < draws:
+                    marks.append((generator.state, self._cursor))
+            if draws == 1:
+                addrs, l2_hits = parts[0]
+            else:
+                addrs = np.concatenate([part[0] for part in parts])
+                l2_hits = np.concatenate([part[1] for part in parts])
             to_llc = np.flatnonzero(~l2_hits)
-            llc_addrs = addrs[to_llc]
-            n, _ = self._run_ahead(port, _BATCH, execute, admit, slot)
-            used, latency_sum = after
+            if to_llc.shape[0]:
+                self._run_ahead(port, k, execute, admit, slot)
+                n, u, latency_total = after
+            else:
+                n, u, latency_total = self._replay(
+                    None, k, used, latency_sum, budget_cycles, worst)
+            if n <= k - _BATCH:
+                # Cut before the last draw.
+                generator.state, self._cursor = marks[(n - 1) // _BATCH]
+            self._observe_cost((u - used) / n)
+            used, latency_sum = u, latency_total
             ops += n
         stats.ops += ops
         stats.latency_sum_cycles = latency_sum
         port.charge(ops * XMEM_INSTRUCTIONS_PER_OP, used)
+
+    @staticmethod
+    def _replay(latencies, k: int, used: float, latency_sum: float,
+                budget_cycles: float, worst: float):
+        """The scalar loop's recurrence over ``k`` ops of whole draws.
+
+        Runs from ``used`` cycles and the latency total ``latency_sum``
+        until the budget is spent or the ops run out; returns ``(ops,
+        used, latency_sum)`` at that point.  ``latencies`` holds each
+        op's latency; None means every op hit the L2, whose slice sums
+        are exactly ``count * L2_HIT_CYCLES`` whatever NumPy's summation
+        order.  Slices never span a draw, as in the scalar loop.
+        """
+        i = slices = 0
+        while i < k and used < budget_cycles:
+            end = i + _BATCH
+            while i < end and used < budget_cycles:
+                safe = int((budget_cycles - used) // worst)
+                if safe < 1:
+                    latency = L2_HIT_CYCLES if latencies is None \
+                        else float(latencies[i])
+                    used += XMEM_OVERHEAD_CYCLES + latency
+                    latency_sum += latency
+                    i += 1
+                    continue
+                stop = min(end, i + safe)
+                seg_sum = (stop - i) * L2_HIT_CYCLES if latencies is None \
+                    else float(latencies[i:stop].sum())
+                used += (stop - i) * XMEM_OVERHEAD_CYCLES + seg_sum
+                latency_sum += seg_sum
+                i = stop
+                slices += 1
+        if latencies is not None:
+            # Latency fill + scatter, then one sum per slice.
+            ENGINE_STATS.kernel_launches += 2 + slices
+        return i, used, latency_sum
 
     # -- reporting ---------------------------------------------------------
     def avg_latency_ns(self) -> float:

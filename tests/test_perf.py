@@ -105,8 +105,8 @@ class TestDdioBatchRecording:
             count = (3, 40, 64)[burst % 3]
             sizes = (np.full(count, 256) if burst % 2
                      else rng.integers(64, 512, count))
-            nic.dma_burst(vf, sizes, np.zeros(count, dtype=np.int64), llc,
-                          mask, mem, uncore)
+            nic.dma_burst([(vf, sizes, np.zeros(count, dtype=np.int64))],
+                          llc, mask, mem, uncore)
             vf.rx_ring.consume_batch(vf.rx_ring.occupancy)
         reference = ChaCounters(geometry)
         for addrs, hit, _ in seen:

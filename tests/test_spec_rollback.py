@@ -542,6 +542,51 @@ class TestFlowTablesJournal:
         assert (spec.emc_hits, spec.emc_misses) == (twin.emc_hits,
                                                    twin.emc_misses)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cut_across_lookups_equals_prefix_twin(self, seed):
+        """A cut anywhere in a snapshot of several lookups — colliding
+        chunks, single-flow chunks and scalar probes — keeps what a twin
+        that ran only the kept lookups holds."""
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            spec, twin = self._tables(), self._tables()
+            warm = rng.integers(0, 300, size=100)
+            for tables in (spec, twin):
+                tables.lookup_chunk(VectorPlan(), warm, np.arange(100))
+            calls = []
+            for _ in range(rng.integers(1, 4)):
+                kind = int(rng.integers(3))
+                if kind == 2:
+                    calls.append(int(rng.integers(0, 300)))
+                else:
+                    m = int(rng.integers(1, 90))
+                    calls.append(rng.integers(0, 300, size=m) if kind
+                                 else np.full(m, rng.integers(0, 300)))
+            n = int(rng.integers(0, sum(np.size(c) for c in calls) + 1))
+            spec.snapshot()
+            for flows in calls:
+                if isinstance(flows, int):
+                    spec.lookup(_NullPort(), flows)
+                else:
+                    spec.lookup_chunk(VectorPlan(), flows,
+                                      np.arange(flows.shape[0]))
+            spec.cut(n)
+            left = n
+            for flows in calls:
+                if not left:
+                    break
+                if isinstance(flows, int):
+                    twin.lookup(_NullPort(), flows)
+                    left -= 1
+                else:
+                    flows = flows[:left]
+                    twin.lookup_chunk(VectorPlan(), flows,
+                                      np.arange(flows.shape[0]))
+                    left -= flows.shape[0]
+            assert np.array_equal(spec._emc_tags, twin._emc_tags)
+            assert (spec.emc_hits, spec.emc_misses) == (twin.emc_hits,
+                                                       twin.emc_misses)
+
     def test_chunk_lookup_rollback_and_commit_twin(self):
         rng = np.random.default_rng(23)
         spec, plain = self._tables(), self._tables()
