@@ -49,9 +49,9 @@ def _stream(geometry: CacheGeometry, n: int, seed: int) -> "np.ndarray":
 
 def _state(llc: SlicedLLC) -> tuple:
     return (llc._tags.copy(), llc._meta.copy(),
-            llc._owner.copy(), llc._clock, llc._valid, dict(llc._occ),
-            llc.stat_fills, llc.stat_evictions, llc.stat_writebacks,
-            llc._rand_state)
+            llc._owner.copy(), llc._clock, llc.valid_lines(),
+            dict(llc._occ), llc.stat_fills, llc.stat_evictions,
+            llc.stat_writebacks)
 
 
 def _states_equal(a: tuple, b: tuple) -> bool:
@@ -87,7 +87,7 @@ def run_rollback(scale: str = "default") -> dict:
     addrs = _stream(geometry, n, seed=7)
 
     def fresh() -> SlicedLLC:
-        llc = SlicedLLC(geometry, backend="array", seed=11)
+        llc = SlicedLLC(geometry, backend="array")
         llc.access_batch(warm, mask, owner=1)
         return llc
 

@@ -18,7 +18,8 @@ eviction preferring invalid ways.
 Two interchangeable storage backends implement the same semantics:
 
 * ``backend="scalar"`` — per-set Python lists, the reference
-  implementation.  Fastest for one-at-a-time accesses.
+  implementation (:meth:`SlicedLLC.access` and its fill).  Fastest for
+  one-at-a-time accesses.
 * ``backend="array"``  — NumPy structure-of-arrays state with a
   vectorized :meth:`SlicedLLC.access_batch` engine that processes an
   entire address vector per call.  Outcomes are bit-identical to the
@@ -28,14 +29,14 @@ Two interchangeable storage backends implement the same semantics:
   word* ``stamp << 1 | dirty``, and an int8 owner.  The stamps of a
   set's valid lines are distinct, so ordering its lines by meta word is
   exact LRU, and a victim's writeback bit sits in the word its key read.
+  One per-access step serves both a single :meth:`SlicedLLC.access` and
+  the accesses a batch leaves to be applied one at a time.
 
 Batch ordering guarantee: ``access_batch`` behaves exactly as if its
 addresses were issued one at a time in vector order.  Recency stamps are
 pre-assigned from the batch position, and accesses mapping to the same
 set are applied in vector order; accesses to different sets are
 independent under LRU, so the engine may process them concurrently.
-Under the ``"random"`` policy the replacement LCG is global state, so
-batches degrade to an in-order loop to keep seed-for-seed equivalence.
 
 The array backend additionally supports cheap speculation via a
 copy-on-write journal: :meth:`SlicedLLC.snapshot` arms per-cell logging
@@ -43,8 +44,8 @@ at every mutation site (each entry keeps the cells' pre-images and the
 meta words its accesses wrote, hence their stamps),
 :meth:`SlicedLLC.rollback` undoes, newest entry first, every access
 stamped after a given clock and with it the scalar state
-(clock/occupancy/cumulative stats/LCG), and :meth:`SlicedLLC.commit`
-drops the journal.  The vectorized drains use this for optimistic
+(clock/occupancy/cumulative stats), and :meth:`SlicedLLC.commit` drops
+the journal.  The vectorized drains use this for optimistic
 run-ahead chunk admission (execute a large chunk, cut it back to its
 admitted prefix on budget overshoot) — journal cost is proportional to
 the cells *touched*, not to cache size.
@@ -101,10 +102,9 @@ _ROUND_MIN = 12
 #: ``(_J_META, slots, pre_meta, words)``; the same for the batch
 #: engine's collapsed repeats, whose slots may repeat, ``(_J_REPEAT,
 #: ...)``; or a cell replacement by fills, ``(_J_FILL, slots, pre_tag,
-#: pre_meta, pre_owner, words, lcg)``.  ``words`` are the meta words
-#: the accesses wrote, so their stamps date each access; ``lcg`` is the
-#: random policy's state before the entry.  An array entry lists its
-#: accesses in issue order, so its stamps ascend.
+#: pre_meta, pre_owner, words)``.  ``words`` are the meta words the
+#: accesses wrote, so their stamps date each access.  An array entry
+#: lists its accesses in issue order, so its stamps ascend.
 _J_META = 0
 _J_REPEAT = 1
 _J_FILL = 2
@@ -278,6 +278,35 @@ def _element_list(value, n: int, dtype) -> list:
     return arr.tolist()
 
 
+def _record(out: BatchOutcome, at, outcomes) -> None:
+    """Write per-access outcomes into ``out`` at batch positions ``at``."""
+    hit = out.hit
+    fill = out.fill
+    evicted = out.evicted
+    writeback = out.writeback
+    victim_owner = out.victim_owner
+    for i, o in zip(at, outcomes):
+        if o.hit:
+            hit[i] = True
+        elif o.fill:
+            fill[i] = True
+            if o.evicted:
+                evicted[i] = True
+                victim_owner[i] = o.victim_owner
+                if o.writeback:
+                    writeback[i] = True
+
+
+def _raise_mask_error(raw_masks) -> None:
+    """Raise the error for way masks, one or a vector, that let a fill
+    take no way."""
+    empty = (bool((raw_masks == 0).any())
+             if isinstance(raw_masks, np.ndarray) else raw_masks == 0)
+    if empty:
+        raise ValueError("cannot allocate with an empty way mask")
+    raise ValueError("way mask selects no ways within geometry")
+
+
 class SlicedLLC:
     """Cacheline-accurate sliced LLC with per-way owner tracking.
 
@@ -287,13 +316,9 @@ class SlicedLLC:
     attribution.  Both backends accept owner ids ``DDIO_OWNER ..
     OWNER_MAX`` (-2 .. 127, what the array backend's int8 owner plane
     holds) and raise ``ValueError`` on any other.  Per-owner valid-line
-    counts are maintained incrementally, so :meth:`occupancy_by_owner`
-    and :meth:`valid_lines` are O(owners), not O(lines).
-
-    ``policy`` selects the replacement policy within the permitted
-    ways: ``"lru"`` (default, what the paper's analysis assumes) or
-    ``"random"`` (a cheaper hardware policy, available for ablations —
-    real Skylake LLCs use an adaptive policy between the two).
+    counts are maintained incrementally and are the only count of valid
+    lines, so :meth:`occupancy_by_owner` and :meth:`valid_lines` are
+    O(owners), not O(lines).
 
     ``backend`` selects the storage engine (see module docstring):
     ``"scalar"`` Python lists or ``"array"`` NumPy arrays with the
@@ -302,14 +327,10 @@ class SlicedLLC:
     """
 
     def __init__(self, geometry: CacheGeometry, *,
-                 policy: str = "lru", seed: int = 11,
                  backend: str = "scalar") -> None:
-        if policy not in ("lru", "random"):
-            raise ValueError(f"unknown replacement policy {policy!r}")
         if backend not in ("scalar", "array"):
             raise ValueError(f"unknown LLC backend {backend!r}")
         self.geometry = geometry
-        self.policy = policy
         self.backend = backend
         nsets, nways = geometry.total_sets, geometry.ways
         if backend == "scalar":
@@ -341,9 +362,6 @@ class SlicedLLC:
             # the cells a batch writes, so no init needed).
             self._first_scratch = np.empty(nsets, dtype=np.int64)
         self._clock = 0
-        # Cheap deterministic LCG for the random policy (avoids numpy
-        # overhead in the per-access hot path).
-        self._rand_state = seed or 1
         # Copy-on-write journal: None when inactive; while a snapshot
         # is armed, its entries (see _J_META) in the order the writes
         # were applied.
@@ -351,7 +369,6 @@ class SlicedLLC:
         self._snap: "tuple | None" = None
         # Incremental occupancy accounting: owner id -> valid lines.
         self._occ: "dict[int, int]" = {}
-        self._valid = 0
         # Cumulative event counters (cheap ints, identical across
         # backends); the engine samples per-quantum deltas for tracing.
         self.stat_fills = 0
@@ -403,10 +420,10 @@ class SlicedLLC:
         the journal newest entry first, and in each entry the elements
         stamped after ``keep``, leaves every cell as its last kept
         access left it.  Each undone fill gives its counters back, and
-        the clock, valid-line count, occupancy, :meth:`stats` and the
-        random policy's LCG end where the kept accesses left them.  DDIO
-        writes are counted outside the journal, so a snapshot that
-        issued any can only be rolled back whole.
+        the clock, occupancy and :meth:`stats` end where the kept
+        accesses left them.  DDIO writes are counted outside the
+        journal, so a snapshot that issued any can only be rolled back
+        whole.
         """
         journal = self._journal
         if journal is None:
@@ -447,12 +464,11 @@ class SlicedLLC:
                 if kind != _J_FILL:
                     meta[slots] = entry[2]
                     continue
-                _, _, ptag, pmeta, powner, _, lcg = entry
+                _, _, ptag, pmeta, powner, _ = entry
                 self._unfill(int(owner[slots]), ptag, pmeta, powner)
                 tags[slots] = ptag
                 meta[slots] = pmeta
                 owner[slots] = powner
-                self._rand_state = lcg
                 continue
             # Stamps ascend, so the undone accesses are a suffix.
             a = int(words.searchsorted(cut_word))
@@ -477,7 +493,7 @@ class SlicedLLC:
                         meta[ks] = kw
                         meta[ks[(kw & 1) != 0]] |= 1
                 continue
-            _, _, ptag, pmeta, powner, _, lcg = entry
+            _, _, ptag, pmeta, powner, _ = entry
             if a:
                 slots = slots[a:]
                 ptag = ptag[a:]
@@ -485,18 +501,15 @@ class SlicedLLC:
                 powner = powner[a:]
             # Newer writes are undone, so a cell's current owner is its
             # fill's; a valid pre-tag was that fill's victim.
-            n = slots.shape[0]
             valid = ptag != EMPTY
             n_evicted = int(np.count_nonzero(valid))
-            self.stat_fills -= n
+            self.stat_fills -= slots.shape[0]
             self.stat_evictions -= n_evicted
             self.stat_writebacks -= int(np.count_nonzero(pmeta[valid] & 1))
-            self._valid -= n - n_evicted
             self._occ_update(powner[valid], n_evicted, owner[slots])
             tags[slots] = ptag
             meta[slots] = pmeta
             owner[slots] = powner
-            self._rand_state = lcg
 
     def _unfill(self, fill_owner: int, ptag: int, pmeta: int,
                 powner: int) -> None:
@@ -508,8 +521,6 @@ class SlicedLLC:
             if pmeta & 1:
                 self.stat_writebacks -= 1
             occ[powner] = occ.get(powner, 0) + 1
-        else:
-            self._valid -= 1
         left = occ[fill_owner] - 1
         if left:
             occ[fill_owner] = left
@@ -532,7 +543,8 @@ class SlicedLLC:
 
         ``mask`` is the CAT way mask governing *allocation*; hits are
         honoured in any way.  With ``allocate=False`` a miss does not fill
-        (used for device reads).
+        (used for device reads).  The array backend takes its
+        :meth:`_step`; the rest is the scalar reference.
         """
         # Inline compare: the per-access path pays no call unless the
         # owner is out of range, and then _check_owner raises.
@@ -540,32 +552,19 @@ class SlicedLLC:
             _check_owner(owner)
         index, tag = self.geometry.frame_index(addr)
         self._clock += 1
-        if self.backend == "scalar":
-            tags = self._tags[index]
-            try:
-                way = tags.index(tag)
-            except ValueError:
-                way = -1
-            if way >= 0:
-                self._stamp[index][way] = self._clock
-                if write:
-                    self._dirty[index][way] = True
-                return HIT
-        else:
-            tags = self._tags[index].tolist()
-            try:
-                way = tags.index(tag)
-            except ValueError:
-                way = -1
-            if way >= 0:
-                word = int(self._meta[index, way])
-                new = (self._clock << 1) | (1 if write else word & 1)
-                journal = self._journal
-                if journal is not None:
-                    journal.append((_J_META, index * self._nways + way,
-                                    word, new))
-                self._meta[index, way] = new
-                return HIT
+        if self.backend == "array":
+            return self._step(index, tag, self._clock << 1 | bool(write),
+                              mask, owner, allocate)
+        tags = self._tags[index]
+        try:
+            way = tags.index(tag)
+        except ValueError:
+            way = -1
+        if way >= 0:
+            self._stamp[index][way] = self._clock
+            if write:
+                self._dirty[index][way] = True
+            return HIT
         if not allocate:
             return MISS
         return self._fill(index, tag, mask, write=write, owner=owner)
@@ -605,8 +604,7 @@ class SlicedLLC:
         n = addrs.shape[0]
         if n == 0:
             return _empty_batch(0)
-        if (self.backend == "array" and self.policy == "lru"
-                and n >= _VECTOR_MIN):
+        if self.backend == "array" and n >= _VECTOR_MIN:
             return self._access_batch_vector(addrs, mask, write, owner,
                                              allocate)
         return self._access_batch_loop(addrs, mask, write, owner, allocate)
@@ -645,32 +643,19 @@ class SlicedLLC:
         """Reference batch path: per-access loop in vector order."""
         n = addrs.shape[0]
         out = _empty_batch(n)
-        mask = _element_list(mask, n, np.int64)
-        write = _element_list(write, n, bool)
-        owner = _element_list(owner, n, np.int64)
-        allocate = _element_list(allocate, n, bool)
-        hit = out.hit
-        fill = out.fill
-        evicted = out.evicted
-        writeback = out.writeback
-        victim_owner = out.victim_owner
-        for i, addr in enumerate(addrs.tolist()):
-            o = self.access(addr, mask[i], write=write[i], owner=owner[i],
-                            allocate=allocate[i])
-            if o.hit:
-                hit[i] = True
-            elif o.fill:
-                fill[i] = True
-                if o.evicted:
-                    evicted[i] = True
-                    victim_owner[i] = o.victim_owner
-                    if o.writeback:
-                        writeback[i] = True
+        access = self.access
+        _record(out, range(n), (
+            access(addr, m, write=w, owner=o, allocate=a)
+            for addr, m, w, o, a in zip(
+                addrs.tolist(), _element_list(mask, n, np.int64),
+                _element_list(write, n, bool),
+                _element_list(owner, n, np.int64),
+                _element_list(allocate, n, bool))))
         return out
 
     def _access_batch_vector(self, addrs, mask, write, owner,
                              allocate) -> BatchOutcome:
-        """Vectorized set-grouped batch engine (array backend, LRU).
+        """Vectorized set-grouped batch engine (array backend).
 
         A bulk all-miss batch is resolved in closed form by
         :meth:`_access_bulk`; every other batch takes the first-touch
@@ -762,7 +747,7 @@ class SlicedLLC:
                 meta[slot[wr]] |= 1
         out.hit[rep_sel] = True
         if rest.size < _SEQ_MAX:
-            self._apply_sequential(rest.tolist(), index, *args)
+            self._apply_sequential(rest, index, *args)
             return out
         # Mixed-tag collision load: rank rounds over the remainder only
         # (entries with rank r are the (r+2)-th access to their set).
@@ -781,7 +766,7 @@ class SlicedLLC:
         r = 0
         while rest.size:
             if rest.size < _SEQ_MAX:
-                self._apply_sequential(rest.tolist(), index, *args)
+                self._apply_sequential(rest, index, *args)
                 break
             head = rank == r
             sel = rest[head]
@@ -792,7 +777,7 @@ class SlicedLLC:
                 # A tiny round means a few sets carry long chains: the
                 # whole remainder drains faster access-at-a-time than
                 # as dozens of near-empty vectorized rounds.
-                self._apply_sequential(rest.tolist(), index, *args)
+                self._apply_sequential(rest, index, *args)
                 break
             self._apply_round(sel, index[sel], *args)
             keep = ~head
@@ -928,11 +913,9 @@ class SlicedLLC:
         self._tags_flat[cells] = ts[last]
         self._meta_flat[cells] = ((at + (clk0 + 1)) << 1) | _pick(write, at)
         self._owner_flat[cells] = new_owner
-        n_evicted = int(np.count_nonzero(out.evicted))
         self.stat_fills += n
-        self.stat_evictions += n_evicted
+        self.stat_evictions += int(np.count_nonzero(out.evicted))
         self.stat_writebacks += int(np.count_nonzero(out.writeback))
-        self._valid += n - n_evicted
         # Fills evicted within the batch cancel out: what stays is the
         # final residents in, the evicted pre-batch lines out.
         self._occ_update(new_owner, cells.shape[0], ev_owner)
@@ -940,78 +923,16 @@ class SlicedLLC:
 
     def _apply_sequential(self, sel, index, tag, new_meta, alloc_mask,
                           raw_mask, write, owner, allocate, out) -> None:
-        """Apply the set-colliding remainder of a batch in order (LRU)."""
-        tags_m = self._tags
-        meta_m = self._meta
-        owner_m = self._owner
-        occ = self._occ
-        journal = self._journal
-        ways = self._nways
-        for i in sel:
-            row = int(index[i])
-            tg = int(tag[i])
-            row_tags = tags_m[row].tolist()
-            try:
-                way = row_tags.index(tg)
-            except ValueError:
-                way = -1
-            if way >= 0:
-                word = int(meta_m[row, way])
-                new = int(new_meta[i]) | (word & 1)
-                if journal is not None:
-                    journal.append((_J_META, row * ways + way, word, new))
-                meta_m[row, way] = new
-                out.hit[i] = True
-                continue
-            if not _pick(allocate, i):
-                continue
-            m = int(_pick(alloc_mask, i))
-            if m == 0:
-                if int(_pick(raw_mask, i)) == 0:
-                    raise ValueError("cannot allocate with an empty way mask")
-                raise ValueError("way mask selects no ways within geometry")
-            allowed = _ways_of_mask(m)
-            words = meta_m[row].tolist()
-            victim = -1
-            victim_word = None
-            for w in allowed:
-                if row_tags[w] == EMPTY:
-                    victim = w
-                    victim_word = None
-                    break
-                if victim_word is None or words[w] < victim_word:
-                    victim = w
-                    victim_word = words[w]
-            word = words[victim]
-            evicted = row_tags[victim] != EMPTY
-            new_owner = int(_pick(owner, i))
-            out.fill[i] = True
-            self.stat_fills += 1
-            if evicted:
-                out.evicted[i] = True
-                self.stat_evictions += 1
-                victim_owner = int(owner_m[row, victim])
-                out.victim_owner[i] = victim_owner
-                if word & 1:
-                    out.writeback[i] = True
-                    self.stat_writebacks += 1
-                left = occ[victim_owner] - 1
-                if left:
-                    occ[victim_owner] = left
-                else:
-                    del occ[victim_owner]
-            else:
-                self._valid += 1
-            occ[new_owner] = occ.get(new_owner, 0) + 1
-            new = int(new_meta[i])
-            if journal is not None:
-                journal.append((_J_FILL, row * ways + victim,
-                                row_tags[victim], word,
-                                int(owner_m[row, victim]), new,
-                                self._rand_state))
-            tags_m[row, victim] = tg
-            meta_m[row, victim] = new
-            owner_m[row, victim] = new_owner
+        """Apply the set-colliding remainder ``sel`` of a batch in
+        order, one :meth:`_step` per access (the write bit is already
+        in ``new_meta``)."""
+        n = sel.shape[0]
+        _record(out, sel.tolist(), map(
+            self._step, index[sel].tolist(), tag[sel].tolist(),
+            new_meta[sel].tolist(),
+            _element_list(_pick(raw_mask, sel), n, np.int64),
+            _element_list(_pick(owner, sel), n, np.int64),
+            _element_list(_pick(allocate, sel), n, bool)))
 
     def _apply_round(self, sel, rows, tag, new_meta, alloc_mask, raw_mask,
                      write, owner, allocate, out) -> "np.ndarray":
@@ -1087,7 +1008,7 @@ class SlicedLLC:
         if uniform:
             a0 = int(a0)
             if a0 == 0:
-                self._raise_mask_error(_pick(raw_mask, miss_sel))
+                _raise_mask_error(_pick(raw_mask, miss_sel))
             # (ways,)-shaped row; ufunc broadcasting against the
             # (k, ways) meta words below is free.
             cached = self._allowed_rows.get(a0)
@@ -1105,7 +1026,7 @@ class SlicedLLC:
             allowed = (amask[:, None] >> self._way_range) & 1 != 0
             dis_row = aw = None
             if not allowed.any(axis=1).all():
-                self._raise_mask_error(_pick(raw_mask, miss_sel))
+                _raise_mask_error(_pick(raw_mask, miss_sel))
         # Victim selection: invalid allowed ways sort first (lowest way
         # index wins), then the LRU meta word among allowed ways (valid
         # lines' stamps are distinct, so the dirty bit never decides);
@@ -1117,7 +1038,7 @@ class SlicedLLC:
         # Wide masks build the per-way key and let ``argmin`` pick; a
         # full cache (no invalid ways anywhere) skips the tag comparison
         # entirely, and its narrow scan's best key is the victim's word.
-        full = self._valid == self._total_lines
+        full = self.valid_lines() == self._total_lines
         base = miss_rows * ways
         tags_flat = self._tags_flat
         meta_flat = self._meta_flat
@@ -1172,7 +1093,7 @@ class SlicedLLC:
         if journal is not None:
             # Flat-slot gathers of the pre-write state (written below).
             journal.append((_J_FILL, fslot, victim_tags, victim_meta,
-                            victim_owner, fill_meta, self._rand_state))
+                            victim_owner, fill_meta))
         if not full:
             evicted = victim_tags != EMPTY
         tags_flat[fslot] = tag[miss_sel]
@@ -1194,20 +1115,10 @@ class SlicedLLC:
         out.writeback[miss_sel] = writeback
         ev_owner = victim_owner[evicted]
         out.victim_owner[miss_sel[evicted]] = ev_owner
-        n_evicted = int(np.count_nonzero(evicted))
-        self.stat_evictions += n_evicted
+        self.stat_evictions += ev_owner.shape[0]
         self.stat_writebacks += int(np.count_nonzero(writeback))
-        # Occupancy bookkeeping.
-        self._valid += k - n_evicted
         self._occ_update(new_owner, k, ev_owner)
         return slots
-
-    def _raise_mask_error(self, raw_masks) -> None:
-        empty = (bool((raw_masks == 0).any())
-                 if isinstance(raw_masks, np.ndarray) else raw_masks == 0)
-        if empty:
-            raise ValueError("cannot allocate with an empty way mask")
-        raise ValueError("way mask selects no ways within geometry")
 
     def _occ_update(self, filled_owners, n_filled, evicted_owners) -> None:
         occ = self._occ
@@ -1238,62 +1149,31 @@ class SlicedLLC:
                     del occ[o]
 
     # ------------------------------------------------------------------
-    # Fill / eviction
+    # Per-access fills: the scalar reference and the array step
     # ------------------------------------------------------------------
     def _fill(self, index: int, tag: int, mask: int, *, write: bool,
               owner: int) -> AccessOutcome:
-        if mask == 0:
-            raise ValueError("cannot allocate with an empty way mask")
         allowed = _ways_of_mask(mask & self.geometry.full_mask)
         if not allowed:
-            raise ValueError("way mask selects no ways within geometry")
-        lcg = self._rand_state
-        scalar = self.backend == "scalar"
-        if scalar:
-            tags = self._tags[index]
-            stamps = self._stamp[index]
-        else:
-            # Meta words order valid lines exactly as their stamps do.
-            tags = self._tags[index].tolist()
-            stamps = self._meta[index].tolist()
+            _raise_mask_error(mask)
+        tags = self._tags[index]
+        stamps = self._stamp[index]
         victim = -1
         victim_stamp = None
         for way in allowed:
             if tags[way] == EMPTY:
                 victim = way
-                victim_stamp = None
                 break
             if victim_stamp is None or stamps[way] < victim_stamp:
                 victim = way
                 victim_stamp = stamps[way]
-        if victim_stamp is not None and self.policy == "random":
-            # No invalid way: pick uniformly among the permitted ways.
-            # Use the LCG's high bits — its low bits cycle with a tiny
-            # period and would degenerate into round-robin.
-            self._rand_state = (self._rand_state * 1103515245 + 12345) \
-                & 0x7FFFFFFF
-            victim = allowed[(self._rand_state >> 16) % len(allowed)]
         evicted = tags[victim] != EMPTY
-        if scalar:
-            writeback = evicted and self._dirty[index][victim]
-            victim_owner = self._owner[index][victim] if evicted else None
-            tags[victim] = tag
-            stamps[victim] = self._clock
-            self._dirty[index][victim] = write
-            self._owner[index][victim] = owner
-        else:
-            word = stamps[victim]
-            writeback = evicted and bool(word & 1)
-            pre_owner = int(self._owner[index, victim])
-            victim_owner = pre_owner if evicted else None
-            new = (self._clock << 1) | bool(write)
-            journal = self._journal
-            if journal is not None:
-                journal.append((_J_FILL, index * self._nways + victim,
-                                tags[victim], word, pre_owner, new, lcg))
-            self._tags[index, victim] = tag
-            self._meta[index, victim] = new
-            self._owner[index, victim] = owner
+        writeback = evicted and self._dirty[index][victim]
+        victim_owner = self._owner[index][victim] if evicted else None
+        tags[victim] = tag
+        stamps[victim] = self._clock
+        self._dirty[index][victim] = write
+        self._owner[index][victim] = owner
         # Occupancy bookkeeping.
         if evicted:
             left = self._occ[victim_owner] - 1
@@ -1301,9 +1181,76 @@ class SlicedLLC:
                 self._occ[victim_owner] = left
             else:
                 del self._occ[victim_owner]
-        else:
-            self._valid += 1
         self._occ[owner] = self._occ.get(owner, 0) + 1
+        self.stat_fills += 1
+        if evicted:
+            self.stat_evictions += 1
+            if writeback:
+                self.stat_writebacks += 1
+        return AccessOutcome(hit=False, fill=True, evicted=evicted,
+                             writeback=writeback, victim_owner=victim_owner)
+
+    def _step(self, row: int, tag: int, word: int, mask: int, owner: int,
+              allocate: bool) -> AccessOutcome:
+        """One access to set ``row`` on the array planes.
+
+        ``word`` is the access's fill word ``stamp << 1 | write``; a hit
+        writes it with the line's dirty bit kept.  A miss that allocates
+        fills the first invalid way ``mask`` allows, else its oldest
+        (meta words order valid lines exactly as their stamps do).  The
+        write is journaled while a snapshot is armed.  :meth:`access`
+        and the batch engine's per-access remainder both run on it.
+        """
+        tags = self._tags[row].tolist()
+        journal = self._journal
+        try:
+            way = tags.index(tag)
+        except ValueError:
+            way = -1
+        if way >= 0:
+            slot = row * self._nways + way
+            pre = int(self._meta_flat[slot])
+            new = word | (pre & 1)
+            if journal is not None:
+                journal.append((_J_META, slot, pre, new))
+            self._meta_flat[slot] = new
+            return HIT
+        if not allocate:
+            return MISS
+        allowed = _ways_of_mask(mask & self.geometry.full_mask)
+        if not allowed:
+            _raise_mask_error(mask)
+        words = self._meta[row].tolist()
+        victim = -1
+        victim_word = None
+        for w in allowed:
+            if tags[w] == EMPTY:
+                victim = w
+                break
+            if victim_word is None or words[w] < victim_word:
+                victim = w
+                victim_word = words[w]
+        slot = row * self._nways + victim
+        pre_tag = tags[victim]
+        pre = words[victim]
+        pre_owner = int(self._owner_flat[slot])
+        evicted = pre_tag != EMPTY
+        writeback = evicted and bool(pre & 1)
+        victim_owner = pre_owner if evicted else None
+        if journal is not None:
+            journal.append((_J_FILL, slot, pre_tag, pre, pre_owner, word))
+        self._tags_flat[slot] = tag
+        self._meta_flat[slot] = word
+        self._owner_flat[slot] = owner
+        # Occupancy bookkeeping.
+        occ = self._occ
+        if evicted:
+            left = occ[pre_owner] - 1
+            if left:
+                occ[pre_owner] = left
+            else:
+                del occ[pre_owner]
+        occ[owner] = occ.get(owner, 0) + 1
         self.stat_fills += 1
         if evicted:
             self.stat_evictions += 1
@@ -1340,7 +1287,8 @@ class SlicedLLC:
         return dict(self._occ)
 
     def valid_lines(self) -> int:
-        return self._valid
+        """Valid lines in the whole cache: the occupancy's sum."""
+        return sum(self._occ.values())
 
     def stats(self) -> "dict[str, int]":
         """Cumulative event counters (identical on both backends).
@@ -1359,7 +1307,8 @@ class SlicedLLC:
         """Invalidate every line (no writeback accounting)."""
         if self._journal is not None:
             raise RuntimeError("flush() during an active snapshot")
-        current_tracer().instant("llc", "flush", valid_lines=self._valid)
+        current_tracer().instant("llc", "flush",
+                                 valid_lines=self.valid_lines())
         if self.backend == "scalar":
             nways = self.geometry.ways
             for index in range(len(self._tags)):
@@ -1370,4 +1319,3 @@ class SlicedLLC:
             self._meta &= ~1        # clear dirty bits, keep stamps
         self._clock = 0
         self._occ = {}
-        self._valid = 0

@@ -39,14 +39,16 @@ class MemoryController:
 
     The simulation engine calls :meth:`begin_window` each quantum; loads
     and stores land via :meth:`add_read` / :meth:`add_write` (in bytes).
+    Only the cumulative byte counts are stored: a window's bytes are
+    their change since :meth:`begin_window`.
     """
 
     spec: MemorySpec = field(default_factory=MemorySpec)
     time_scale: float = 1.0
     read_bytes: int = 0
     write_bytes: int = 0
-    _window_read: int = 0
-    _window_write: int = 0
+    #: ``(read_bytes, write_bytes)`` when the current window began.
+    _window_base: "tuple[int, int]" = (0, 0)
     _window_seconds: float = 0.0
     _last_util: float = 0.0
 
@@ -54,22 +56,20 @@ class MemoryController:
         """Start a new accounting window of ``seconds`` simulated time."""
         if seconds <= 0:
             raise ValueError("window must have positive duration")
-        self._window_read = 0
-        self._window_write = 0
+        self._window_base = (self.read_bytes, self.write_bytes)
         self._window_seconds = seconds
 
     def add_read(self, nbytes: int) -> None:
         self.read_bytes += nbytes
-        self._window_read += nbytes
 
     def add_write(self, nbytes: int) -> None:
         self.write_bytes += nbytes
-        self._window_write += nbytes
 
     # ------------------------------------------------------------------
     @property
     def window_bytes(self) -> int:
-        return self._window_read + self._window_write
+        read0, write0 = self._window_base
+        return self.read_bytes - read0 + self.write_bytes - write0
 
     def window_bandwidth(self) -> float:
         """Bytes/second over the current window, unscaled back to real time.
@@ -99,5 +99,5 @@ class MemoryController:
     def end_window(self) -> "tuple[int, int]":
         """Close the window; returns ``(read_bytes, write_bytes)`` seen."""
         self.utilization()
-        result = (self._window_read, self._window_write)
-        return result
+        read0, write0 = self._window_base
+        return self.read_bytes - read0, self.write_bytes - write0

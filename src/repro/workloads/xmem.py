@@ -15,7 +15,7 @@ import numpy as np
 
 from .base import (CorePort, ENGINE_STATS, L2_HIT_CYCLES, LLC_HIT_CYCLES,
                    Workload)
-from .streams import sequential_lines, uniform_lines
+from .streams import uniform_lines
 
 #: Loop overhead per access operation.
 XMEM_INSTRUCTIONS_PER_OP = 8.0
@@ -31,20 +31,15 @@ _CHUNK_DRAWS = 16
 
 
 class XMem(Workload):
-    """Random-read (default) or sequential-read memory prober."""
+    """Random-read memory prober."""
 
     def __init__(self, name: str, working_set_bytes: int, *,
-                 pattern: str = "random_read",
                  core_freq_hz: float = 2.3e9) -> None:
         super().__init__(name)
         if working_set_bytes < 64:
             raise ValueError("working set must hold at least one line")
-        if pattern not in ("random_read", "sequential_read"):
-            raise ValueError(f"unknown X-Mem pattern {pattern!r}")
         self.working_set_bytes = working_set_bytes
-        self.pattern = pattern
         self.core_freq_hz = core_freq_hz
-        self._cursor = 0
 
     def prefill(self) -> None:
         self.warm_region(self.region_base, self.working_set_bytes)
@@ -59,13 +54,8 @@ class XMem(Workload):
         """One batch of probe addresses and their L2-hit draws (both
         loops draw whole batches, so the RNG stream is mode-independent;
         ops a sub-step's budget cuts off are discarded)."""
-        if self.pattern == "random_read":
-            addrs = uniform_lines(self.rng, self.region_base,
-                                  self.working_set_bytes, _BATCH)
-        else:
-            addrs, self._cursor = sequential_lines(
-                self.region_base, self.working_set_bytes, self._cursor,
-                _BATCH)
+        addrs = uniform_lines(self.rng, self.region_base,
+                              self.working_set_bytes, _BATCH)
         return addrs, self.rng.random(_BATCH) < p_l2
 
     def run_core(self, port: CorePort, budget_cycles: float,
@@ -136,11 +126,11 @@ class XMem(Workload):
         When the budget ends before the chunk does, the chunk is cut
         after the admitted ops' LLC accesses, whose latencies are the
         ones admission read, and the generator goes back to the state
-        read after the last kept draw, with the sequential cursor:
-        the scalar loop never took the later draws.  A chunk whose draws
-        send no op to the LLC arms no journal: its slices each sum to
-        exactly ``count * L2_HIT_CYCLES``, so it replays on Python
-        floats, and :data:`ENGINE_STATS` does not count it.
+        read after the last kept draw: the scalar loop never took the
+        later draws.  A chunk whose draws send no op to the LLC arms no
+        journal: its slices each sum to exactly ``count *
+        L2_HIT_CYCLES``, so it replays on Python floats, and
+        :data:`ENGINE_STATS` does not count it.
         """
         used = 0.0
         ops = 0
@@ -179,7 +169,7 @@ class XMem(Workload):
             for d in range(draws):
                 parts.append(self._draw(p_l2))
                 if d + 1 < draws:
-                    marks.append((generator.state, self._cursor))
+                    marks.append(generator.state)
             if draws == 1:
                 addrs, l2_hits = parts[0]
             else:
@@ -194,7 +184,7 @@ class XMem(Workload):
                     None, k, used, latency_sum, budget_cycles, worst)
             if n <= k - _BATCH:
                 # Cut before the last draw.
-                generator.state, self._cursor = marks[(n - 1) // _BATCH]
+                generator.state = marks[(n - 1) // _BATCH]
             self._observe_cost((u - used) / n)
             used, latency_sum = u, latency_total
             ops += n

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.llc import EMPTY
 from repro.core.monitor import (ChangeKind, SystemSample, TenantSample)
 from repro.net.traffic import TrafficSpec
 from repro.sim.config import TINY_PLATFORM
@@ -75,8 +76,9 @@ class TestConservation:
     def test_llc_conservation_after_kvs_prefill(self):
         """The KVS co-run's prefill (bulk all-miss batches of up to an
         LLC's worth of lines) keeps the cache's books: occupancy per
-        owner sums to valid lines, fills minus evictions equal them,
-        and no tenant holds more lines than its ways can."""
+        owner and valid lines match the owner and tag planes, fills
+        minus evictions equal the valid lines, and no tenant holds more
+        lines than its ways can."""
         from repro.experiments.common import kvs_scenario
 
         scen = kvs_scenario(app="rocksdb", ycsb_letter="A")
@@ -84,8 +86,10 @@ class TestConservation:
         scen.sim.run(0.0)   # start-up and prefill only
         llc = scen.platform.llc
         occ = llc.occupancy_by_owner()
-        assert llc.valid_lines() > 0
-        assert sum(occ.values()) == llc.valid_lines()
+        valid = llc._tags != EMPTY
+        owners, counts = np.unique(llc._owner[valid], return_counts=True)
+        assert llc.valid_lines() == int(np.count_nonzero(valid)) > 0
+        assert occ == dict(zip(owners.tolist(), counts.tolist()))
         assert llc.stat_fills - llc.stat_evictions == llc.valid_lines()
         sets = llc.geometry.total_sets
         for binding in scen.sim.bindings:

@@ -3,8 +3,8 @@
 The array backend's batched engine must reproduce the scalar reference
 bit-exactly: identical per-access hit/fill/eviction/writeback outcomes,
 identical victim attribution, identical occupancy — over arbitrary
-interleavings of core accesses, DDIO writes and device reads, under both
-replacement policies.  These tests fuzz exactly that, aim hand-built
+interleavings of core accesses, DDIO writes and device reads, under LRU
+replacement.  These tests fuzz exactly that, aim hand-built
 batches at each shortcut of the vector engine (the repeat collapse and
 the bulk all-miss path), and check the engine-level guarantee that a
 full simulation produces identical metrics on either backend.
@@ -94,7 +94,6 @@ def assert_same_state(scalar, array):
     meta word, ``stamp << 1 | dirty``.
     """
     assert scalar.occupancy_by_owner() == array.occupancy_by_owner()
-    assert scalar.valid_lines() == array.valid_lines()
     assert scalar.stats() == array.stats()
     assert scalar._clock == array._clock
     for row in range(array.geometry.total_sets):
@@ -103,20 +102,23 @@ def assert_same_state(scalar, array):
         assert scalar._stamp[row] == (meta >> 1).tolist()
         assert scalar._dirty[row] == (meta & 1 == 1).tolist()
         assert scalar._owner[row] == array._owner[row].tolist()
-    # The incremental occupancy counters recount from the owner plane.
-    owners, counts = np.unique(array._owner[array._tags != EMPTY],
-                               return_counts=True)
+    # The incremental occupancy counters recount from the owner plane,
+    # and the valid lines from the tag plane.
+    valid = array._tags != EMPTY
+    owners, counts = np.unique(array._owner[valid], return_counts=True)
     assert dict(zip(owners.tolist(), counts.tolist())) == \
         array.occupancy_by_owner()
+    assert array.valid_lines() == int(np.count_nonzero(valid))
 
 
 class TestBatchEquivalence:
-    @pytest.mark.parametrize("policy", ["lru", "random"])
+    # LRU is the one replacement policy; it stays in the test ids.
+    @pytest.mark.parametrize("policy", ["lru"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fuzzed_streams_bit_identical(self, policy, seed):
         rng = random.Random(seed)
-        scalar = SlicedLLC(TINY_LLC, policy=policy, backend="scalar")
-        array = SlicedLLC(TINY_LLC, policy=policy, backend="array")
+        scalar = SlicedLLC(TINY_LLC, backend="scalar")
+        array = SlicedLLC(TINY_LLC, backend="array")
         for op in random_stream(rng, 120, max_batch=96, addr_lines=4096):
             expected = apply_scalar(scalar, op)
             got = apply_batch(array, op)

@@ -1,9 +1,7 @@
-"""Tests for metrics serialization and the replacement-policy option."""
+"""Tests for metrics serialization."""
 
 import pytest
 
-from repro.cache.geometry import CacheGeometry
-from repro.cache.llc import SlicedLLC
 from repro.sim.metrics import (MetricsRecorder, QuantumRecord,
                                TenantSnapshot)
 
@@ -93,67 +91,3 @@ class TestCsv:
 
     def test_empty_roundtrip(self):
         assert len(MetricsRecorder.from_csv("")) == 0
-
-
-ONE_SET = CacheGeometry(ways=4, sets_per_slice=1, slices=1)
-
-
-class TestReplacementPolicies:
-    def lines_same_set(self, count):
-        target = ONE_SET.frame_index(0)[0]
-        found, addr = [0], 64
-        while len(found) < count:
-            if ONE_SET.frame_index(addr)[0] == target:
-                found.append(addr)
-            addr += 64
-        return found
-
-    def test_random_policy_valid(self):
-        llc = SlicedLLC(ONE_SET, policy="random")
-        lines = self.lines_same_set(20)
-        for addr in lines:
-            llc.access(addr, ONE_SET.full_mask)
-        assert llc.valid_lines() == 4
-
-    def test_random_policy_deterministic_per_seed(self):
-        lines = self.lines_same_set(30)
-
-        def survivors(seed):
-            llc = SlicedLLC(ONE_SET, policy="random", seed=seed)
-            for addr in lines:
-                llc.access(addr, ONE_SET.full_mask)
-            return frozenset(a for a in lines if llc.contains(a))
-
-        assert survivors(1) == survivors(1)
-
-    def test_random_differs_from_lru(self):
-        lines = self.lines_same_set(30)
-        lru = SlicedLLC(ONE_SET, policy="lru")
-        for addr in lines:
-            lru.access(addr, ONE_SET.full_mask)
-        lru_set = {a for a in lines if lru.contains(a)}
-        # LRU keeps exactly the last four inserted lines.
-        assert lru_set == set(lines[-4:])
-        # Across a handful of seeds, random replacement must deviate
-        # from strict LRU at least once (any single seed may collide).
-        deviated = False
-        for seed in range(1, 8):
-            rand = SlicedLLC(ONE_SET, policy="random", seed=seed)
-            for addr in lines:
-                rand.access(addr, ONE_SET.full_mask)
-            if {a for a in lines if rand.contains(a)} != lru_set:
-                deviated = True
-                break
-        assert deviated
-
-    def test_random_respects_mask(self):
-        llc = SlicedLLC(ONE_SET, policy="random", seed=5)
-        lines = self.lines_same_set(10)
-        llc.access(lines[0], 0b1000)  # pinned in way 3
-        for addr in lines[1:]:
-            llc.access(addr, 0b0111)
-        assert llc.contains(lines[0])
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            SlicedLLC(ONE_SET, policy="plru")

@@ -10,8 +10,8 @@ These tests attack that machinery from four sides:
 * **journal fuzz** — randomized mixed mutation streams against
   :class:`~repro.cache.llc.SlicedLLC` between ``snapshot()`` and
   ``rollback()``, asserting the full structure-of-arrays state (tags,
-  LRU stamps, dirty bits, owners), the occupancy accounting, every
-  cumulative stat counter and the replacement RNG come back bit-exact;
+  LRU stamps, dirty bits, owners), the occupancy accounting and every
+  cumulative stat counter come back bit-exact;
 * **cut twins** — ``rollback(keep=c)`` of the LLC, and the cuts of a
   core port, a descriptor ring and the EMC, must each equal a twin that
   only ever ran the accesses, packets or lookups up to the cut;
@@ -31,7 +31,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cache.llc import DDIO_OWNER, CacheGeometry, SlicedLLC
+from repro.cache.llc import DDIO_OWNER, EMPTY, CacheGeometry, SlicedLLC
 from repro.core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
 from repro.experiments.common import leaky_dma_scenario
 from repro.net.traffic import TrafficSpec
@@ -54,22 +54,34 @@ GEOMETRY = CacheGeometry(ways=4, sets_per_slice=32, slices=2)
 # ---------------------------------------------------------------------------
 # LLC journal: fuzzed snapshot/rollback roundtrips
 # ---------------------------------------------------------------------------
+def _recount(llc: SlicedLLC) -> "tuple[int, dict]":
+    """Valid lines recounted from the tag plane, and occupancy per owner
+    from the owner plane."""
+    valid = llc._tags != EMPTY
+    owners, counts = np.unique(llc._owner[valid], return_counts=True)
+    return (int(np.count_nonzero(valid)),
+            dict(zip(owners.tolist(), counts.tolist())))
+
+
 def _llc_state(llc: SlicedLLC) -> tuple:
     """A deep copy of everything rollback promises to restore.
 
     Stamps and dirty bits are read from the meta words,
-    ``stamp << 1 | dirty``.
+    ``stamp << 1 | dirty``.  The cache's own valid-line and occupancy
+    counts must equal their recounts from the planes.
     """
+    valid, occ = _recount(llc)
+    assert (llc.valid_lines(), llc.occupancy_by_owner()) == (valid, occ)
     return (llc._tags.copy(), llc._meta >> 1, llc._meta & 1,
-            llc._owner.copy(), llc._clock, llc._valid, dict(llc._occ),
+            llc._owner.copy(), llc._clock, valid, occ,
             llc.stat_fills, llc.stat_evictions, llc.stat_writebacks,
-            llc.stat_ddio_hits, llc.stat_ddio_misses, llc._rand_state)
+            llc.stat_ddio_hits, llc.stat_ddio_misses)
 
 
 def _assert_state_equal(a: tuple, b: tuple) -> None:
     names = ("tags", "stamp", "dirty", "owner", "clock", "valid", "occ",
              "fills", "evictions", "writebacks", "ddio_hits",
-             "ddio_misses", "rand_state")
+             "ddio_misses")
     for name, xa, xb in zip(names, a, b):
         if isinstance(xa, np.ndarray):
             assert np.array_equal(xa, xb), f"LLC {name} diverged"
@@ -118,7 +130,7 @@ class TestLLCJournal:
     @pytest.mark.parametrize("seed", range(8))
     def test_fuzz_rollback_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
-        llc = SlicedLLC(GEOMETRY, backend="array", seed=seed + 1)
+        llc = SlicedLLC(GEOMETRY, backend="array")
         for _ in range(4):  # warm to a non-trivial mixed-owner state
             _mutate(llc, rng)
         before = _llc_state(llc)
@@ -130,28 +142,13 @@ class TestLLCJournal:
         # The journal is gone: state keeps evolving normally afterwards.
         _mutate(llc, rng)
 
-    @pytest.mark.parametrize("seed", [3, 19])
-    def test_fuzz_rollback_random_policy(self, seed):
-        """The random-replacement loop path journals (and restores the
-        LCG state) just like the vectorized LRU path."""
-        rng = np.random.default_rng(seed)
-        llc = SlicedLLC(GEOMETRY, backend="array", policy="random",
-                        seed=seed + 1)
-        _mutate(llc, rng)
-        before = _llc_state(llc)
-        llc.snapshot()
-        for _ in range(3):
-            _mutate(llc, rng)
-        llc.rollback()
-        _assert_state_equal(_llc_state(llc), before)
-
     def test_commit_matches_unjournaled_twin(self):
         """Journaling must not perturb outcomes: snapshot+commit lands in
         exactly the state an unjournaled twin reaches."""
         rng_a = np.random.default_rng(77)
         rng_b = np.random.default_rng(77)
-        a = SlicedLLC(GEOMETRY, backend="array", seed=5)
-        b = SlicedLLC(GEOMETRY, backend="array", seed=5)
+        a = SlicedLLC(GEOMETRY, backend="array")
+        b = SlicedLLC(GEOMETRY, backend="array")
         _mutate(a, rng_a)
         _mutate(b, rng_b)
         a.snapshot()
@@ -168,8 +165,8 @@ class TestLLCJournal:
         rng = np.random.default_rng(9)
         addrs = rng.integers(0, GEOMETRY.lines * 2, size=200) * 64
         full = (1 << GEOMETRY.ways) - 1
-        spec = SlicedLLC(GEOMETRY, backend="array", seed=2)
-        plain = SlicedLLC(GEOMETRY, backend="array", seed=2)
+        spec = SlicedLLC(GEOMETRY, backend="array")
+        plain = SlicedLLC(GEOMETRY, backend="array")
         spec.access_batch(addrs[:50], full)
         plain.access_batch(addrs[:50], full)
         spec.snapshot()
@@ -204,7 +201,7 @@ class TestLLCJournal:
         assert llc.stat_ddio_hits + llc.stat_ddio_misses > hits + misses
         llc.rollback()
         assert (llc.stat_ddio_hits, llc.stat_ddio_misses) == (hits, misses)
-        assert llc.occupancy_by_owner().get(DDIO_OWNER, 0) == llc._valid
+        assert llc.occupancy_by_owner() == {DDIO_OWNER: _recount(llc)[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +276,8 @@ def _apply_cut_op(llc: SlicedLLC, op, limit: "int | None" = None) -> int:
     return n
 
 
-def _cut_llc(warm: str, policy: str, seed: int) -> SlicedLLC:
-    llc = SlicedLLC(CUT_GEOMETRY, backend="array", policy=policy,
-                    seed=seed + 1)
+def _cut_llc(warm: str) -> SlicedLLC:
+    llc = SlicedLLC(CUT_GEOMETRY, backend="array")
     if warm == "full":
         # Eight cache sizes of distinct lines, a quarter of them
         # written: every way valid, a dirty mix of owners.
@@ -303,14 +299,15 @@ def _speculate(llc: SlicedLLC, ops: list) -> int:
 
 
 class TestLLCCut:
-    @pytest.mark.parametrize("policy", ["lru", "random"])
+    # LRU is the one replacement policy; it stays in the test ids.
+    @pytest.mark.parametrize("policy", ["lru"])
     @pytest.mark.parametrize("warm", ["cold", "full"])
     @pytest.mark.parametrize("seed", range(12))
     def test_cut_equals_prefix_twin(self, seed, warm, policy):
         rng = np.random.default_rng(seed)
         ops = _cut_ops(rng, int(rng.integers(2, 6)))
-        spec = _cut_llc(warm, policy, seed)
-        twin = _cut_llc(warm, policy, seed)
+        spec = _cut_llc(warm)
+        twin = _cut_llc(warm)
         clock0 = _speculate(spec, ops)
         keep = int(rng.integers(clock0, spec.clock + 1))
         spec.rollback(keep=keep)
@@ -339,19 +336,19 @@ class TestLLCCut:
         op = ("batch", addrs, dict(
             mask=0xFF, owner=2,
             write=rng.integers(0, 4, size=addrs.shape[0]) == 0))
-        spec = _cut_llc("full", "lru", 1)
-        twin = _cut_llc("full", "lru", 1)
+        spec = _cut_llc("full")
+        twin = _cut_llc("full")
         clock0 = _speculate(spec, [op])
         assert any(entry[0] == 1 for entry in spec._journal)
         spec.rollback(keep=clock0 + keep)
         _apply_cut_op(twin, op, keep)
         _assert_state_equal(_llc_state(spec), _llc_state(twin))
 
-    @pytest.mark.parametrize("policy", ["lru", "random"])
+    @pytest.mark.parametrize("policy", ["lru"])
     def test_keep_at_snapshot_clock_is_rollback(self, policy):
         ops = _cut_ops(np.random.default_rng(5), 5)
-        cut = _cut_llc("full", policy, 5)
-        whole = _cut_llc("full", policy, 5)
+        cut = _cut_llc("full")
+        whole = _cut_llc("full")
         before = _llc_state(cut)
         clock0 = _speculate(cut, ops)
         cut.rollback(keep=clock0)
@@ -374,7 +371,7 @@ class TestLLCCut:
         kinds = set()
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            llc = _cut_llc("full" if seed % 2 else "cold", "lru", seed)
+            llc = _cut_llc("full" if seed % 2 else "cold")
             llc.snapshot()
             for op in _cut_ops(rng, int(rng.integers(2, 6))):
                 del rounds[:]
@@ -389,7 +386,7 @@ class TestLLCCut:
                 (2, False)} <= kinds
 
     def test_cut_guards(self):
-        llc = _cut_llc("cold", "lru", 0)
+        llc = _cut_llc("cold")
         llc.snapshot()
         llc.access_batch(np.arange(40, dtype=np.int64) * 64, 0xFF)
         with pytest.raises(ValueError):
@@ -444,8 +441,7 @@ class TestCorePortCut:
         def counters(platform, port):
             mem = platform.mem
             return (port.block.llc_references, port.block.llc_misses,
-                    mem.read_bytes, mem.write_bytes, mem._window_read,
-                    mem._window_write)
+                    mem.read_bytes, mem.write_bytes, mem.end_window())
 
         assert counters(p_spec, spec) == counters(p_twin, twin)
         _assert_state_equal(_llc_state(p_spec.llc), _llc_state(p_twin.llc))

@@ -141,16 +141,6 @@ class TestXMem:
         with pytest.raises(ValueError):
             xmem.set_working_set(0)
 
-    def test_patterns(self, platform):
-        xmem = XMem("x", 1 << 20, pattern="sequential_read")
-        port = make_port(platform)
-        xmem.bind([port], 1 << 32, np.random.default_rng(7))
-        xmem.begin_quantum(0.0)
-        xmem.run(50_000, 0.0)
-        assert xmem.stats.ops > 0
-        with pytest.raises(ValueError):
-            XMem("bad", 1 << 20, pattern="zigzag")
-
     def test_throughput_unscaling(self, platform):
         xmem, _ = self.run_xmem(platform, 1 << 20)
         scaled = xmem.throughput_ops(1.0, time_scale=1.0)

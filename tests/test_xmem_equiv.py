@@ -8,10 +8,10 @@ state it had after the last kept draw; a chunk that sends no op to the
 LLC replays on Python floats without a journal.  Fig. 10's shuffle
 scenario runs three X-Mem tenants beside two testpmd containers; here
 one of them fits the L2 (every op is an L2 hit, so every one of its
-chunks takes the journal-free path), one grows from 2 MB to 10 MB
-mid-run, and one reads sequentially.  Records, every core's counter
-block, each X-Mem's statistics and its generator's final state must
-match the scalar loop bit for bit.
+chunks takes the journal-free path) and one grows from 2 MB to 10 MB
+mid-run.  Records, every core's counter block, each X-Mem's statistics
+and its generator's final state must match the scalar loop bit for
+bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ def _run(exec_mode: str) -> dict:
     scen = shuffle_scenario(packet_size=1500, spec=XMEM_TINY, seed=4)
     xmems = {name: w for name, w in scen.workloads.items()
              if isinstance(w, XMem)}
-    xmems["c2"].pattern = "sequential_read"
     xmems["c3"].set_working_set(xmems["c3"].l2_bytes)
     scen.sim.at(0.4, lambda: xmems["c4"].set_working_set(10 << 20))
     scen.sim.exec_mode = exec_mode
@@ -47,7 +46,7 @@ def _run(exec_mode: str) -> dict:
         "cores": [(b.instructions, b.cycles, b.llc_references,
                    b.llc_misses) for b in scen.platform.counters.cores],
         "xmem": {name: (w.stats.ops, w.stats.busy_cycles,
-                        w.stats.latency_sum_cycles, w._cursor,
+                        w.stats.latency_sum_cycles,
                         w.rng.bit_generator.state)
                  for name, w in xmems.items()},
     }
