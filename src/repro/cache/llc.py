@@ -71,10 +71,6 @@ DDIO_OWNER = -2
 #: backends accept exactly the ids ``DDIO_OWNER .. OWNER_MAX``.
 OWNER_MAX = 127
 
-#: ``victim_owner`` placeholder in batched outcomes when nothing was
-#: evicted (owner ids are >= DDIO_OWNER, so this value never collides).
-NO_VICTIM = -3
-
 #: Large sentinels for vectorized victim selection: invalid ways sort
 #: below every real meta word, disallowed ways above.  Stamps are access
 #: counts, so meta words ``stamp << 1 | dirty`` stay far below 2**62.
@@ -118,42 +114,37 @@ def _ways_of_mask(mask: int) -> "tuple[int, ...]":
 
 @dataclass(frozen=True)
 class AccessOutcome:
-    """Result of a single cache access.
+    """Result of a single cache access: what its caller charges.
 
-    ``hit``          the line was present.
-    ``fill``         a line was allocated (miss with allocation).
-    ``evicted``      a valid line was displaced to make room.
-    ``writeback``    the displaced line was dirty (memory write needed).
-    ``victim_owner`` owner id of the displaced line (or ``None``).
+    ``hit``       the line was present.
+    ``writeback`` the access's fill displaced a dirty line (memory write
+                  needed).
+
+    Fills, evictions and their victims' owners are counted once, in
+    :meth:`SlicedLLC.stats` and :meth:`SlicedLLC.occupancy_by_owner`.
     """
 
     hit: bool
-    fill: bool = False
-    evicted: bool = False
     writeback: bool = False
-    victim_owner: "int | None" = None
 
 
-#: Shared immutable outcomes for the two allocation-free cases (avoids a
-#: dataclass allocation per access in the hot loops).
+#: The three outcomes an access can have, shared so that no access
+#: allocates one.
 HIT = AccessOutcome(hit=True)
 MISS = AccessOutcome(hit=False)
+MISS_WRITEBACK = AccessOutcome(hit=False, writeback=True)
 
 
 @dataclass
 class BatchOutcome:
     """Struct-of-arrays result of one :meth:`SlicedLLC.access_batch`.
 
-    Element ``i`` describes the outcome of address ``i`` of the batch,
-    with the same meaning as the :class:`AccessOutcome` fields;
-    ``victim_owner`` holds :data:`NO_VICTIM` where nothing was evicted.
+    Element ``i`` holds the :class:`AccessOutcome` fields of address
+    ``i`` of the batch.
     """
 
     hit: "np.ndarray"           # bool
-    fill: "np.ndarray"          # bool
-    evicted: "np.ndarray"       # bool
     writeback: "np.ndarray"     # bool
-    victim_owner: "np.ndarray"  # int64, NO_VICTIM where not evicted
     #: Flat set index of each address where the vector engine computed
     #: it (``None`` from the per-access loop), so a caller that needs
     #: each line's slice need not hash the batch again.
@@ -172,41 +163,18 @@ class BatchOutcome:
         return len(self.hit) - self.hits
 
     @property
-    def fills(self) -> int:
-        return int(np.count_nonzero(self.fill))
-
-    @property
-    def evictions(self) -> int:
-        return int(np.count_nonzero(self.evicted))
-
-    @property
     def writebacks(self) -> int:
         return int(np.count_nonzero(self.writeback))
 
-    def victim_owner_counts(self) -> "dict[int, int]":
-        """Evicted-line counts per owner id (empty if no evictions)."""
-        owners = self.victim_owner[self.evicted]
-        if owners.size == 0:
-            return {}
-        vals, counts = np.unique(owners, return_counts=True)
-        return dict(zip(vals.tolist(), counts.tolist()))
-
     def outcome_at(self, i: int) -> AccessOutcome:
         """Element ``i`` as a scalar :class:`AccessOutcome` (tests)."""
-        evicted = bool(self.evicted[i])
-        return AccessOutcome(
-            hit=bool(self.hit[i]), fill=bool(self.fill[i]), evicted=evicted,
-            writeback=bool(self.writeback[i]),
-            victim_owner=int(self.victim_owner[i]) if evicted else None)
+        return AccessOutcome(hit=bool(self.hit[i]),
+                             writeback=bool(self.writeback[i]))
 
 
 def _empty_batch(n: int, index: "np.ndarray | None" = None) -> BatchOutcome:
     return BatchOutcome(hit=np.zeros(n, dtype=bool),
-                        fill=np.zeros(n, dtype=bool),
-                        evicted=np.zeros(n, dtype=bool),
-                        writeback=np.zeros(n, dtype=bool),
-                        victim_owner=np.full(n, NO_VICTIM, dtype=np.int64),
-                        index=index)
+                        writeback=np.zeros(n, dtype=bool), index=index)
 
 
 def _scalar_or_array(value, n: int, dtype):
@@ -281,20 +249,12 @@ def _element_list(value, n: int, dtype) -> list:
 def _record(out: BatchOutcome, at, outcomes) -> None:
     """Write per-access outcomes into ``out`` at batch positions ``at``."""
     hit = out.hit
-    fill = out.fill
-    evicted = out.evicted
     writeback = out.writeback
-    victim_owner = out.victim_owner
     for i, o in zip(at, outcomes):
         if o.hit:
             hit[i] = True
-        elif o.fill:
-            fill[i] = True
-            if o.evicted:
-                evicted[i] = True
-                victim_owner[i] = o.victim_owner
-                if o.writeback:
-                    writeback[i] = True
+        elif o.writeback:
+            writeback[i] = True
 
 
 def _raise_mask_error(raw_masks) -> None:
@@ -312,13 +272,13 @@ class SlicedLLC:
 
     Owners are small integers identifying the agent (tenant id or
     ``DDIO_OWNER``) that allocated each line; they feed occupancy
-    introspection (used by tests and the Fig. 11 timeline) and victim
-    attribution.  Both backends accept owner ids ``DDIO_OWNER ..
-    OWNER_MAX`` (-2 .. 127, what the array backend's int8 owner plane
-    holds) and raise ``ValueError`` on any other.  Per-owner valid-line
-    counts are maintained incrementally and are the only count of valid
-    lines, so :meth:`occupancy_by_owner` and :meth:`valid_lines` are
-    O(owners), not O(lines).
+    introspection (used by tests and the Fig. 11 timeline), where an
+    evicted line's owner loses it.  Both backends accept owner ids
+    ``DDIO_OWNER .. OWNER_MAX`` (-2 .. 127, what the array backend's
+    int8 owner plane holds) and raise ``ValueError`` on any other.
+    Per-owner valid-line counts are maintained incrementally and are
+    the only count of valid lines, so :meth:`occupancy_by_owner` and
+    :meth:`valid_lines` are O(owners), not O(lines).
 
     ``backend`` selects the storage engine (see module docstring):
     ``"scalar"`` Python lists or ``"array"`` NumPy arrays with the
@@ -882,26 +842,16 @@ class SlicedLLC:
 
         # The first fills evict the cells' pre-batch lines; each later
         # fill evicts the line of its set's access w places before it.
-        pre_tag = self._tags_flat[cells]
         pre_meta = self._meta_flat[cells]
-        pre_owner = self._owner_flat[cells]
+        pre_valid = self._tags_flat[cells] != EMPTY
+        ev_owner = self._owner_flat[cells][pre_valid]
         out = _empty_batch(n, index)
-        out.fill[:] = True
-        pre_valid = pre_tag != EMPTY
-        ev_owner = pre_owner[pre_valid]
-        at = perm[first]
-        del first
-        out.evicted[at] = pre_valid
-        out.writeback[at] = (pre_meta & 1) & pre_valid
-        out.victim_owner[at[pre_valid]] = ev_owner
-        del pre_tag, pre_meta, pre_owner, pre_valid
+        out.writeback[perm[first]] = (pre_meta & 1) & pre_valid
+        del first, pre_meta, pre_valid
         prev = np.flatnonzero(si[w:] == si[:-w])
         del si
-        at = perm[prev + w]
-        prev = perm[prev]
-        out.evicted[at] = True
-        out.writeback[at] = _pick(write, prev)
-        out.victim_owner[at] = _pick(owner, prev)
+        out.writeback[perm[prev + w]] = _pick(write, perm[prev])
+        evictions = ev_owner.shape[0] + prev.shape[0]
         del prev
 
         # The last fills are the final state.
@@ -914,7 +864,7 @@ class SlicedLLC:
         self._meta_flat[cells] = ((at + (clk0 + 1)) << 1) | _pick(write, at)
         self._owner_flat[cells] = new_owner
         self.stat_fills += n
-        self.stat_evictions += int(np.count_nonzero(out.evicted))
+        self.stat_evictions += evictions
         self.stat_writebacks += int(np.count_nonzero(out.writeback))
         # Fills evicted within the batch cancel out: what stays is the
         # final residents in, the evicted pre-batch lines out.
@@ -1099,22 +1049,17 @@ class SlicedLLC:
         tags_flat[fslot] = tag[miss_sel]
         meta_flat[fslot] = fill_meta
         self._owner_flat[fslot] = new_owner
-        out.fill[miss_sel] = True
         self.stat_fills += k
         if full:
             # Every fill evicts: no per-element valid/evicted masking.
-            out.evicted[miss_sel] = True
             out.writeback[miss_sel] = dirty_pre
-            out.victim_owner[miss_sel] = victim_owner
             self.stat_evictions += k
             self.stat_writebacks += int(np.count_nonzero(dirty_pre))
             self._occ_update(new_owner, k, victim_owner)
             return slots
         writeback = evicted & dirty_pre
-        out.evicted[miss_sel] = evicted
         out.writeback[miss_sel] = writeback
         ev_owner = victim_owner[evicted]
-        out.victim_owner[miss_sel[evicted]] = ev_owner
         self.stat_evictions += ev_owner.shape[0]
         self.stat_writebacks += int(np.count_nonzero(writeback))
         self._occ_update(new_owner, k, ev_owner)
@@ -1167,28 +1112,27 @@ class SlicedLLC:
             if victim_stamp is None or stamps[way] < victim_stamp:
                 victim = way
                 victim_stamp = stamps[way]
-        evicted = tags[victim] != EMPTY
-        writeback = evicted and self._dirty[index][victim]
-        victim_owner = self._owner[index][victim] if evicted else None
+        # Occupancy and event bookkeeping.
+        occ = self._occ
+        outcome = MISS
+        if tags[victim] != EMPTY:
+            victim_owner = self._owner[index][victim]
+            left = occ[victim_owner] - 1
+            if left:
+                occ[victim_owner] = left
+            else:
+                del occ[victim_owner]
+            self.stat_evictions += 1
+            if self._dirty[index][victim]:
+                self.stat_writebacks += 1
+                outcome = MISS_WRITEBACK
+        occ[owner] = occ.get(owner, 0) + 1
+        self.stat_fills += 1
         tags[victim] = tag
         stamps[victim] = self._clock
         self._dirty[index][victim] = write
         self._owner[index][victim] = owner
-        # Occupancy bookkeeping.
-        if evicted:
-            left = self._occ[victim_owner] - 1
-            if left:
-                self._occ[victim_owner] = left
-            else:
-                del self._occ[victim_owner]
-        self._occ[owner] = self._occ.get(owner, 0) + 1
-        self.stat_fills += 1
-        if evicted:
-            self.stat_evictions += 1
-            if writeback:
-                self.stat_writebacks += 1
-        return AccessOutcome(hit=False, fill=True, evicted=evicted,
-                             writeback=writeback, victim_owner=victim_owner)
+        return outcome
 
     def _step(self, row: int, tag: int, word: int, mask: int, owner: int,
               allocate: bool) -> AccessOutcome:
@@ -1234,30 +1178,27 @@ class SlicedLLC:
         pre_tag = tags[victim]
         pre = words[victim]
         pre_owner = int(self._owner_flat[slot])
-        evicted = pre_tag != EMPTY
-        writeback = evicted and bool(pre & 1)
-        victim_owner = pre_owner if evicted else None
         if journal is not None:
             journal.append((_J_FILL, slot, pre_tag, pre, pre_owner, word))
         self._tags_flat[slot] = tag
         self._meta_flat[slot] = word
         self._owner_flat[slot] = owner
-        # Occupancy bookkeeping.
+        # Occupancy and event bookkeeping.
         occ = self._occ
-        if evicted:
+        outcome = MISS
+        if pre_tag != EMPTY:
             left = occ[pre_owner] - 1
             if left:
                 occ[pre_owner] = left
             else:
                 del occ[pre_owner]
+            self.stat_evictions += 1
+            if pre & 1:
+                self.stat_writebacks += 1
+                outcome = MISS_WRITEBACK
         occ[owner] = occ.get(owner, 0) + 1
         self.stat_fills += 1
-        if evicted:
-            self.stat_evictions += 1
-            if writeback:
-                self.stat_writebacks += 1
-        return AccessOutcome(hit=False, fill=True, evicted=evicted,
-                             writeback=writeback, victim_owner=victim_owner)
+        return outcome
 
     # ------------------------------------------------------------------
     # Introspection (tests, Fig. 11 timeline, debugging)

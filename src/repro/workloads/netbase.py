@@ -69,7 +69,6 @@ class RingConsumer(Workload):
         self.core_freq_hz = core_freq_hz
         self.stall_period = stall_period
         self.stall_durations = stall_durations
-        self.packets_processed = 0
         self.tx_bytes = 0
         self._ring_cursor = 0
         self._next_stall = stall_period
@@ -193,26 +192,15 @@ class RingConsumer(Workload):
             return
         used = 0.0
         instructions = 0.0
-        empty_polls = 0
         line = 64
         freq_scale = self.core_freq_hz * self.time_scale
         while used < budget_cycles:
             record = self._next_packet()
             if record is None:
-                empty_polls += 1
-                used += EMPTY_POLL_CYCLES
-                instructions += EMPTY_POLL_INSTR
-                if empty_polls >= MAX_EMPTY_POLLS:
-                    # Idle-spin the rest of the budget at the poll loop's
-                    # natural IPC without iterating packet-by-packet.
-                    remaining = budget_cycles - used
-                    if remaining > 0:
-                        used = budget_cycles
-                        instructions += (remaining / EMPTY_POLL_CYCLES
-                                         * EMPTY_POLL_INSTR)
-                    break
-                continue
-            empty_polls = 0
+                # Nothing posts to this workload's rings while it runs,
+                # so every later poll is empty too.
+                self._idle(port, used, instructions, budget_cycles)
+                return
             service = 0.0
             addr = record.buf_addr
             for _ in range(lines_per_packet(record.size, line)):
@@ -223,7 +211,6 @@ class RingConsumer(Workload):
             self.transmit(port, record)
             used += service
             self.stats.busy_cycles += service
-            self.packets_processed += 1
             # Queue wait in *elapsed cycles*: a simulated second carries
             # freq * time_scale cycles, so this is the real-equivalent
             # sojourn (ring sizes are unscaled, rates are scaled).
@@ -363,7 +350,6 @@ class RingConsumer(Workload):
             backlog.cover(start + k, start)
             k, (instr, service) = self._run_ahead(port, k, execute, admit)
             service = service[:k]
-            self.packets_processed += k
             self.tx_bytes += self.tx_bytes_of(backlog.sizes[start:start + k])
             if nrings > 1:
                 self._ring_cursor = (int(backlog.ring_idx[start + k - 1])
@@ -406,13 +392,16 @@ class RingConsumer(Workload):
     def _idle(port: CorePort, used: float, instructions: float,
               budget_cycles: float) -> None:
         """Poll an empty backlog until the budget is spent, then charge
-        the core its whole sub-step, as the per-packet loop does."""
+        the core its whole sub-step; both drains call it once their
+        rings run dry."""
         empty_polls = 0
         while used < budget_cycles:
             empty_polls += 1
             used += EMPTY_POLL_CYCLES
             instructions += EMPTY_POLL_INSTR
             if empty_polls >= MAX_EMPTY_POLLS:
+                # Idle-spin the rest of the budget at the poll loop's
+                # natural IPC without iterating poll by poll.
                 remaining = budget_cycles - used
                 if remaining > 0:
                     used = budget_cycles
@@ -422,6 +411,11 @@ class RingConsumer(Workload):
         port.charge(instructions, used)
 
     # -- reporting ---------------------------------------------------------
+    @property
+    def packets_processed(self) -> int:
+        """Packets drained so far: one op each."""
+        return self.stats.ops
+
     @property
     def drops(self) -> int:
         return sum(ring.dropped for ring in self.rings)

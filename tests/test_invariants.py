@@ -73,17 +73,20 @@ class TestConservation:
         platform, _, _ = run_sim(pps, 1500, 64, seed)
         assert platform.llc.valid_lines() <= platform.spec.llc.lines
 
-    def test_llc_conservation_after_kvs_prefill(self):
+    @pytest.mark.parametrize("seconds", [0.0, 0.5])
+    def test_llc_conservation_after_kvs_prefill(self, seconds):
         """The KVS co-run's prefill (bulk all-miss batches of up to an
-        LLC's worth of lines) keeps the cache's books: occupancy per
-        owner and valid lines match the owner and tag planes, fills
-        minus evictions equal the valid lines, and no tenant holds more
-        lines than its ways can."""
+        LLC's worth of lines) keeps the cache's books, and so do the
+        vector quanta after it, whose cut chunks hand their fills,
+        evictions and occupancy back: occupancy per owner and valid
+        lines match the owner and tag planes, fills minus evictions
+        equal the valid lines, and no tenant holds more lines than its
+        ways can.  ``seconds=0.0`` runs start-up and prefill only."""
         from repro.experiments.common import kvs_scenario
 
         scen = kvs_scenario(app="rocksdb", ycsb_letter="A")
         scen.attach_controller("iat", manage_tenant_ways=False)
-        scen.sim.run(0.0)   # start-up and prefill only
+        scen.sim.run(seconds)
         llc = scen.platform.llc
         occ = llc.occupancy_by_owner()
         valid = llc._tags != EMPTY

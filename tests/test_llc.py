@@ -22,15 +22,25 @@ def addrs_in_same_set(geometry, count):
     return found
 
 
+def events(llc, before):
+    """Fills, evictions and writebacks since the ``stats()`` snapshot
+    ``before``: access outcomes carry only hit and writeback, so fills
+    and evictions are read off the cache's own counters."""
+    after = llc.stats()
+    return tuple(after[k] - before[k]
+                 for k in ("fills", "evictions", "writebacks"))
+
+
 class TestBasicAccess:
     backend = "scalar"
 
     def test_miss_then_hit(self, llc):
         full = llc.geometry.full_mask
+        before = llc.stats()
         first = llc.access(0x1000, full)
-        assert not first.hit and first.fill
+        assert not first.hit and events(llc, before) == (1, 0, 0)
         second = llc.access(0x1000, full)
-        assert second.hit
+        assert second.hit and events(llc, before) == (1, 0, 0)
 
     def test_same_line_bytes_hit(self, llc):
         full = llc.geometry.full_mask
@@ -64,7 +74,7 @@ class TestBasicAccess:
 
     def test_no_allocate_miss_does_not_fill(self, llc):
         out = llc.access(0x1000, 0, allocate=False)
-        assert not out.hit and not out.fill
+        assert not out.hit and llc.stats()["fills"] == 0
         assert not llc.contains(0x1000)
 
 
@@ -78,8 +88,9 @@ class TestLRUWithinMask:
         for addr in lines[:4]:
             llc.access(addr, full)
         llc.access(lines[0], full)          # refresh line 0
-        out = llc.access(lines[4], full)    # must evict line 1 (oldest)
-        assert out.evicted
+        before = llc.stats()
+        llc.access(lines[4], full)          # must evict line 1 (oldest)
+        assert events(llc, before) == (1, 1, 0)
         assert llc.contains(lines[0])
         assert not llc.contains(lines[1])
 
@@ -87,8 +98,9 @@ class TestLRUWithinMask:
         llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 3)
         llc.access(lines[0], 0b0011)
-        out = llc.access(lines[1], 0b0011)
-        assert out.fill and not out.evicted  # second way was free
+        before = llc.stats()
+        llc.access(lines[1], 0b0011)
+        assert events(llc, before) == (1, 0, 0)  # second way was free
 
     def test_eviction_within_mask_only(self):
         """CAT: a masked agent may only displace lines in its own ways."""
@@ -124,8 +136,9 @@ class TestDirtyAndWriteback:
         lines = addrs_in_same_set(ONE_SET, 5)
         for addr in lines[:4]:
             llc.access(addr, ONE_SET.full_mask)           # clean reads
+        before = llc.stats()
         out = llc.access(lines[4], ONE_SET.full_mask)
-        assert out.evicted and not out.writeback
+        assert not out.writeback and events(llc, before) == (1, 1, 0)
 
     def test_dirty_eviction_writes_back(self):
         llc = SlicedLLC(ONE_SET, backend=self.backend)
@@ -133,8 +146,9 @@ class TestDirtyAndWriteback:
         llc.access(lines[0], ONE_SET.full_mask, write=True)
         for addr in lines[1:4]:
             llc.access(addr, ONE_SET.full_mask)
+        before = llc.stats()
         out = llc.access(lines[4], ONE_SET.full_mask)
-        assert out.evicted and out.writeback
+        assert out.writeback and events(llc, before) == (1, 1, 1)
 
     def test_write_hit_marks_dirty(self):
         llc = SlicedLLC(ONE_SET, backend=self.backend)
@@ -160,7 +174,8 @@ class TestDdioSemantics:
         ways = llc.geometry.ways
         ddio_mask = 0b11 << (ways - 2)
         out = llc.ddio_write(0x6000, ddio_mask)
-        assert not out.hit and out.fill
+        assert not out.hit and llc.stats()["fills"] == 1
+        assert llc.stats()["ddio_misses"] == 1
         assert llc.way_of(0x6000) >= ways - 2
 
     def test_ddio_owner_recorded(self, llc):
@@ -202,12 +217,14 @@ class TestOwnerTracking:
         assert occ[2] == 3
 
     def test_victim_owner_reported(self):
+        """The victim's owner loses the line the filler gains."""
         llc = SlicedLLC(ONE_SET, backend=self.backend)
         lines = addrs_in_same_set(ONE_SET, 5)
         for addr in lines[:4]:
             llc.access(addr, ONE_SET.full_mask, owner=9)
-        out = llc.access(lines[4], ONE_SET.full_mask, owner=1)
-        assert out.victim_owner == 9
+        assert llc.occupancy_by_owner() == {9: 4}
+        llc.access(lines[4], ONE_SET.full_mask, owner=1)
+        assert llc.occupancy_by_owner() == {9: 3, 1: 1}
 
 
 class TestOwnerRange:

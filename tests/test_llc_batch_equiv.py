@@ -1,13 +1,15 @@
 """Scalar vs. array LLC backend equivalence.
 
 The array backend's batched engine must reproduce the scalar reference
-bit-exactly: identical per-access hit/fill/eviction/writeback outcomes,
-identical victim attribution, identical occupancy — over arbitrary
-interleavings of core accesses, DDIO writes and device reads, under LRU
-replacement.  These tests fuzz exactly that, aim hand-built
-batches at each shortcut of the vector engine (the repeat collapse and
-the bulk all-miss path), and check the engine-level guarantee that a
-full simulation produces identical metrics on either backend.
+bit-exactly: identical per-access hit and writeback outcomes, and after
+every operation identical fill, eviction and writeback counters and
+per-owner occupancy (so victim choice and attribution are checked batch
+by batch) — over arbitrary interleavings of core accesses, DDIO writes
+and device reads, under LRU replacement.  These tests fuzz exactly
+that, aim hand-built batches at each shortcut of the vector engine (the
+repeat collapse and the bulk all-miss path), and check the engine-level
+guarantee that a full simulation produces identical metrics on either
+backend.
 """
 
 import dataclasses
@@ -117,28 +119,14 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fuzzed_streams_bit_identical(self, policy, seed):
         rng = random.Random(seed)
-        scalar = SlicedLLC(TINY_LLC, backend="scalar")
-        array = SlicedLLC(TINY_LLC, backend="array")
-        for op in random_stream(rng, 120, max_batch=96, addr_lines=4096):
-            expected = apply_scalar(scalar, op)
-            got = apply_batch(array, op)
-            for i, out in enumerate(expected):
-                assert out == got.outcome_at(i), (op[0], i)
-        assert_same_state(scalar, array)
+        check_ops(random_stream(rng, 120, max_batch=96, addr_lines=4096))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_set_colliding_streams(self, seed):
         """Tiny address space: heavy same-set traffic inside each batch,
         exercising the sequential remainder of the vector engine."""
         rng = random.Random(seed)
-        scalar = SlicedLLC(TINY_LLC, backend="scalar")
-        array = SlicedLLC(TINY_LLC, backend="array")
-        for op in random_stream(rng, 80, max_batch=200, addr_lines=96):
-            expected = apply_scalar(scalar, op)
-            got = apply_batch(array, op)
-            for i, out in enumerate(expected):
-                assert out == got.outcome_at(i), (op[0], i)
-        assert_same_state(scalar, array)
+        check_ops(random_stream(rng, 80, max_batch=200, addr_lines=96))
 
     def test_batch_equals_sequential_on_same_backend(self):
         """access_batch(v) must equal issuing v element-wise (array)."""
@@ -152,17 +140,20 @@ class TestBatchEquivalence:
             expected = [one.access(a, mask, owner=1) for a in addrs]
             got = many.access_batch(np.asarray(addrs), mask, owner=1)
             assert [o.hit for o in expected] == got.hit.tolist()
-            assert [o.fill for o in expected] == got.fill.tolist()
-        assert one.occupancy_by_owner() == many.occupancy_by_owner()
+            assert [o.writeback for o in expected] == got.writeback.tolist()
+            assert one.stats() == many.stats()
+            assert one.occupancy_by_owner() == many.occupancy_by_owner()
 
     def test_batch_outcome_aggregates(self):
         llc = SlicedLLC(TINY_LLC, backend="array")
         addrs = np.arange(64, dtype=np.int64) * 64
         out = llc.access_batch(addrs, TINY_LLC.full_mask, owner=5)
-        assert out.misses == 64 and out.fills == 64 and out.hits == 0
+        assert out.misses == 64 and out.hits == 0 and out.writebacks == 0
+        assert llc.stats()["fills"] == 64
         again = llc.access_batch(addrs, TINY_LLC.full_mask, owner=5)
-        assert again.hits == 64 and again.fills == 0
-        assert again.victim_owner_counts() == {}
+        assert again.hits == 64 and again.writebacks == 0
+        assert llc.stats()["fills"] == 64 and llc.stats()["evictions"] == 0
+        assert llc.occupancy_by_owner() == {5: 64}
 
     def test_empty_mask_raises_on_both_backends(self):
         for backend in ("scalar", "array"):
@@ -202,8 +193,10 @@ def padding_lines(count, avoid):
 
 def check_ops(ops, pair=None):
     """Apply ``ops`` to both backends (fresh ones unless ``pair`` holds
-    a scalar and an array LLC); outcomes and state must match.
-    Returns the pair."""
+    a scalar and an array LLC).  Each access's outcome must match, then
+    after every op the counters and per-owner occupancy (so victim
+    choice and attribution are checked op by op), and at the end the
+    whole state.  Returns the pair."""
     if pair is None:
         pair = (SlicedLLC(TINY_LLC, backend="scalar"),
                 SlicedLLC(TINY_LLC, backend="array"))
@@ -213,6 +206,9 @@ def check_ops(ops, pair=None):
         got = apply_batch(array, op)
         for i, out in enumerate(expected):
             assert out == got.outcome_at(i), (op[0], i)
+        assert scalar.stats() == array.stats(), op[0]
+        assert scalar.occupancy_by_owner() == array.occupancy_by_owner(), \
+            op[0]
     assert_same_state(scalar, array)
     return pair
 
@@ -549,16 +545,14 @@ class TestBulkAllMiss:
             with monkeypatch.context() as m:
                 m.setattr(SlicedLLC, "_access_bulk", lambda *args: None)
                 want = engine.access_batch(addr, 0b11, write=True, owner=3)
-            for field in ("hit", "fill", "evicted", "writeback",
-                          "victim_owner"):
-                assert np.array_equal(getattr(got, field),
-                                      getattr(want, field))
+            assert np.array_equal(got.hit, want.hit)
+            assert np.array_equal(got.writeback, want.writeback)
+            assert bulk.stats() == engine.stats()
+            assert bulk.occupancy_by_owner() == engine.occupancy_by_owner()
         assert np.array_equal(bulk._tags, engine._tags)
         assert np.array_equal(bulk._meta >> 1, engine._meta >> 1)
         assert np.array_equal(bulk._meta & 1, engine._meta & 1)
         assert np.array_equal(bulk._owner, engine._owner)
-        assert bulk.stats() == engine.stats()
-        assert bulk.occupancy_by_owner() == engine.occupancy_by_owner()
         assert bulk_calls == [True]
 
 
