@@ -86,7 +86,7 @@ def _stage_shares(scale: str) -> dict:
         scen.sim.run(duration)
     prefix = "engine."
     stage = {key[len(prefix):]: seconds
-             for key, seconds in tracer.ring.span_seconds().items()
+             for key, seconds in tracer.span_seconds().items()
              if key.startswith(prefix)}
     total = sum(stage.values())
     if total <= 0.0:

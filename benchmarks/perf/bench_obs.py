@@ -8,16 +8,16 @@ Three numbers matter:
   check per hook site).  The contract is "near zero";
   ``tests/test_obs.py`` enforces < 5% on a small run.
 * ``enabled_overhead`` — the cost of full event emission into the
-  structured ring, reported together with ``profile_shares``: each
-  span's share of the traced run's span time (where a traced run
-  actually spends its wall time), read off the ring.  The shares
-  overlap where spans nest: ``engine.*`` and ``dma.burst`` run inside
-  ``sim.quantum``, and ``dma.burst`` inside ``engine.traffic``.
+  tracer's event store, reported together with ``profile_shares``:
+  each span's share of the traced run's span time (where a traced run
+  actually spends its wall time), read off the retained spans.  The
+  shares overlap where spans nest: ``engine.*`` and ``dma.burst`` run
+  inside ``sim.quantum``, and ``dma.burst`` inside ``engine.traffic``.
 * ``sampled_overhead`` — 1-in-``SAMPLE_EVERY`` quantum sampling, the
   always-on production setting: un-sampled quanta emit nothing and
   read no clock.
 
-Methodology — the signal here is tiny (a few hundred ring pushes per
+Methodology — the signal here is tiny (a few hundred event pushes per
 multi-second run, i.e. well under 1%) while per-run noise on a shared
 host is 5-15% *multiplicative*, so the estimator does all the work.  An
 earlier revision timed each mode once and committed an impossible
@@ -55,7 +55,7 @@ import statistics
 import time
 
 from repro.experiments.common import leaky_dma_scenario
-from repro.obs import RingBufferSink, Tracer, tracing
+from repro.obs import Tracer, tracing
 from repro.sim.config import TINY_PLATFORM, XEON_6140
 
 #: Paired measurement rounds (median-of-k defeats tail contamination).
@@ -102,12 +102,6 @@ def _paired_run(scale: str, tracer: Tracer) -> "tuple[float, float]":
     return base_s, mode_s
 
 
-def _full_tracer() -> Tracer:
-    tracer = Tracer()
-    tracer.add_sink(RingBufferSink(capacity=None))
-    return tracer
-
-
 def _sampled_tracer() -> Tracer:
     return Tracer(sample=SAMPLE_EVERY, seed=0)
 
@@ -116,7 +110,7 @@ def run_obs(scale: str = "default", repeats: int = REPEATS) -> dict:
     """Baseline vs. disabled vs. enabled vs. sampled tracer timings."""
     modes = [
         ("disabled", lambda: Tracer(enabled=False)),
-        ("enabled", _full_tracer),
+        ("enabled", Tracer),
         ("sampled", _sampled_tracer),
     ]
     # Warm-up pass per mode, never counted.
@@ -136,10 +130,10 @@ def run_obs(scale: str = "default", repeats: int = REPEATS) -> dict:
             samples[name].append(mode_s)
             ratios[name].append(mode_s / base_s)
             if name == "enabled":
-                events = len(tracer.ring)
+                events = len(tracer.events())
                 shares = tracer.profile_shares()
             elif name == "sampled":
-                events_sampled = len(tracer.ring)
+                events_sampled = len(tracer.events())
 
     def overhead(name: str) -> float:
         return statistics.median(ratios[name]) - 1.0

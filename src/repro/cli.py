@@ -28,11 +28,11 @@ Seven subcommands:
   ``docs/observability.md``) and export the event stream; the default
   ``perfetto`` format loads directly into https://ui.perfetto.dev.
   ``--sample N`` traces 1-in-N quanta (deterministic in ``--seed``);
-  ``--capacity`` bounds the ring to the most recent N events;
+  ``--capacity`` keeps only the most recent N events;
   ``--metrics-out`` additionally exports the metrics registry in the
   Prometheus text format.  Prints per-category event counts, the
   dropped-event total and each span's share of the traced wall time,
-  read off the buffered spans (``engine.{traffic,workloads,record,
+  read off the retained spans (``engine.{traffic,workloads,record,
   controllers}``, ``sim.quantum``, ``dma.burst``, ``daemon.interval``).
   In-process tracing forces serial, uncached execution so every event
   is observed (use ``figure --trace-out`` for parallel tracing).
@@ -273,34 +273,6 @@ def _cmd_figure(args) -> int:
         print(f"unknown figure {args.id!r}; try 'repro figures'",
               file=sys.stderr)
         return 2
-    if getattr(args, "profile", False):
-        # Profiling wants the sweep in *this* process and actually
-        # computed: force the serial in-process path and skip the
-        # result cache, else cProfile sees pool plumbing or a cache
-        # hit instead of simulation work.
-        import cProfile
-        import pstats
-
-        args.jobs = 1
-        args.no_cache = True
-        profiler = cProfile.Profile()
-        with ExitStack() as stack:
-            runner = _traced_runner(args, stack)
-            profiler.enable()
-            try:
-                text = _run_entry(entry, fast=args.fast, runner=runner,
-                                  duration=args.duration,
-                                  warmup=args.warmup)
-            finally:
-                profiler.disable()
-            print(text)
-            _finish_trace(runner, args)
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative")
-        print(f"profile: top 20 by cumulative time ({args.id})",
-              file=sys.stderr)
-        stats.print_stats(20)
-        return 0
     with ExitStack() as stack:
         runner = _traced_runner(args, stack)
         print(_run_entry(entry, fast=args.fast, runner=runner,
@@ -328,8 +300,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .obs import (JsonlSink, PerfettoSink, RingBufferSink, Tracer,
-                      tracing)
+    from .obs import JsonlSink, Tracer, tracing
     from .workloads.base import ENGINE_STATS
 
     entry = FIGURES.get(args.id)
@@ -341,9 +312,8 @@ def _cmd_trace(args) -> int:
     out = args.out or f"trace_{args.id}.{suffix}"
     tracer = Tracer(sample=args.sample, seed=args.seed,
                     capacity=args.capacity)
-    ring = tracer.add_sink(RingBufferSink(capacity=None))
-    tracer.add_sink(JsonlSink(out) if args.format == "jsonl"
-                    else PerfettoSink(out))
+    if args.format == "jsonl":
+        tracer.add_sink(JsonlSink(out))
     if args.metrics_out:
         from .obs.metrics import REGISTRY
         REGISTRY.clear()
@@ -358,8 +328,11 @@ def _cmd_trace(args) -> int:
         if args.metrics_out:
             REGISTRY.enabled = False
     tracer.close()
+    events = tracer.events()
+    if args.format != "jsonl":
+        _write_perfetto(events, out)
     print(table)
-    print(f"trace: {len(ring)} events -> {out}")
+    print(f"trace: {len(events)} events -> {out}")
     counts = tracer.category_counts()
     if counts:
         print("events: "
@@ -388,6 +361,15 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _write_perfetto(events, path: str) -> None:
+    """Write ``events`` as one Perfetto-loadable JSON document."""
+    import json
+
+    from .obs import perfetto_document
+    with open(path, "w") as handle:
+        json.dump(perfetto_document(events), handle)
+
+
 def _daemon_summary(daemon) -> str:
     """One-line exit summary of a daemon run."""
     history = daemon.history
@@ -411,9 +393,8 @@ def _cmd_daemon(args) -> int:
                                "%(message)s")
     tracer = None
     if args.trace_out:
-        from .obs import PerfettoSink, Tracer, install_tracer
+        from .obs import Tracer, install_tracer
         tracer = Tracer()
-        tracer.add_sink(PerfettoSink(args.trace_out))
         install_tracer(tracer)
     try:
         return _run_daemon(args)
@@ -421,7 +402,7 @@ def _cmd_daemon(args) -> int:
         if tracer is not None:
             from .obs import install_tracer
             install_tracer(None)
-            tracer.close()
+            _write_perfetto(tracer.events(), args.trace_out)
             print(f"trace -> {args.trace_out}")
 
 
@@ -545,11 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="regenerate one figure")
     figure.add_argument("id", help="figure id (see 'repro figures')")
-    figure.add_argument("--profile", action="store_true",
-                        help="run under cProfile and print the top-20 "
-                             "functions by cumulative time (forces the "
-                             "in-process serial path so the profile sees "
-                             "the sweep, not worker plumbing)")
     add_sweep_flags(figure)
     figure.set_defaults(func=_cmd_figure)
 
@@ -575,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default 0)")
     trace.add_argument("--capacity", type=int, default=None, metavar="N",
-                       help="bound the ring to the most recent N events "
+                       help="keep only the most recent N events "
                             "(overflow is counted, not silent)")
     trace.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="also export the metrics registry here "

@@ -20,7 +20,7 @@ in a worker — records into its own tracer and writes one shard file
 merges all shards into a single Perfetto document afterwards
 (:meth:`ParallelRunner.write_merged_trace`).  An *in-process* enabled
 tracer (``repro trace``) still forces serial execution — workers can't
-feed the parent's ring — but that is now the fallback, not the only
+feed the parent's tracer — but that is now the fallback, not the only
 path.  Shard runs skip cache **reads** (a cached point would record no
 events) while still populating the cache for later runs.
 
@@ -82,7 +82,7 @@ class TraceFanout:
                   (``None`` = full fidelity);
     ``seed``      sampling seed (shared by every point, so identical
                   configs sample identical quanta);
-    ``capacity``  per-point ring bound (``None`` = unbounded; overflow
+    ``capacity``  per-point event bound (``None`` = unbounded; overflow
                   is counted in the shard's ``done`` heartbeat).
     """
 

@@ -13,13 +13,13 @@ One tracer, threaded through every layer of the reproduction:
 
 Built for always-on production telemetry:
 
-* **hot path** — events land in a preallocated NumPy structured ring
-  (:mod:`repro.obs.ring`): no per-event dicts, interned strings,
-  counted (never silent) overflow;
+* **one event store** — the tracer keeps its ``TraceEvent`` objects
+  in one deque; ``Tracer(capacity=N)`` keeps the most recent N and
+  counts (never silently drops) the rest;
 * **sampling** — ``Tracer(sample=N, seed=s)`` traces 1-in-N quanta
   deterministically; un-sampled quanta emit nothing and read no clock;
 * **self-profiling** — ``Tracer.profile_shares()`` reads per-subsystem
-  wall-time shares off the buffered spans, so wall time is stored once;
+  wall-time shares off the retained spans, so wall time is stored once;
 * **metrics** — :mod:`repro.obs.metrics` keeps counters/gauges/
   histograms (per-tenant IPC, DDIO hit rate, drop rate, quantum wall
   time) with Prometheus-text and JSON exposition;
@@ -27,9 +27,10 @@ Built for always-on production telemetry:
   :mod:`repro.obs.merge` merges into one Perfetto file
   (``repro figure --jobs N --trace-out``).
 
-Sinks: an in-memory ring buffer, a JSONL stream, and Chrome/Perfetto
-``trace_event`` JSON (open it at https://ui.perfetto.dev).  The legacy
-recorders (``MetricsRecorder``, ``ControllerDaemon.history``) are exactly
+Export: a streaming JSONL sink, and Chrome/Perfetto ``trace_event``
+JSON built from ``tracer.events()`` by :func:`perfetto_document` (open
+it at https://ui.perfetto.dev).  The legacy recorders
+(``MetricsRecorder``, ``ControllerDaemon.history``) are exactly
 reconstructible from a full-fidelity stream via :mod:`repro.obs.views`
 (a sampled stream raises :class:`~repro.obs.views.SampledStreamError`).
 
@@ -40,17 +41,16 @@ command line.
 
 from . import merge, metrics, views
 from .metrics import REGISTRY, MetricsRegistry
-from .ring import StructRing
-from .sinks import (JsonlSink, PerfettoSink, RingBufferSink, event_from_dict,
-                    event_to_dict, perfetto_document)
+from .sinks import (JsonlSink, event_from_dict, event_to_dict,
+                    perfetto_document)
 from .tracer import (NULL_TRACER, NullTracer, TraceEvent, Tracer,
                      current_tracer, install_tracer, tracing)
 from .views import SampledStreamError
 
 __all__ = [
     "JsonlSink", "MetricsRegistry", "NULL_TRACER", "NullTracer",
-    "PerfettoSink", "REGISTRY", "RingBufferSink", "SampledStreamError",
-    "StructRing", "TraceEvent", "Tracer", "current_tracer",
-    "event_from_dict", "event_to_dict", "install_tracer", "merge",
-    "metrics", "perfetto_document", "tracing", "views",
+    "REGISTRY", "SampledStreamError", "TraceEvent", "Tracer",
+    "current_tracer", "event_from_dict", "event_to_dict",
+    "install_tracer", "merge", "metrics", "perfetto_document", "tracing",
+    "views",
 ]

@@ -14,7 +14,7 @@ tracers.  Instead, each worker now records every point into a
   start and completion (with event/drop/wall totals), so a hung worker
   is visible from its shard file alone;
 * plain **event** lines (the :func:`~repro.obs.sinks.event_to_dict`
-  payload), written in one batch from the worker's structured ring.
+  payload), written in one batch from the worker's tracer.
 
 The parent merges any number of shards into a single Perfetto document:
 shards are ordered by index; shard *k* (0-based) occupies pids
@@ -67,7 +67,7 @@ class ShardWriter:
                                    "t_unix": time.time(), **extra}})
 
     def write_events(self, events) -> None:
-        """Append the event stream (one batch, from the tracer's ring)."""
+        """Append the event stream (one batch, ``tracer.events()``)."""
         handle = self._handle
         for event in events:
             handle.write(json.dumps(event_to_dict(event)))

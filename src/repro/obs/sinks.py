@@ -1,28 +1,24 @@
-"""Trace sinks: in-memory ring buffer, JSONL stream, Perfetto export.
+"""Trace sinks and the Perfetto export.
 
-Sinks come in two kinds:
+A sink is a stream: ``emit(event)`` receives each
+:class:`~repro.obs.tracer.TraceEvent` as the tracer pushes it, and
+``close()`` flushes.  :class:`JsonlSink` writes one JSON object per line,
+suitable for tailing a long run.  The tracer itself holds the retained
+events (``tracer.events()``).
 
-* **ring-backed** (``streaming = False``) — :class:`RingBufferSink` and
-  :class:`PerfettoSink` attach to the tracer's structured ring
-  (:mod:`repro.obs.ring`) and materialize events lazily, so they add
-  *zero* per-event cost on the hot path.
-* **streaming** (``streaming = True``) — :class:`JsonlSink` receives a
-  materialized :class:`~repro.obs.tracer.TraceEvent` per emission (one
-  JSON object per line, suitable for tailing a long run).
-
-:class:`PerfettoSink` writes Chrome ``trace_event`` JSON (the legacy
-JSON flavour Perfetto ingests), so a whole run can be dropped into
-https://ui.perfetto.dev.  Simulated-time events (instants, counters)
-land on a ``sim-time`` process whose microseconds are simulated seconds
-x 1e6; wall-clock spans land on a separate ``wall-time`` process,
-keeping the two time domains visually distinct.  The same converter
-(:func:`perfetto_events`) is parameterized over pids/labels/offsets so
-:mod:`repro.obs.merge` can lay multiple processes' shards side by side.
+:func:`perfetto_document` turns any event list into Chrome
+``trace_event`` JSON (the legacy JSON flavour Perfetto ingests), so a
+whole run can be dropped into https://ui.perfetto.dev.  Simulated-time
+events (instants, counters) land on a ``sim-time`` process whose
+microseconds are simulated seconds x 1e6; wall-clock spans land on a
+separate ``wall-time`` process, keeping the two time domains visually
+distinct.  The same converter (:func:`perfetto_events`) is parameterized
+over pids/labels/offsets so :mod:`repro.obs.merge` can lay multiple
+processes' shards side by side.
 """
 
 from __future__ import annotations
 
-import collections
 import json
 from numbers import Number
 
@@ -55,51 +51,8 @@ def event_from_dict(raw: dict) -> TraceEvent:
                       args=raw.get("args", {}))
 
 
-class RingBufferSink:
-    """Keeps the most recent ``capacity`` events (None = unbounded).
-
-    Attached to a tracer it is a lazy view over the tracer's structured
-    ring; standalone (``emit`` called directly) it buffers events itself.
-    """
-
-    streaming = False
-
-    def __init__(self, capacity: "int | None" = 65536) -> None:
-        self.capacity = capacity
-        self._tracer = None
-        self._events: "collections.deque[TraceEvent]" = \
-            collections.deque(maxlen=capacity)
-
-    def attach(self, tracer) -> None:
-        self._tracer = tracer
-
-    def emit(self, event: TraceEvent) -> None:
-        self._events.append(event)
-
-    def close(self) -> None:
-        pass
-
-    def events(self) -> "list[TraceEvent]":
-        """Snapshot of the buffered events, oldest first."""
-        if self._tracer is not None:
-            events = self._tracer.events()
-            if self.capacity is not None and len(events) > self.capacity:
-                return events[-self.capacity:]
-            return events
-        return list(self._events)
-
-    def __len__(self) -> int:
-        if self._tracer is not None:
-            size = len(self._tracer.ring)
-            return size if self.capacity is None \
-                else min(size, self.capacity)
-        return len(self._events)
-
-
 class JsonlSink:
     """Streams one JSON object per event to a path or file object."""
-
-    streaming = True
 
     def __init__(self, target) -> None:
         if hasattr(target, "write"):
@@ -185,34 +138,3 @@ def perfetto_document(events) -> dict:
         "otherData": {"producer": "repro.obs",
                       "sim_time_unit": "1us == 1e-6 simulated seconds"},
     }
-
-
-class PerfettoSink:
-    """Writes one Perfetto-loadable JSON document on close.
-
-    Attached to a tracer it materializes the tracer's ring at close
-    time (zero per-event cost); standalone it buffers emitted events.
-    """
-
-    streaming = False
-
-    def __init__(self, target) -> None:
-        self._target = target
-        self._tracer = None
-        self._events: "list[TraceEvent]" = []
-
-    def attach(self, tracer) -> None:
-        self._tracer = tracer
-
-    def emit(self, event: TraceEvent) -> None:
-        self._events.append(event)
-
-    def close(self) -> None:
-        events = (self._tracer.events() if self._tracer is not None
-                  else self._events)
-        doc = perfetto_document(events)
-        if hasattr(self._target, "write"):
-            json.dump(doc, self._target)
-        else:
-            with open(self._target, "w") as handle:
-                json.dump(doc, handle)

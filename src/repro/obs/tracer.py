@@ -13,12 +13,11 @@ the Chrome ``trace_event`` format so export is a direct mapping:
 * ``"C"`` — counter: a named set of numeric series sampled at a point
   in simulated time (DDIO hits/misses, per-tenant IPC, LLC fill rates).
 
-Storage is a preallocated NumPy structured ring
-(:class:`~repro.obs.ring.StructRing`): hooks write scalar slots, not
-dataclasses — ``TraceEvent`` objects are materialized only when a sink
-or view asks for them.  A bounded ring (``capacity=N``) keeps the most
-recent N events and counts what it overwrote (:attr:`Tracer.dropped`);
-overflow is reported, never silent.
+Storage is one ``collections.deque`` of :class:`TraceEvent` objects.
+A bounded tracer (``capacity=N``) keeps the most recent N events and
+counts the rest (:attr:`Tracer.dropped`, events pushed minus events
+kept); overflow is reported, never silent.  Sinks are streams: each
+receives every event as it is pushed, whatever the capacity.
 
 Always-on operation has three tiers:
 
@@ -34,11 +33,12 @@ Always-on operation has three tiers:
   splitmix64 hash, so identical runs sample identical quanta.  The
   engine gates each quantum through :meth:`Tracer.begin_quantum`;
   un-sampled quanta emit nothing and read no clock.  A sampled stream
-  carries an ``obs/mode`` marker event, and the exact-replay views
+  opens with an ``obs/mode`` marker event, and the exact-replay views
   refuse it (:class:`~repro.obs.views.SampledStreamError`).
 
-Self-profiling is a view over the spans: :meth:`Tracer.profile_shares`
-gives each ``category.name``'s share of the retained spans' wall time
+Self-profiling is a view over the spans: :meth:`Tracer.span_seconds`
+sums each ``category.name``'s retained span time and
+:meth:`Tracer.profile_shares` gives its share of the total
 (the engine's ``engine/*`` stage spans, ``sim/quantum``, ``dma/burst``,
 ``daemon/interval``), which ``repro trace`` and
 ``benchmarks/perf/bench_obs.py`` report.
@@ -46,13 +46,10 @@ gives each ``category.name``'s share of the retained spans' wall time
 
 from __future__ import annotations
 
+import collections
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-from .ring import StructRing
-
-_PHASE_I, _PHASE_C, _PHASE_X = 0, 1, 2
 
 
 @dataclass
@@ -101,12 +98,13 @@ def _sample_hash(seed: int, index: int) -> int:
 
 
 class Tracer:
-    """Records trace events into a structured ring; optionally feeds
-    streaming sinks (see :mod:`.sinks`).
+    """Records trace events and streams each to its sinks (see
+    :mod:`.sinks`).
 
     ``enabled=False`` builds a disabled tracer: hooks return without
-    touching storage.  ``capacity`` bounds the ring (None = unbounded);
-    ``sample=N`` enables 1-in-N quantum sampling seeded by ``seed``.
+    touching storage.  ``capacity`` bounds the retained events (None =
+    unbounded); ``sample=N`` enables 1-in-N quantum sampling seeded by
+    ``seed``.
     """
 
     def __init__(self, *, enabled: bool = True, clock=time.perf_counter,
@@ -114,16 +112,17 @@ class Tracer:
                  sample: "int | None" = None, seed: int = 0) -> None:
         if sample is not None and sample < 1:
             raise ValueError(f"sample must be >= 1 or None, got {sample}")
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.clock = clock
         self.sample = sample
         self.seed = seed
         self.sinks: list = []
-        self._streaming: list = []
         self._epoch = clock()
         self._seq = 0
         self._sim_now = 0.0
-        #: The structured event storage (see :mod:`repro.obs.ring`).
-        self.ring = StructRing(capacity)
+        self._events: "collections.deque[TraceEvent]" = \
+            collections.deque(maxlen=capacity)
         self._base_enabled = enabled
         # Sampled tracers start gated-off; begin_quantum opens sampled
         # quanta.  Full-fidelity tracers are simply on or off.
@@ -132,23 +131,19 @@ class Tracer:
             # Mode marker: consumers (and the strict exact-replay guard
             # in views) can recognise a sampled stream from the events
             # alone, even after a JSONL round trip.
-            self._push(_PHASE_I, "obs", "mode",
+            self._push("i", "obs", "mode",
                        0.0, {"sample": sample, "seed": seed})
 
     # -- wiring ------------------------------------------------------------
     def add_sink(self, sink):
         """Attach a sink; returns it for chaining.
 
-        Ring-backed sinks (``streaming = False`` — the ring-buffer and
-        Perfetto sinks) read this tracer's storage lazily and cost
-        nothing per event; streaming sinks (JSONL) receive a
-        materialized :class:`TraceEvent` per emission.
+        The sink first receives the events this tracer holds (a sampled
+        tracer's ``obs/mode`` marker among them), then every event as
+        it is pushed.
         """
-        attach = getattr(sink, "attach", None)
-        if attach is not None:
-            attach(self)
-        if getattr(sink, "streaming", True):
-            self._streaming.append(sink)
+        for event in self._events:
+            sink.emit(event)
         self.sinks.append(sink)
         return sink
 
@@ -181,37 +176,33 @@ class Tracer:
         return self.enabled
 
     # -- event emission ----------------------------------------------------
-    def _push(self, phase: int, category: str, name: str, dur: float,
+    def _push(self, phase: str, category: str, name: str, dur: float,
               args: dict, wall: "float | None" = None) -> None:
         if wall is None:
             wall = self.clock() - self._epoch
-        seq = self._seq
-        self._seq = seq + 1
-        self.ring.push(seq, self._sim_now, wall, dur, phase,
-                       category, name, args)
-        if self._streaming:
-            event = TraceEvent(seq=seq, ts=self._sim_now, wall=wall,
-                               phase="iCX"[phase], category=category,
-                               name=name, dur=dur, args=args)
-            for sink in self._streaming:
-                sink.emit(event)
+        event = TraceEvent(self._seq, self._sim_now, wall, phase,
+                           category, name, dur, args)
+        self._seq += 1
+        self._events.append(event)
+        for sink in self.sinks:
+            sink.emit(event)
 
     def instant(self, category: str, name: str, **args) -> None:
         """Record a typed point event at the current simulated time."""
         if self.enabled:
-            self._push(_PHASE_I, category, name, 0.0, args)
+            self._push("i", category, name, 0.0, args)
 
     def counter(self, category: str, name: str, **values) -> None:
         """Record a set of numeric counter samples."""
         if self.enabled:
-            self._push(_PHASE_C, category, name, 0.0, values)
+            self._push("C", category, name, 0.0, values)
 
     def complete(self, category: str, name: str, dur: float,
                  **args) -> None:
         """Record a finished span of ``dur`` wall seconds ending now."""
         if not self.enabled:
             return
-        self._push(_PHASE_X, category, name, dur, args,
+        self._push("X", category, name, dur, args,
                    wall=max(0.0, self._wall() - dur))
 
     @contextmanager
@@ -225,24 +216,35 @@ class Tracer:
 
     # -- stream access -----------------------------------------------------
     def events(self) -> "list[TraceEvent]":
-        """Materialize the buffered events, oldest first."""
-        return self.ring.to_events()
+        """The retained events, oldest first."""
+        return list(self._events)
 
     @property
     def dropped(self) -> int:
-        """Events overwritten after a bounded ring filled."""
-        return self.ring.dropped
+        """Events pushed but no longer retained by a bounded tracer."""
+        return self._seq - len(self._events)
 
     def category_counts(self) -> "dict[str, int]":
-        """Buffered event counts per category (for exit summaries)."""
-        return self.ring.category_counts()
+        """Retained event counts per category (for exit summaries)."""
+        return dict(collections.Counter(
+            event.category for event in self._events))
 
     # -- self-profiling ----------------------------------------------------
+    def span_seconds(self) -> "dict[str, float]":
+        """Summed duration of the retained spans per ``category.name``,
+        in key order (instants and counters carry none)."""
+        seconds: "dict[str, float]" = {}
+        for event in self._events:
+            if event.phase == "X":
+                key = f"{event.category}.{event.name}"
+                seconds[key] = seconds.get(key, 0.0) + event.dur
+        return dict(sorted(seconds.items()))
+
     def profile_shares(self) -> "dict[str, float]":
-        """Each ``category.name``'s share of the buffered spans' summed
-        wall time (instants and counters carry none).  A bounded ring
-        covers only the spans it still holds."""
-        seconds = self.ring.span_seconds()
+        """Each ``category.name``'s share of the retained spans' summed
+        wall time.  A bounded tracer covers only the spans it still
+        holds."""
+        seconds = self.span_seconds()
         total = sum(seconds.values())
         if total <= 0.0:
             return {}

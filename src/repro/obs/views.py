@@ -30,7 +30,8 @@ class SampledStreamError(RuntimeError):
 
 
 def _events(source) -> list:
-    """Accept a RingBufferSink, a Tracer-owned sink, or a plain list."""
+    """Accept a :class:`~repro.obs.tracer.Tracer` (its retained events)
+    or a plain event list."""
     if hasattr(source, "events"):
         return source.events()
     return list(source)

@@ -59,11 +59,8 @@ class OvsDataplane(RingConsumer):
                                  f"the switch polls")
         self._emc_entries = emc_entries
         self.tables: "FlowTables | None" = None
-        self.forwarded = 0
-        self.output_drops = 0
-        self._consumed_from = 0  # ring index of the packet in flight
         # Destination ring id of each packet of the vector chunk in
-        # flight (None when every route shares one ring): a cut reads it.
+        # flight: a cut reads it.
         self._dest = None
         # Destination rings deduplicated (routes may share a ring), with
         # per-source-ring id vectors for array routing.
@@ -84,18 +81,6 @@ class OvsDataplane(RingConsumer):
         self.tables = FlowTables(self.region_base,
                                  emc_entries=self._emc_entries)
 
-    # The base class round-robins rings; remember which ring the current
-    # packet came from so we can route it.
-    def _next_packet(self) -> "PacketRecord | None":
-        for offset in range(len(self.rings)):
-            idx = (self._ring_cursor + offset) % len(self.rings)
-            record = self.rings[idx].consume()
-            if record is not None:
-                self._ring_cursor = (idx + 1) % len(self.rings)
-                self._consumed_from = idx
-                return record
-        return None
-
     def packet_cost(self, port: CorePort, record: PacketRecord, now: float,
                     cycles: float) -> "tuple[float, float]":
         hit, cycles = self.tables.probe(port, record.flow_id, cycles)
@@ -106,7 +91,6 @@ class OvsDataplane(RingConsumer):
         # end-to-end, not virtio-ring-local.
         out = dest.post(record.size, record.flow_id, record.arrival)
         if out is None:
-            self.output_drops += 1
             return OVS_INSTRUCTIONS, cycles + fixed
         # Copy payload into the virtio buffer through the switch's mask
         # (streaming stores overlap, hence the buffer MLP).
@@ -114,7 +98,6 @@ class OvsDataplane(RingConsumer):
         for _ in range(lines_per_packet(record.size)):
             cycles += port.access(addr, write=True, mlp=BUFFER_MLP)
             addr += 64
-        self.forwarded += 1
         return OVS_INSTRUCTIONS, cycles + fixed
 
     def plan_chunk(self, plan: VectorPlan, port: CorePort, pkts, sizes,
@@ -123,14 +106,6 @@ class OvsDataplane(RingConsumer):
         hit, lookup_fixed = self.tables.lookup_chunk(plan, flows, pkts)
         fixed = OVS_CYCLES + lookup_fixed
         nlines = -(-sizes // 64)
-        ndest = len(self._dest_rings)
-        if ndest == 1:
-            # Every route lands on the same ring: forward the whole
-            # chunk in order without building a destination vector.
-            self._dest = None
-            self._forward(plan, self._dest_rings[0], pkts, sizes, flows,
-                          arrivals, nlines)
-            return OVS_INSTRUCTIONS, fixed
         dest = self._dest = np.empty(k, dtype=np.int64)
         if rings is None:
             ids = self._route_ids[0]
@@ -155,19 +130,16 @@ class OvsDataplane(RingConsumer):
         # VectorPlan's stage-template fast path.
         posts = []
         dropped = False
-        for ring_id in range(ndest):
+        for ring_id, ring in enumerate(self._dest_rings):
             where = np.nonzero(dest == ring_id)[0]
             if not where.shape[0]:
                 continue
-            ring = self._dest_rings[ring_id]
             out_addrs = ring.post_batch(sizes[where], flows[where],
                                         arrivals[where])
             accepted = out_addrs.shape[0]
             if accepted < where.shape[0]:
-                self.output_drops += where.shape[0] - accepted
                 dropped = True
             if accepted:
-                self.forwarded += accepted
                 posts.append((where[:accepted], out_addrs))
         c0 = int(nlines[0]) if k else 0
         if not dropped and posts and bool((nlines == c0).all()):
@@ -186,25 +158,10 @@ class OvsDataplane(RingConsumer):
                                mlp=BUFFER_MLP)
         return OVS_INSTRUCTIONS, fixed
 
-    def _forward(self, plan, ring, where, sizes, flows, arrivals,
-                 nlines) -> None:
-        """Post one destination ring's packets and plan the copies."""
-        out_addrs = ring.post_batch(sizes, flows, arrivals)
-        accepted = out_addrs.shape[0]
-        if accepted < where.shape[0]:
-            self.output_drops += where.shape[0] - accepted
-        if accepted:
-            self.forwarded += accepted
-            nl = nlines[:accepted]
-            c0 = int(nl[0])
-            plan.add_batch(out_addrs, c0 if bool((nl == c0).all()) else nl,
-                           pkts=where[:accepted], rank=6, write=True,
-                           mlp=BUFFER_MLP)
-
     # -- speculation support ---------------------------------------------
     # Beyond the base checkpoint, a speculative OVS chunk mutates the EMC
-    # (journaled inside FlowTables), the destination virtio rings and the
-    # forwarding counters, which a cut derives from the rings it cuts.
+    # (journaled inside FlowTables) and the destination virtio rings,
+    # whose counters are the forwarding counters.
     def _spec_state(self):
         self.tables.snapshot()
         return (super()._spec_state(),
@@ -214,14 +171,10 @@ class OvsDataplane(RingConsumer):
         polled, marks = state
         super()._spec_cut(polled, n)
         self.tables.cut(n)
-        dest = self._dest
-        posted = [n] if dest is None else np.bincount(
-            dest[:n], minlength=len(self._dest_rings)).tolist()
+        posted = np.bincount(self._dest[:n],
+                             minlength=len(self._dest_rings)).tolist()
         for ring, mark, count in zip(self._dest_rings, marks, posted):
-            enqueued, dropped = ring.enqueued, ring.dropped
             ring.cut(mark, posted=count)
-            self.forwarded += ring.enqueued - enqueued
-            self.output_drops += ring.dropped - dropped
 
     def _spec_commit(self) -> None:
         self.tables.commit()
@@ -237,6 +190,17 @@ class OvsDataplane(RingConsumer):
         return 0
 
     # -- reporting ---------------------------------------------------------
+    @property
+    def forwarded(self) -> int:
+        """Packets posted into the destination rings (only the switch
+        posts to them)."""
+        return sum(ring.enqueued for ring in self._dest_rings)
+
+    @property
+    def output_drops(self) -> int:
+        """Packets a full destination ring refused."""
+        return sum(ring.dropped for ring in self._dest_rings)
+
     def cycles_per_packet(self) -> float:
         """Busy CPP over the switch's lifetime (Fig. 8d companion metric)."""
         if self.packets_processed == 0:

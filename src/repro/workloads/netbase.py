@@ -71,6 +71,7 @@ class RingConsumer(Workload):
         self.stall_durations = stall_durations
         self.tx_bytes = 0
         self._ring_cursor = 0
+        self._consumed_from = 0  # ring index of the packet in flight
         self._next_stall = stall_period
         self._stalled_until = -1.0
         self._stall_index = 0
@@ -160,12 +161,14 @@ class RingConsumer(Workload):
 
     # -- poll loop ---------------------------------------------------------
     def _next_packet(self) -> "PacketRecord | None":
-        """Round-robin consume across this workload's rings."""
+        """Round-robin consume across this workload's rings, recording
+        the ring the packet came from in ``_consumed_from``."""
         for offset in range(len(self.rings)):
-            ring = self.rings[(self._ring_cursor + offset) % len(self.rings)]
-            record = ring.consume()
+            idx = (self._ring_cursor + offset) % len(self.rings)
+            record = self.rings[idx].consume()
             if record is not None:
-                self._ring_cursor = (self._ring_cursor + offset + 1) % len(self.rings)
+                self._ring_cursor = (idx + 1) % len(self.rings)
+                self._consumed_from = idx
                 return record
         return None
 

@@ -248,6 +248,18 @@ class TestTrace:
         assert lines and all(json.loads(line)["ph"] in ("i", "C", "X")
                              for line in lines)
 
+    def test_capacity_bounds_perfetto_events(self, tmp_path, capsys):
+        import json
+        out = tmp_path / "trace.json"
+        assert main(["trace", "fig15", "--fast", "--capacity", "40",
+                     "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "trace: 40 events" in stdout
+        assert "dropped 0" not in stdout
+        doc = json.loads(out.read_text())
+        events = [e for e in doc["traceEvents"] if e["ph"] != "M"]
+        assert len(events) == 40
+
     def test_leaves_no_tracer_installed(self, tmp_path, capsys):
         from repro.obs import NULL_TRACER, current_tracer
         out = tmp_path / "trace.json"

@@ -233,15 +233,14 @@ class TestParallelRunner:
         assert fresh.hits == 0 and fresh.misses == len(self.SPEC)
 
     def test_tracing_forces_serial_and_bypasses_pool(self):
-        from repro.obs import RingBufferSink, Tracer, tracing
+        from repro.obs import Tracer, tracing
         tracer = Tracer()
-        ring = tracer.add_sink(RingBufferSink(capacity=None))
         with tracing(tracer):
             runner = ParallelRunner(jobs=4)
             assert runner.effective_jobs() == 1
             runner.run(self.SPEC)
             assert runner._executor is None  # never created a pool
-        names = {event.name for event in ring.events()}
+        names = {event.name for event in tracer.events()}
         assert "unit" in names          # per-point progress counters
         assert "sweep_done" in names
 

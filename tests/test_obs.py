@@ -1,7 +1,7 @@
 """Tests for the tracing & telemetry subsystem (repro.obs).
 
 Covers the tracer contract (near-zero overhead when disabled, ordering
-determinism), the three sinks (ring buffer, JSONL, Perfetto JSON schema),
+determinism), its event store, the JSONL sink and the Perfetto JSON schema,
 the sampled LLC event counters on both backends, and the headline
 acceptance property: the legacy recorders are exactly reconstructible
 from the event stream of a traced Fig. 11 run.
@@ -20,55 +20,46 @@ from repro.core import IATParams
 from repro.experiments import fig11_timeline
 from repro.experiments.common import (latent_contender_scenario,
                                       leaky_dma_scenario, shuffle_scenario)
-from repro.obs import (NULL_TRACER, JsonlSink, PerfettoSink, RingBufferSink,
-                       Tracer, current_tracer, event_from_dict,
-                       event_to_dict, install_tracer, perfetto_document,
-                       tracing, views)
+from repro.obs import (NULL_TRACER, JsonlSink, Tracer, current_tracer,
+                       event_from_dict, event_to_dict, install_tracer,
+                       perfetto_document, tracing, views)
 from repro.obs.merge import (ShardWriter, TraceShard, merged_document,
                              read_shard, write_merged)
-from repro.obs.ring import StructRing
 from repro.obs.sinks import SIM_PID, WALL_PID
 from repro.obs.tracer import _sample_hash
 from repro.obs.views import SampledStreamError
 from repro.sim.config import TINY_PLATFORM
 
 
-def make_tracer():
-    tracer = Tracer()
-    ring = tracer.add_sink(RingBufferSink(capacity=None))
-    return tracer, ring
-
-
 class TestTracer:
     def test_phases_and_sequence(self):
-        tracer, ring = make_tracer()
+        tracer = Tracer()
         tracer.set_sim_time(1.5)
         tracer.instant("fsm", "transition", src="low-keep", dst="io-demand")
         tracer.counter("ddio", "events", hits=3, misses=1)
         tracer.complete("sim", "quantum", 0.25, t=1.6)
-        events = ring.events()
+        events = tracer.events()
         assert [e.phase for e in events] == ["i", "C", "X"]
         assert [e.seq for e in events] == [0, 1, 2]
         assert all(e.ts == 1.5 for e in events)
         assert events[2].dur == 0.25
 
     def test_span_measures_wall_time(self):
-        tracer, ring = make_tracer()
+        tracer = Tracer()
         with tracer.span("dma", "burst", vf="vf0"):
             time.sleep(0.01)
-        (event,) = ring.events()
+        (event,) = tracer.events()
         assert event.phase == "X" and event.dur >= 0.01
         assert event.args == {"vf": "vf0"}
 
     def test_disabled_tracer_emits_nothing(self):
         tracer = Tracer(enabled=False)
-        ring = tracer.add_sink(RingBufferSink())
         tracer.instant("a", "b")
         tracer.counter("a", "b", x=1)
         tracer.complete("a", "b", 0.1)
         with tracer.span("a", "b"):
             pass
-        assert len(ring) == 0
+        assert tracer.events() == []
 
     def test_null_tracer_is_default_and_inert(self):
         assert current_tracer() is NULL_TRACER
@@ -77,7 +68,7 @@ class TestTracer:
             pass  # must be usable without error
 
     def test_install_and_restore(self):
-        tracer, _ = make_tracer()
+        tracer = Tracer()
         previous = install_tracer(tracer)
         try:
             assert current_tracer() is tracer
@@ -86,7 +77,7 @@ class TestTracer:
         assert current_tracer() is previous
 
     def test_tracing_scope_restores_on_exit(self):
-        tracer, _ = make_tracer()
+        tracer = Tracer()
         with tracing(tracer):
             assert current_tracer() is tracer
         assert current_tracer() is NULL_TRACER
@@ -117,17 +108,17 @@ class TestProfileShares:
         tracer.complete("sim", "quantum", 3.0)
         tracer.instant("sim", "quantum")
         tracer.complete("engine", "record", 1.0)
-        assert tracer.ring.span_seconds() == {"engine.record": 1.0,
-                                              "sim.quantum": 3.0}
+        assert tracer.span_seconds() == {"engine.record": 1.0,
+                                         "sim.quantum": 3.0}
         assert tracer.profile_shares() == {"engine.record": 0.25,
                                            "sim.quantum": 0.75}
 
     def test_no_spans_no_shares(self):
         tracer = Tracer()
-        assert tracer.ring.span_seconds() == {}
+        assert tracer.span_seconds() == {}
         tracer.instant("fsm", "transition")
         tracer.counter("ddio", "events", hits=1)
-        assert tracer.ring.span_seconds() == {}
+        assert tracer.span_seconds() == {}
         assert tracer.profile_shares() == {}
 
     def test_bounded_ring_covers_retained_spans(self):
@@ -142,14 +133,21 @@ class TestProfileShares:
 
 class TestSinks:
     def test_ring_buffer_capacity(self):
-        tracer = Tracer()
-        ring = tracer.add_sink(RingBufferSink(capacity=3))
+        """A bounded tracer keeps the last N events, while a sink
+        streams every event it pushes."""
+        tracer = Tracer(capacity=3)
+        buffer = io.StringIO()
+        tracer.add_sink(JsonlSink(buffer))
         for i in range(5):
             tracer.instant("t", "e", i=i)
-        assert [e.args["i"] for e in ring.events()] == [2, 3, 4]
+        tracer.close()
+        streamed = [json.loads(line)["args"]["i"]
+                    for line in buffer.getvalue().splitlines()]
+        assert streamed == [0, 1, 2, 3, 4]
+        assert [e.args["i"] for e in tracer.events()] == [2, 3, 4]
 
     def test_jsonl_roundtrip(self):
-        tracer, ring = make_tracer()
+        tracer = Tracer()
         buffer = io.StringIO()
         tracer.add_sink(JsonlSink(buffer))
         tracer.set_sim_time(0.5)
@@ -158,16 +156,16 @@ class TestSinks:
         tracer.close()
         lines = buffer.getvalue().strip().splitlines()
         decoded = [event_from_dict(json.loads(line)) for line in lines]
-        assert decoded == ring.events()
+        assert decoded == tracer.events()
 
     def test_event_dict_roundtrip(self):
-        tracer, ring = make_tracer()
+        tracer = Tracer()
         tracer.counter("llc", "events", fills=10, evictions=2)
-        (event,) = ring.events()
+        (event,) = tracer.events()
         assert event_from_dict(event_to_dict(event)) == event
 
     def test_jsonl_to_path(self, tmp_path):
-        tracer, _ = make_tracer()
+        tracer = Tracer()
         path = tmp_path / "trace.jsonl"
         tracer.add_sink(JsonlSink(path))
         tracer.instant("a", "b")
@@ -177,12 +175,12 @@ class TestSinks:
 
 class TestPerfettoSchema:
     def trace_document(self):
-        tracer, ring = make_tracer()
+        tracer = Tracer()
         tracer.set_sim_time(1.0)
         tracer.instant("fsm", "transition", src="low-keep", dst="reclaim")
         tracer.counter("ddio", "events", hits=5, misses=2, note="x")
         tracer.complete("dma", "burst", 0.02, vf="vf0", packets=8)
-        return perfetto_document(ring.events())
+        return perfetto_document(tracer.events())
 
     def test_document_shape(self):
         doc = self.trace_document()
@@ -220,27 +218,25 @@ class TestPerfettoSchema:
         assert instant["ts"] == pytest.approx(1.0 * 1e6)
 
 
-class TestStructRing:
-    def test_unbounded_ring_grows(self):
-        tracer, ring = make_tracer()
+class TestEventStore:
+    def test_unbounded_keeps_every_event(self):
+        tracer = Tracer()
         for i in range(3000):
             tracer.instant("t", "e", i=i)
-        assert len(tracer.ring) == 3000
         assert tracer.dropped == 0
-        assert [e.args["i"] for e in ring.events()] == list(range(3000))
+        assert [e.args["i"] for e in tracer.events()] == list(range(3000))
 
-    def test_bounded_ring_counts_drops(self):
+    def test_bounded_keeps_last_events_and_counts_drops(self):
         tracer = Tracer(capacity=4)
         for i in range(10):
             tracer.instant("t", "e", i=i)
-        assert len(tracer.ring) == 4
-        assert tracer.ring.total == 10
         assert tracer.dropped == 6
         assert [e.args["i"] for e in tracer.events()] == [6, 7, 8, 9]
+        assert [e.seq for e in tracer.events()] == [6, 7, 8, 9]
 
     def test_int_float_fidelity(self):
-        """Inline numeric slots restore Python ints exactly — a counter
-        of 2**40 events must not come back as a float."""
+        """Arguments come back as given — a counter of 2**40 events
+        must not come back as a float."""
         tracer = Tracer()
         tracer.counter("t", "e", small=7, big=2 ** 40, rate=0.25,
                        flag=True)
@@ -268,17 +264,11 @@ class TestStructRing:
         tracer.counter("ddio", "events", hits=1)
         assert tracer.category_counts() == {"fsm": 2, "ddio": 1}
 
-    def test_bounded_ring_drops_stale_rich_args(self):
-        """Rich (non-inline) payloads of overwritten rows are released."""
-        ring = StructRing(capacity=2)
-        for i in range(6):
-            ring.push(i, 0.0, 0.0, 0.0, 0, "t", "e", {"blob": [i] * 4})
-        assert len(ring._args) == 2
-        assert [e.args["blob"][0] for e in ring.to_events()] == [4, 5]
 
-
-def sampled_tiny_run(sample, seed, duration=0.3):
+def sampled_tiny_run(sample, seed, duration=0.3, sink=None):
     tracer = Tracer(sample=sample, seed=seed)
+    if sink is not None:
+        tracer.add_sink(sink)
     spec = dataclasses.replace(TINY_PLATFORM, llc_backend="array")
     scen = leaky_dma_scenario(packet_size=512, spec=spec)
     with tracing(tracer):
@@ -339,10 +329,23 @@ class TestSampling:
         with pytest.raises(SampledStreamError):
             views.metrics_from_events(decoded)
 
+    def test_jsonl_stream_opens_with_mode_marker(self):
+        """A sink added after the tracer is built still receives the
+        marker first, so a sampled JSONL stream is refused too."""
+        buffer = io.StringIO()
+        tracer = sampled_tiny_run(sample=4, seed=1, sink=JsonlSink(buffer))
+        tracer.close()
+        decoded = [event_from_dict(json.loads(line))
+                   for line in buffer.getvalue().splitlines()]
+        assert (decoded[0].category, decoded[0].name) == ("obs", "mode")
+        assert views.select(decoded, "metrics", "quantum")
+        with pytest.raises(SampledStreamError):
+            views.metrics_from_events(decoded)
+
     def test_full_fidelity_has_no_mode_marker(self):
-        tracer, ring = make_tracer()
+        tracer = Tracer()
         tracer.instant("metrics", "quantum")
-        assert views.sampling_mode(ring) is None
+        assert views.sampling_mode(tracer) is None
 
 
 GEOM = CacheGeometry(ways=4, sets_per_slice=8, slices=2)
@@ -385,51 +388,50 @@ class TestLlcStats:
 
 def traced_tiny_fig11():
     tracer = Tracer()
-    ring = tracer.add_sink(RingBufferSink(capacity=None))
     with tracing(tracer):
         result = fig11_timeline.run(t_grow=0.5, t_ddio=1.0, t_end=1.5,
                                     spec=TINY_PLATFORM)
-    return ring, result
+    return tracer, result
 
 
 class TestReconstruction:
     """Acceptance: recorders are views over the event stream."""
 
     def test_fig11_timeline_matches_result(self):
-        ring, result = traced_tiny_fig11()
-        assert views.history_from_events(ring) == result.daemon_history
-        assert views.times(ring) == list(result.times)
-        assert views.ddio_mask_timeline(ring) == list(result.ddio_masks)
-        reconstructed = views.mask_timeline(ring)
+        tracer, result = traced_tiny_fig11()
+        assert views.history_from_events(tracer) == result.daemon_history
+        assert views.times(tracer) == list(result.times)
+        assert views.ddio_mask_timeline(tracer) == list(result.ddio_masks)
+        reconstructed = views.mask_timeline(tracer)
         for name, masks in result.masks.items():
             assert reconstructed[name] == list(masks)
 
     def test_core_only_history_matches_events(self):
         """A comparison baseline is as observable as IAT: its iteration
         log is a view over the same event stream."""
-        tracer, ring = make_tracer()
+        tracer = Tracer()
         scenario = shuffle_scenario(packet_size=1500, spec=TINY_PLATFORM)
         daemon = scenario.attach_controller("core-only")
         with tracing(tracer):
             scenario.sim.run(2.0)
         assert len(daemon.history) == 3
-        assert views.history_from_events(ring) == daemon.history
+        assert views.history_from_events(tracer) == daemon.history
 
     def test_metrics_recorder_reconstruction(self):
-        tracer, ring = make_tracer()
+        tracer = Tracer()
         scen = leaky_dma_scenario(packet_size=512, spec=TINY_PLATFORM)
         with tracing(tracer):
             metrics = scen.sim.run(0.2)
-        clone = views.metrics_from_events(ring)
+        clone = views.metrics_from_events(tracer)
         assert clone.records == metrics.records
 
     def test_fsm_and_llc_events_present(self):
-        ring, _ = traced_tiny_fig11()
-        assert views.select(ring, "fsm", "transition")
-        assert views.select(ring, "mask", "tenant")
-        assert views.select(ring, "daemon", "iteration")
-        assert views.select(ring, "dma", "burst")
-        llc_counters = views.select(ring, "llc", "events")
+        tracer, _ = traced_tiny_fig11()
+        assert views.select(tracer, "fsm", "transition")
+        assert views.select(tracer, "mask", "tenant")
+        assert views.select(tracer, "daemon", "iteration")
+        assert views.select(tracer, "dma", "burst")
+        llc_counters = views.select(tracer, "llc", "events")
         assert llc_counters
         assert sum(e.args["fills"] for e in llc_counters) > 0
 
@@ -437,12 +439,12 @@ class TestReconstruction:
 class TestDeterminism:
     def test_identical_runs_identical_event_keys(self):
         def keys():
-            tracer, ring = make_tracer()
+            tracer = Tracer()
             spec = dataclasses.replace(TINY_PLATFORM, llc_backend="array")
             scen = leaky_dma_scenario(packet_size=512, spec=spec)
             with tracing(tracer):
                 scen.sim.run(0.3)
-            return [e.key() for e in ring.events()]
+            return [e.key() for e in tracer.events()]
 
         first, second = keys(), keys()
         assert len(first) > 0
@@ -525,7 +527,7 @@ class TestEngineSpans:
     def test_untraced_run_emits_nothing(self):
         tracer = Tracer(enabled=False)
         iat_tiny_run(tracer)
-        assert len(tracer.ring) == 0
+        assert tracer.events() == []
 
 
 class TestQuantumCounters:
