@@ -34,9 +34,14 @@ Two interchangeable storage backends implement the same semantics:
 
 Batch ordering guarantee: ``access_batch`` behaves exactly as if its
 addresses were issued one at a time in vector order.  Recency stamps are
-pre-assigned from the batch position, and accesses mapping to the same
-set are applied in vector order; accesses to different sets are
+pre-assigned from the batch position, and accesses to different sets are
 independent under LRU, so the engine may process them concurrently.
+Within a set only a fill changes the tags, so one lookup of every access
+against the pre-batch tags resolves each access before the set's first
+allocating miss: a hit rewrites its line's meta word, and a miss that
+does not allocate changes nothing.  The set's accesses from that miss
+on, its *fill suffix*, are applied in vector order after those early
+hits, so every cell sees its accesses in stamp order.
 
 The array backend additionally supports cheap speculation via a
 copy-on-write journal: :meth:`SlicedLLC.snapshot` arms per-cell logging
@@ -81,9 +86,9 @@ _STAMP_HI = 1 << 62
 #: on the array backend — NumPy kernel-launch overhead dominates under it.
 _VECTOR_MIN = 8
 
-#: Followers left after the repeat collapse (those in mixed-tag sets, or
-#: in sets whose first access missed without allocating) are applied
-#: with the per-access loop when fewer than this, instead of rank rounds.
+#: Fill-suffix followers left after the repeat collapse (those in
+#: mixed-tag sets) are applied with the per-access loop when fewer than
+#: this, instead of rank rounds.
 _SEQ_MAX = 24
 
 #: A rank round over those mixed-set followers must cover at least this
@@ -96,11 +101,11 @@ _ROUND_MIN = 12
 #: Journal entry kinds, over flat ``set * ways + way`` slots (an array,
 #: or one int for a per-access entry): a meta-word update by hits,
 #: ``(_J_META, slots, pre_meta, words)``; the same for the batch
-#: engine's collapsed repeats, whose slots may repeat, ``(_J_REPEAT,
-#: ...)``; or a cell replacement by fills, ``(_J_FILL, slots, pre_tag,
-#: pre_meta, pre_owner, words)``.  ``words`` are the meta words the
-#: accesses wrote, so their stamps date each access.  An array entry
-#: lists its accesses in issue order, so its stamps ascend.
+#: engine's early hits and collapsed repeats, whose slots may repeat,
+#: ``(_J_REPEAT, ...)``; or a cell replacement by fills, ``(_J_FILL,
+#: slots, pre_tag, pre_meta, pre_owner, words)``.  ``words`` are the
+#: meta words the accesses wrote, so their stamps date each access.  An
+#: array entry lists its accesses in issue order, so its stamps ascend.
 _J_META = 0
 _J_REPEAT = 1
 _J_FILL = 2
@@ -317,9 +322,10 @@ class SlicedLLC:
             # Per-mask cache of the (ways,) allowed-way row used by the
             # batch victim key (way masks are a handful of CLOS values).
             self._allowed_rows: "dict[int, np.ndarray]" = {}
-            # Per-set scratch for the batch engine's sort-free
-            # first-occurrence scatter (contents are never read beyond
-            # the cells a batch writes, so no init needed).
+            # Per-set scratch for the batch engine: each touched set's
+            # first allocating miss, then its fill slot (contents are
+            # never read beyond the cells a batch writes, so no init
+            # needed).
             self._first_scratch = np.empty(nsets, dtype=np.int64)
         self._clock = 0
         # Copy-on-write journal: None when inactive; while a snapshot
@@ -615,11 +621,17 @@ class SlicedLLC:
 
     def _access_batch_vector(self, addrs, mask, write, owner,
                              allocate) -> BatchOutcome:
-        """Vectorized set-grouped batch engine (array backend).
+        """Vectorized batch engine (array backend).
 
         A bulk all-miss batch is resolved in closed form by
-        :meth:`_access_bulk`; every other batch takes the first-touch
-        round, the repeat collapse and the rank rounds below.
+        :meth:`_access_bulk`.  Every other batch first looks each access
+        up once against the pre-batch tags.  Only a fill changes a set's
+        tags, so that lookup resolves every access issued before its
+        set's first allocating miss: a hit lands on its pre-batch slot,
+        and a miss that does not allocate changes nothing.  The rest of
+        each set, its *fill suffix*, opens with that miss: the suffix's
+        first accesses fill in one round without a second compare, and
+        their followers take the repeat collapse and the rank rounds.
         """
         n = addrs.shape[0]
         geom = self.geometry
@@ -642,79 +654,82 @@ class SlicedLLC:
         if write is not False:
             new_meta |= write
         out = _empty_batch(n, index)
-        args = (tag, new_meta, mask & geom.full_mask, mask, write, owner,
-                allocate, out)
 
-        # Group by set, without sorting: scatter each access's batch
-        # position into a per-set cell in *reverse* batch order — fancy
-        # assignment keeps the last value written per repeated index,
-        # so after the reversed pass each touched cell holds its set's
-        # earliest position.  An access is its set's first touch iff
-        # the cell holds its own position.  First touches are distinct
-        # sets, hence one conflict-free round and the batch's only tag
-        # lookup per set; followers apply afterwards, so same-set
-        # accesses land in vector order (cross-set order is irrelevant
-        # under LRU because the pre-assigned clocks encode batch
-        # position).
-        pos = np.arange(n, dtype=np.int64)
-        fpos = self._first_scratch
-        fpos[index[::-1]] = pos[::-1]
-        fsel = fpos[index]
-        first = fsel == pos
-        if first.all():
-            self._apply_round(None, index, *args)
+        # The pre-batch lookup.  A line sits in at most one way of its
+        # set, so the compare's nonzeros are exactly the hits, one per
+        # hitting access, in batch order: ``hit_flat`` is ``hit_at *
+        # ways + way``.
+        ways = self._nways
+        hit_flat = np.flatnonzero(
+            np.take(self._tags, index, axis=0) == tag[:, None])
+        hit_at = hit_flat // ways
+        hit_slot = (index[hit_at] - hit_at) * ways + hit_flat
+        fill = np.ones(n, dtype=bool)
+        fill[hit_at] = False
+        if allocate is not True:
+            fill &= allocate
+        am = np.flatnonzero(fill)
+        if am.shape[0]:
+            # Each set's first allocating miss, without sorting: scatter
+            # the misses' positions in *reverse* batch order — fancy
+            # assignment keeps the last value written per repeated
+            # index, so each such set's cell ends on its earliest miss;
+            # the other sets hold n.  Only the hits before it are early.
+            fpos = self._first_scratch
+            fpos[index] = n
+            fpos[index[am[::-1]]] = am[::-1]
+            ffill = fpos[index]
+            early = hit_at < ffill[hit_at]
+            if not early.all():
+                hit_at, hit_slot = hit_at[early], hit_slot[early]
+        # The early hits apply as one last-wins write, before any fill
+        # of their set picks a victim by the stamps they leave.
+        if hit_at.shape[0]:
+            self._hit(hit_at, hit_slot, new_meta, write, out, _J_REPEAT)
+        if am.shape[0] == 0:
             return out
-        sel0 = np.flatnonzero(first)
-        rows0 = index[sel0]
-        slot0 = self._apply_round(sel0, rows0, *args)
 
-        # Collapse guaranteed repeats.  A follower is a hit on its first
-        # access's slot when that access left the line resident (hit or
-        # fill) and no other tag touches the set in this batch: only a
+        # The fill suffixes.  Each set's first allocating miss fills;
+        # the accesses after it in its set are its followers.
+        sel0 = am[ffill[am] == am]
+        rows0 = index[sel0]
+        alloc_mask = mask & geom.full_mask
+        slot0 = self._fill_round(sel0, rows0, tag, new_meta, alloc_mask,
+                                 mask, owner, out)
+        rest = np.flatnonzero(ffill < np.arange(n))
+        if rest.shape[0] == 0:
+            return out
+
+        # Collapse guaranteed repeats.  A follower is a hit on its set's
+        # fill slot when no other tag touches the set's suffix: only a
         # fill of another tag could evict the line.  The scratch cells
-        # are rewritten to each set's resident slot, with -1 marking a
-        # non-allocating first miss or a mixed-tag set; those followers
-        # go through the rank rounds below.
-        rest = np.flatnonzero(~first)
+        # are rewritten to each set's fill slot, with -1 marking a
+        # mixed-tag set; its followers go through the rank rounds below.
         rrow = index[rest]
         fpos[rows0] = slot0
-        mixed = tag[rest] != tag[fsel[rest]]
+        mixed = tag[rest] != tag[ffill[rest]]
         if mixed.any():
             fpos[rrow[mixed]] = -1
         slot = fpos[rrow]
         rep = slot >= 0
-        if rep.all():
-            rep_sel, rest = rest, rest[:0]
-        else:
-            rep_sel, slot = rest[rep], slot[rep]
-            keep = ~rep
-            rest, rrow = rest[keep], rrow[keep]
-        # Duplicate slots take the latest stamp via last-wins fancy
-        # assignment, and any write among them sets the dirty bit:
-        # exactly what the scalar loop would leave.  The journal entry
-        # keeps each repeat's own word, so a cut can re-apply a prefix.
-        meta = self._meta_flat
-        wr = _pick(write, rep_sel)
-        if self._journal is not None:
-            pre = meta[slot]
-            self._journal.append((_J_REPEAT, slot, pre,
-                                  new_meta[rep_sel] | (pre & 1)))
-        if wr is True:
-            meta[slot] = new_meta[rep_sel]
-        else:
-            meta[slot] = new_meta[rep_sel] | (meta[slot] & 1)
-            if wr is not False and wr.any():
-                meta[slot[wr]] |= 1
-        out.hit[rep_sel] = True
-        if rest.size < _SEQ_MAX:
-            self._apply_sequential(rest, index, *args)
+        if rep.any():
+            self._hit(rest[rep], slot[rep], new_meta, write, out,
+                      _J_REPEAT)
+        keep = ~rep
+        rest, rrow = rest[keep], rrow[keep]
+        args = (tag, new_meta, alloc_mask, mask, write, owner, allocate,
+                out)
+        if rest.shape[0] < _SEQ_MAX:
+            if rest.shape[0]:
+                self._apply_sequential(rest, index, *args)
             return out
         # Mixed-tag collision load: rank rounds over the remainder only
-        # (entries with rank r are the (r+2)-th access to their set).
-        # Once the remainder shrinks below the vectorization payoff —
-        # or a round itself is too small to amortize a kernel launch —
-        # the rest is applied one access at a time in its set-major,
-        # batch-position order, which preserves per-set access order.
+        # (entries with rank r are the (r+2)-th suffix access to their
+        # set).  Once the remainder shrinks below the vectorization
+        # payoff — or a round itself is too small to amortize a kernel
+        # launch — the rest is applied one access at a time in its
+        # set-major, batch-position order, which preserves per-set
+        # access order.
         ro = rest[np.argsort(rrow, kind="stable")]
         si = index[ro]
         newset = np.empty(ro.size, dtype=bool)
@@ -884,71 +899,74 @@ class SlicedLLC:
             _element_list(_pick(owner, sel), n, np.int64),
             _element_list(_pick(allocate, sel), n, bool)))
 
+    def _hit(self, sel, slot, new_meta, write, out, kind) -> None:
+        """Apply the hits of batch positions ``sel`` on flat slots
+        ``slot`` (``set * ways + way``), as one journal entry of
+        ``kind``.
+
+        A hit writes its access's meta word with the line's dirty bit
+        kept (a scalar write sets it anyway, so DDIO write updates skip
+        the gather).  Under :data:`_J_REPEAT` a slot may repeat: fancy
+        assignment leaves it its last stamp, and any write among its
+        hits ORs in the dirty bit, exactly what the scalar loop would
+        leave.  The entry keeps each hit's own word, so a cut can
+        re-apply a prefix.
+        """
+        meta = self._meta_flat
+        words = new_meta[sel]
+        journal = self._journal
+        if write is not True or journal is not None:
+            pre = meta[slot]
+            words |= pre & 1
+            if journal is not None:
+                journal.append((kind, slot, pre, words))
+        meta[slot] = words
+        if kind == _J_REPEAT and isinstance(write, np.ndarray):
+            wr = write[sel]
+            if wr.any():
+                meta[slot[wr]] |= 1
+        out.hit[sel] = True
+
     def _apply_round(self, sel, rows, tag, new_meta, alloc_mask, raw_mask,
-                     write, owner, allocate, out) -> "np.ndarray":
-        """Look up and apply one conflict-free (distinct-set) group.
+                     write, owner, allocate, out) -> None:
+        """Look up and apply one rank round: batch positions ``sel``, in
+        issue order, in the distinct sets ``rows``.
 
-        ``sel`` holds the group's batch positions (``None`` meaning the
-        whole batch in position order) and ``rows`` their set indices.
-        One ``np.take`` gathers the group's tag rows from current state;
-        the sets are distinct and a hit never changes a tag, so the
-        miss path's victim scan reuses them.  Meta rows are gathered
-        for the group's *misses* only, and only under a wide way mask.
-
-        Returns the flat slot (``set * ways + way``) each access
-        resolved to — the way it hit, or the victim it filled — and -1
-        where a miss did not allocate.
+        One ``np.take`` gathers the round's tag rows from current state;
+        the hits take their slots, and the allocating misses fill
+        through :meth:`_fill_round`.
         """
         ways = self._nways
         m = rows.shape[0]
-        journal = self._journal
-        row_tags = np.take(self._tags, rows, axis=0)
-        # A line sits in at most one way of its set, so the compare's
-        # nonzeros are exactly the hits, one per hitting row, in group
-        # order: ``hit_flat`` is ``hit_at * ways + way``.
         hit_flat = np.flatnonzero(
-            row_tags == (tag if sel is None else tag[sel])[:, None])
+            np.take(self._tags, rows, axis=0) == tag[sel][:, None])
         hit_at = hit_flat // ways
-        nhit = hit_at.shape[0]
-        if nhit:
-            if nhit == m:
-                hit_sel = sel
-                slot = (rows - hit_at) * ways + hit_flat
-            else:
-                hit_sel = hit_at if sel is None else sel[hit_at]
-                slot = (rows[hit_at] - hit_at) * ways + hit_flat
-            if hit_sel is None:
-                hit_meta = new_meta
-                out.hit[:] = True
-            else:
-                hit_meta = new_meta[hit_sel]
-                out.hit[hit_sel] = True
-            # A hit keeps its line's dirty bit (a scalar write sets it
-            # anyway, so DDIO write updates skip the gather).
-            meta = self._meta_flat
-            if write is not True or journal is not None:
-                pre = meta[slot]
-                hit_meta = hit_meta | (pre & 1)
-                if journal is not None:
-                    journal.append((_J_META, slot, pre, hit_meta))
-            meta[slot] = hit_meta
-            if nhit == m:
-                return slot
-        slots = np.full(m, -1, dtype=np.int64)
+        if hit_at.shape[0]:
+            self._hit(sel[hit_at], (rows[hit_at] - hit_at) * ways + hit_flat,
+                      new_meta, write, out, _J_META)
+            if hit_at.shape[0] == m:
+                return
         miss = np.ones(m, dtype=bool)
-        if nhit:
-            slots[hit_at] = slot
-            miss[hit_at] = False
+        miss[hit_at] = False
         if isinstance(allocate, np.ndarray):
-            miss &= allocate if sel is None else allocate[sel]
-        elif not allocate:
-            return slots
-        miss_sel = np.flatnonzero(miss) if sel is None else sel[miss]
-        k = miss_sel.shape[0]
-        if k == 0:
-            return slots
-        miss_rows = rows if k == m else rows[miss]
-        amask = _pick(alloc_mask, miss_sel)
+            miss &= allocate[sel]
+        if miss.any():
+            self._fill_round(sel[miss], rows[miss], tag, new_meta,
+                             alloc_mask, raw_mask, owner, out)
+
+    def _fill_round(self, sel, rows, tag, new_meta, alloc_mask, raw_mask,
+                    owner, out) -> "np.ndarray":
+        """Fill the known misses ``sel`` (batch positions in issue order)
+        into their distinct sets ``rows``.
+
+        Returns the flat slot (``set * ways + way``) each access filled.
+        Meta rows are gathered only under a wide way mask, and tag rows
+        only there and while the cache has invalid lines.
+        """
+        ways = self._nways
+        k = sel.shape[0]
+        journal = self._journal
+        amask = _pick(alloc_mask, sel)
         if isinstance(amask, np.ndarray):
             a0 = amask[0]
             uniform = bool((amask == a0).all())
@@ -958,7 +976,7 @@ class SlicedLLC:
         if uniform:
             a0 = int(a0)
             if a0 == 0:
-                _raise_mask_error(_pick(raw_mask, miss_sel))
+                _raise_mask_error(_pick(raw_mask, sel))
             # (ways,)-shaped row; ufunc broadcasting against the
             # (k, ways) meta words below is free.
             cached = self._allowed_rows.get(a0)
@@ -976,7 +994,7 @@ class SlicedLLC:
             allowed = (amask[:, None] >> self._way_range) & 1 != 0
             dis_row = aw = None
             if not allowed.any(axis=1).all():
-                _raise_mask_error(_pick(raw_mask, miss_sel))
+                _raise_mask_error(_pick(raw_mask, sel))
         # Victim selection: invalid allowed ways sort first (lowest way
         # index wins), then the LRU meta word among allowed ways (valid
         # lines' stamps are distinct, so the dirty bit never decides);
@@ -989,7 +1007,7 @@ class SlicedLLC:
         # full cache (no invalid ways anywhere) skips the tag comparison
         # entirely, and its narrow scan's best key is the victim's word.
         full = self.valid_lines() == self._total_lines
-        base = miss_rows * ways
+        base = rows * ways
         tags_flat = self._tags_flat
         meta_flat = self._meta_flat
         if aw is not None and len(aw) <= 4:
@@ -1016,13 +1034,13 @@ class SlicedLLC:
                     fslot = np.where(better, col, fslot)
                 victim_meta = meta_flat[fslot]
         else:
-            words = np.take(self._meta, miss_rows, axis=0)
+            words = np.take(self._meta, rows, axis=0)
             if full:
                 key = words | dis_row if dis_row is not None else \
                     np.where(allowed, words, _STAMP_HI)
             else:
-                mtags = row_tags if k == m else row_tags[miss]
-                key = np.where(mtags == EMPTY, self._invalid_key, words)
+                key = np.where(np.take(self._tags, rows, axis=0) == EMPTY,
+                               self._invalid_key, words)
                 if aw is None or len(aw) != ways:
                     # Partial mask: push disallowed ways past every
                     # valid key (the key can be negative, so the OR
@@ -1030,14 +1048,10 @@ class SlicedLLC:
                     key = np.where(allowed, key, _STAMP_HI)
             fslot = base + key.argmin(axis=1)
             victim_meta = meta_flat[fslot]
-        if k == m:
-            slots = fslot
-        else:
-            slots[miss] = fslot
         dirty_pre = victim_meta & 1
         victim_owner = self._owner_flat[fslot]
-        new_owner = _pick(owner, miss_sel)
-        fill_meta = new_meta[miss_sel]
+        new_owner = _pick(owner, sel)
+        fill_meta = new_meta[sel]
         if journal is not None or not full:
             victim_tags = tags_flat[fslot]
         if journal is not None:
@@ -1046,24 +1060,24 @@ class SlicedLLC:
                             victim_owner, fill_meta))
         if not full:
             evicted = victim_tags != EMPTY
-        tags_flat[fslot] = tag[miss_sel]
+        tags_flat[fslot] = tag[sel]
         meta_flat[fslot] = fill_meta
         self._owner_flat[fslot] = new_owner
         self.stat_fills += k
         if full:
             # Every fill evicts: no per-element valid/evicted masking.
-            out.writeback[miss_sel] = dirty_pre
+            out.writeback[sel] = dirty_pre
             self.stat_evictions += k
             self.stat_writebacks += int(np.count_nonzero(dirty_pre))
             self._occ_update(new_owner, k, victim_owner)
-            return slots
+            return fslot
         writeback = evicted & dirty_pre
-        out.writeback[miss_sel] = writeback
+        out.writeback[sel] = writeback
         ev_owner = victim_owner[evicted]
         self.stat_evictions += ev_owner.shape[0]
         self.stat_writebacks += int(np.count_nonzero(writeback))
         self._occ_update(new_owner, k, ev_owner)
-        return slots
+        return fslot
 
     def _occ_update(self, filled_owners, n_filled, evicted_owners) -> None:
         occ = self._occ

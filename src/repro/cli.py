@@ -332,7 +332,12 @@ def _cmd_trace(args) -> int:
     if args.format != "jsonl":
         _write_perfetto(events, out)
     print(table)
-    print(f"trace: {len(events)} events -> {out}")
+    # A JSONL sink streams every pushed event; a Perfetto file holds
+    # only the events the bounded tracer kept.
+    written = len(events)
+    if args.format == "jsonl":
+        written += tracer.dropped
+    print(f"trace: {written} events -> {out}")
     counts = tracer.category_counts()
     if counts:
         print("events: "

@@ -260,6 +260,18 @@ class TestTrace:
         events = [e for e in doc["traceEvents"] if e["ph"] != "M"]
         assert len(events) == 40
 
+    def test_capacity_reports_jsonl_events_written(self, tmp_path, capsys):
+        """A JSONL sink streams every event whatever the capacity, so
+        the printed count is the file's, not the tracer's retained."""
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", "fig15", "--fast", "--format", "jsonl",
+                     "--capacity", "40", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) > 40
+        assert f"trace: {len(lines)} events -> " in stdout
+        assert f"dropped {len(lines) - 40}" in stdout
+
     def test_leaves_no_tracer_installed(self, tmp_path, capsys):
         from repro.obs import NULL_TRACER, current_tracer
         out = tmp_path / "trace.json"

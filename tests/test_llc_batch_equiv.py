@@ -7,9 +7,10 @@ per-owner occupancy (so victim choice and attribution are checked batch
 by batch) — over arbitrary interleavings of core accesses, DDIO writes
 and device reads, under LRU replacement.  These tests fuzz exactly
 that, aim hand-built batches at each shortcut of the vector engine (the
-repeat collapse and the bulk all-miss path), and check the engine-level
-guarantee that a full simulation produces identical metrics on either
-backend.
+pre-batch lookup that resolves every access before its set's first
+allocating miss, the fill suffix's known-miss fill and repeat collapse,
+and the bulk all-miss path), and check the engine-level guarantee that
+a full simulation produces identical metrics on either backend.
 """
 
 import dataclasses
@@ -202,15 +203,22 @@ def check_ops(ops, pair=None):
                 SlicedLLC(TINY_LLC, backend="array"))
     scalar, array = pair
     for op in ops:
-        expected = apply_scalar(scalar, op)
-        got = apply_batch(array, op)
-        for i, out in enumerate(expected):
-            assert out == got.outcome_at(i), (op[0], i)
-        assert scalar.stats() == array.stats(), op[0]
-        assert scalar.occupancy_by_owner() == array.occupancy_by_owner(), \
-            op[0]
+        apply_both(scalar, array, op)
     assert_same_state(scalar, array)
     return pair
+
+
+def apply_both(scalar, array, op):
+    """Apply one op to both backends; each access's outcome, then the
+    counters and per-owner occupancy must match.  Returns the array
+    backend's :class:`BatchOutcome`."""
+    expected = apply_scalar(scalar, op)
+    got = apply_batch(array, op)
+    for i, out in enumerate(expected):
+        assert out == got.outcome_at(i), (op[0], i)
+    assert scalar.stats() == array.stats(), op[0]
+    assert scalar.occupancy_by_owner() == array.occupancy_by_owner(), op[0]
+    return got
 
 
 def mixed_op(accesses):
@@ -275,11 +283,101 @@ def reread_batch(warm):
 
 
 class TestTargetedBatches:
-    """Hand-built batches aimed at the vector engine's repeat collapse:
-    a set's followers may skip the lookup only when its first access
-    left the line resident and no other tag touches the set."""
+    """Hand-built batches aimed at the vector engine's shortcuts.  One
+    lookup against the pre-batch tags resolves every access before its
+    set's first allocating miss; from that miss on (the set's fill
+    suffix), followers may skip a second lookup only when no other tag
+    touches the suffix."""
 
     FULL = TINY_LLC.full_mask
+
+    def test_warm_all_hit_batch_runs_no_round(self, round_sizes):
+        """Every access hits its pre-batch slot, over sets that two
+        resident tags share, with repeated lines and a write between two
+        reads of one line: the pre-batch lookup resolves the whole batch
+        (no rank round runs), and X keeps the write's dirty bit."""
+        f = self.FULL
+        pairs = pairs_in_sets(12)
+        scalar, array = check_ops([("access", [a for p in pairs for a in p],
+                                    dict(mask=f, write=False, owner=1))])
+        del round_sizes[:]
+        batch = []
+        for x, y in pairs:
+            batch += [(x, f, False, 1, True), (y, f, False, 2, True),
+                      (x, f, True, 1, True), (y, f, False, 2, False),
+                      (x, f, False, 1, True)]
+        out = apply_both(scalar, array, mixed_op(batch))
+        assert out.hits == len(batch)
+        assert round_sizes == []
+        assert_same_state(scalar, array)
+        for x, y in pairs:
+            index, _ = TINY_LLC.frame_index(x)
+            meta = array._meta[index]
+            assert meta[array.way_of(x)] & 1 == 1
+            assert meta[array.way_of(y)] & 1 == 0
+
+    def test_early_hit_then_evicting_fill_then_refill(self):
+        """One set under a 1-way mask, ``[A, B, A]`` with A resident in
+        that way: A hits before the set's first allocating miss, B fills
+        and evicts A, so the second A misses and refills over B."""
+        (a, b), index = lines_in_set(2)
+        pad = padding_lines(8, [index])
+        scalar, array = check_ops([("access", [a], dict(
+            mask=0b1, write=True, owner=1))])
+        batch = [(a, 0b1, False, 1, True), (b, 0b1, False, 2, True),
+                 (a, 0b1, False, 1, True)]
+        batch += [(p, self.FULL, False, 3, True) for p in pad]
+        out = apply_both(scalar, array, mixed_op(batch))
+        assert out.hit[:3].tolist() == [True, False, False]
+        assert out.writeback[:3].tolist() == [False, True, False]
+        assert array.way_of(a) == 0 and not array.contains(b)
+        assert_same_state(scalar, array)
+
+    @pytest.mark.parametrize("filler", ["same", "other"])
+    def test_device_read_before_and_after_the_fill(self, filler):
+        """A device read of X before its set's first allocating miss
+        misses and changes nothing; after a fill brought X in, another
+        device read hits.  The fill is X's own (the suffix collapse), or
+        follows another tag's (the per-access remainder)."""
+        (x, y), index = lines_in_set(2)
+        pad = padding_lines(8, [index])
+        f = self.FULL
+        batch = [(x, f, False, 1, False)]
+        if filler == "other":
+            batch.append((y, f, False, 2, True))
+        batch += [(x, f, True, 1, True), (x, f, False, 1, False)]
+        batch += [(p, f, False, 3, True) for p in pad]
+        scalar, array = check_ops([])
+        out = apply_both(scalar, array, mixed_op(batch))
+        reads = [0, len(batch) - len(pad) - 1]
+        assert out.hit[reads].tolist() == [False, True]
+        assert_same_state(scalar, array)
+
+    @pytest.mark.parametrize("keep", [1, 2, 3, 5])
+    def test_cut_inside_the_early_hit_entry(self, keep):
+        """A journaled batch whose early hits touch X four times (read,
+        write, read, read), then fill a new line into X's set, is cut
+        with ``rollback(keep=)`` between two of X's accesses: the kept
+        hits are re-applied from the ``_J_REPEAT`` entry, and the cache
+        equals its twin that issued only the batch's prefix."""
+        (x, y, z), index = lines_in_set(3)
+        pad = padding_lines(6, [index])
+        f = self.FULL
+        scalar, array = check_ops([("access", [x, y] + pad, dict(
+            mask=f, write=False, owner=1))])
+        batch = [(x, f, False, 1, True), (x, f, True, 1, True),
+                 (y, f, False, 2, True), (x, f, False, 1, True)]
+        batch += [(p, f, p == pad[0], 2, True) for p in pad]
+        batch += [(x, f, False, 1, True), (z, 0b1, True, 3, True),
+                  (y, f, False, 2, True)]
+        clock0 = array.clock
+        array.snapshot()
+        apply_batch(array, mixed_op(batch))
+        assert [entry[0] for entry in array._journal] == [1, 2, 0]
+        array.rollback(keep=clock0 + keep)
+        apply_scalar(scalar, mixed_op(batch[:keep]))
+        assert_same_state(scalar, array)
+        check_ops([mixed_op(batch)], (scalar, array))
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_non_allocating_miss_then_allocating_access(self, warm):
@@ -325,9 +423,10 @@ class TestTargetedBatches:
         middle write's dirty bit); the rank rounds OR theirs in per
         round."""
         check_ops(reread_batch(warm))
-        # First touches (3 + 24 sets), then one rank round per follower
-        # of the mixed-tag sets.
-        assert round_sizes[-4:] == [27, 24, 24, 24]
+        # One rank round per follower of the mixed-tag sets' fill
+        # suffixes: cold, each opens on X's fill and Y, X, X follow;
+        # warm, X's first read hits before Y fills, and X, X follow.
+        assert round_sizes == ([24, 24] if warm else [24, 24, 24])
 
     def test_flush_clears_dirty_bits_and_keeps_stamps(self):
         scalar, array = check_ops(reread_batch(False) + [

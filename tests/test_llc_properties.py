@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis) for the LLC and CAT invariants."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cat import is_contiguous, mask_span, mask_ways, ways_to_mask
 from repro.cache.geometry import CacheGeometry
-from repro.cache.llc import SlicedLLC
+from repro.cache.llc import DDIO_OWNER, SlicedLLC
 
 SMALL_GEO = CacheGeometry(ways=4, sets_per_slice=8, slices=2)
 
@@ -81,6 +82,78 @@ class TestLLCInvariants:
         for addr, _, _ in seq:
             llc.device_read(addr + (1 << 30))  # cold addresses
         assert llc.valid_lines() == before
+
+
+@st.composite
+def batched_streams(draw):
+    """An access sequence split into batches at drawn points.
+
+    Addresses span about three times the cache's lines, so batches hit,
+    fill, evict and collide in sets.  Each element draws its own write,
+    allocate and owner; each batch draws one way mask or one per
+    element (any nonzero mask, contiguous or not).  A batch is
+    ``(addrs, mask, write, owner, allocate)``, each argument a list or,
+    where every element agrees, that one value.
+    """
+    line = st.integers(0, 3 * SMALL_GEO.lines - 1)
+    elements = draw(st.lists(st.tuples(
+        line.map(lambda a: a * 64), st.integers(1, SMALL_GEO.full_mask),
+        st.booleans(), st.sampled_from([0, 1, 2, DDIO_OWNER]),
+        st.sampled_from([True, True, True, False])),
+        min_size=1, max_size=160))
+    n = len(elements)
+    cuts = sorted(set(draw(st.lists(st.integers(1, n - 1), max_size=6))
+                      if n > 1 else []))
+    batches = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        addrs, masks, write, owner, allocate = map(list,
+                                                   zip(*elements[lo:hi]))
+        if draw(st.booleans()):
+            masks = masks[0]
+        batches.append((addrs,) + tuple(
+            column[0] if isinstance(column, list) and len(set(column)) == 1
+            else column for column in (masks, write, owner, allocate)))
+    return batches
+
+
+def _batch_arg(value):
+    return np.asarray(value) if isinstance(value, list) else value
+
+
+def _per_element(value, n):
+    return value if isinstance(value, list) else [value] * n
+
+
+class TestBatchEngineMatchesScalarLoop:
+    @given(batched_streams())
+    @settings(max_examples=120, deadline=None)
+    def test_access_batch_equals_per_access_loop(self, batches):
+        """The array backend's ``access_batch`` over each batch gives the
+        scalar backend's per-access loop: every hit and writeback, after
+        every batch the counters and occupancy, and at the end every
+        line's tag, stamp, dirty bit and owner."""
+        scalar = SlicedLLC(SMALL_GEO, backend="scalar")
+        array = SlicedLLC(SMALL_GEO, backend="array")
+        for addrs, mask, write, owner, allocate in batches:
+            n = len(addrs)
+            want = [scalar.access(a, m, write=w, owner=o, allocate=al)
+                    for a, m, w, o, al in zip(
+                        addrs, _per_element(mask, n),
+                        _per_element(write, n), _per_element(owner, n),
+                        _per_element(allocate, n))]
+            got = array.access_batch(
+                np.asarray(addrs), _batch_arg(mask),
+                write=_batch_arg(write), owner=_batch_arg(owner),
+                allocate=_batch_arg(allocate))
+            assert got.hit.tolist() == [o.hit for o in want]
+            assert got.writeback.tolist() == [o.writeback for o in want]
+            assert array.stats() == scalar.stats()
+            assert array.occupancy_by_owner() == scalar.occupancy_by_owner()
+            assert array.valid_lines() == scalar.valid_lines()
+        assert array._tags.tolist() == scalar._tags
+        assert (array._meta >> 1).tolist() == scalar._stamp
+        assert (array._meta & 1 == 1).tolist() == scalar._dirty
+        assert array._owner.tolist() == scalar._owner
 
 
 class TestMaskProperties:
