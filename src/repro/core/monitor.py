@@ -67,10 +67,6 @@ class SystemSample:
     def total_llc_references(self) -> int:
         return sum(t.llc_references for t in self.tenants.values())
 
-    @property
-    def total_llc_misses(self) -> int:
-        return sum(t.llc_misses for t in self.tenants.values())
-
 
 class ChangeKind(enum.Enum):
     """Outcome of the stability check and special-case filters."""

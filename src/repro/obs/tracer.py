@@ -157,10 +157,6 @@ class Tracer:
         """Advance the simulated-time stamp used for subsequent events."""
         self._sim_now = now
 
-    @property
-    def sim_now(self) -> float:
-        return self._sim_now
-
     def _wall(self) -> float:
         return self.clock() - self._epoch
 

@@ -132,22 +132,29 @@ class DescRing:
         return PacketRecord(size=size, flow_id=flow_id, buf_addr=addr,
                             arrival=now)
 
+    def post_addrs(self, m: int) -> "np.ndarray":
+        """Buffer addresses of a burst of ``m`` posts, without posting:
+        those of the packets :meth:`post_batch` would accept, a prefix
+        of the burst once the ring fills."""
+        accepted = min(m, self.entries - self._count)
+        slots = self._head + np.arange(accepted, dtype=np.int64)
+        return self.base_addr + (slots % self.pool_slots) * self.mbuf_stride
+
     def post_batch(self, sizes, flow_ids, now=0.0) -> "np.ndarray":
         """Enqueue a burst; returns the buffer addresses of the packets
         accepted (always a prefix of the burst — nothing consumes the
         ring concurrently, so once it is full the rest of the burst
-        drops).  Drop/occupancy accounting is identical to calling
-        :meth:`post` per packet.  ``now`` may be a scalar or a per-packet
-        array of arrival stamps.
+        drops), as :meth:`post_addrs` gives them.  Drop/occupancy
+        accounting is identical to calling :meth:`post` per packet.
+        ``now`` may be a scalar or a per-packet array of arrival stamps.
         """
         n = len(sizes)
-        accepted = min(n, self.entries - self._count)
+        addrs = self.post_addrs(n)
+        accepted = addrs.shape[0]
         if accepted < n:
             self.dropped += n - accepted
         if accepted == 0:
-            return np.empty(0, dtype=np.int64)
-        slots = self._head + np.arange(accepted, dtype=np.int64)
-        addrs = self.base_addr + (slots % self.pool_slots) * self.mbuf_stride
+            return addrs
         idx = (self._rd + self._count + np.arange(accepted)) & self._mask
         self._size[idx] = sizes[:accepted]
         self._flow[idx] = flow_ids[:accepted]
@@ -196,31 +203,6 @@ class DescRing:
         self._rd += k
         self._count -= k
         self.dequeued += k
-
-    def state(self) -> tuple:
-        """The cursors and counters :meth:`cut` returns to."""
-        return (self._head, self._rd, self._count, self.enqueued,
-                self.dequeued, self.dropped)
-
-    def cut(self, state: tuple, consumed: int = 0, posted: int = 0) -> None:
-        """Return to ``state`` (from :meth:`state`), then dequeue
-        ``consumed`` packets and offer ``posted`` more, as if only the
-        admitted prefix of a run-ahead chunk had run since.
-
-        Like a chunk, the prefix consumes before it posts, and the posts
-        it accepts are a prefix of the chunk's own, whose slot payloads
-        are already in place; slots past the kept count are rewritten
-        before they ever become readable.
-        """
-        head, rd, count, enqueued, dequeued, dropped = state
-        count -= consumed
-        accepted = min(posted, self.entries - count)
-        self._head = head + accepted
-        self._rd = rd + consumed
-        self._count = count + accepted
-        self.enqueued = enqueued + accepted
-        self.dequeued = dequeued + consumed
-        self.dropped = dropped + posted - accepted
 
     def reset_counters(self) -> None:
         self.enqueued = self.dequeued = self.dropped = 0

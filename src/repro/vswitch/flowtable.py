@@ -59,79 +59,11 @@ class FlowTables:
         self._mega_base = region_base + emc_entries * EMC_ENTRY_BYTES
         self.emc_hits = 0
         self.emc_misses = 0
-        # Journal for speculative execution (see SlicedLLC.snapshot):
-        # per lookup call, the EMC slots it wrote with their pre-images,
-        # its hit flags, and for a multi-flow chunk its lookups in slot
-        # order (see cut).
-        self._journal: "list[tuple] | None" = None
-        self._snap: "tuple[int, int] | None" = None
-
-    # -- speculation support ---------------------------------------------
-    def snapshot(self) -> None:
-        """Start journaling EMC lookups for a possible cut."""
-        if self._journal is not None:
-            raise RuntimeError("a FlowTables snapshot is already active")
-        self._journal = []
-        self._snap = (self.emc_hits, self.emc_misses)
-
-    def cut(self, n: int) -> None:
-        """Keep the first ``n`` lookups since :meth:`snapshot`, undo the
-        rest, and close the snapshot.
-
-        Lookups after the entry holding the cut are undone whole, newest
-        first, from their slots' pre-images.  Within that entry only the
-        slots of the cut suffix change: each takes the tag it held just
-        before its first cut lookup, which :meth:`lookup_chunk` already
-        computed in slot order (``prev``).  A prefix's hits are the
-        first ``n`` hit flags.
-        """
-        journal = self._journal
-        if journal is None:
-            raise RuntimeError("cut() without an active snapshot")
-        tags = self._emc_tags
-        self.emc_hits, self.emc_misses = self._snap
-        kept = n
-        hits = 0
-        for index, (slots, pre, hit, by_slot) in enumerate(journal):
-            m = len(hit)
-            if kept >= m:
-                hits += int(np.count_nonzero(hit))
-                kept -= m
-                continue
-            for later in reversed(journal[index + 1:]):
-                tags[later[0]] = later[1]
-            if not kept:
-                tags[slots] = pre
-            elif by_slot is not None:
-                # In slot order a slot's lookups ascend, so its cut ones
-                # are a suffix; its first cut lookup's ``prev`` is its
-                # tag after the kept ones.  A single-flow entry keeps
-                # its one slot on the flow it already holds.
-                pos, so, prev, first = by_slot
-                head = pos >= kept
-                head[1:] &= first[1:] | ~head[:-1]
-                tags[so[head]] = prev[head]
-            hits += int(np.count_nonzero(hit[:kept]))
-            break
-        self.emc_hits += hits
-        self.emc_misses += n - hits
-        self._journal = None
-        self._snap = None
-
-    def rollback(self) -> None:
-        """Undo every EMC lookup since :meth:`snapshot`."""
-        self.cut(0)
-
-    def commit(self) -> None:
-        """Drop the journal, keeping the speculative mutations."""
-        if self._journal is None:
-            raise RuntimeError("commit() without an active snapshot")
-        self._journal = None
-        self._snap = None
-
-    @property
-    def megaflow_bytes(self) -> int:
-        return self.megaflow_capacity * MEGAFLOW_ENTRY_BYTES
+        # The last lookup_chunk's lookups, which keep() applies: their
+        # hit flags; in slot order, their slots, flows and chunk
+        # positions, and which one ends each slot's run.  A single-flow
+        # chunk holds its one slot and flow, and None for the rest.
+        self._pending: "tuple | None" = None
 
     def lookup(self, port: CorePort, flow_id: int) -> LookupResult:
         """Look one packet up, issuing the table's memory accesses;
@@ -149,8 +81,6 @@ class FlowTables:
         slot = flow_id % self.emc_entries
         cycles += port.access(self._emc_base + slot * EMC_ENTRY_BYTES)
         tag = int(self._emc_tags[slot])
-        if self._journal is not None:
-            self._journal.append((slot, tag, (tag == flow_id,), None))
         if tag == flow_id:
             self.emc_hits += 1
             return True, cycles
@@ -168,8 +98,9 @@ class FlowTables:
     def lookup_chunk(self, plan: VectorPlan, flow_ids: "np.ndarray",
                      pkts: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
         """Vectorized twin of :meth:`probe` over a whole chunk: stages the
-        same accesses, in the same per-packet order and with the same EMC
-        state updates, into ``plan`` instead of issuing them.
+        same accesses, in the same per-packet order, into ``plan``
+        instead of issuing them, and leaves the EMC untouched until
+        :meth:`keep` applies the lookups a drain admits.
 
         Sequential EMC semantics are reproduced with a prev-occurrence
         scan: packet ``p`` hits iff the tag its slot holds just before
@@ -190,17 +121,11 @@ class FlowTables:
             s0 = f0 % self.emc_entries
             hit = np.ones(k, dtype=bool)
             hit[0] = int(tags[s0]) == f0
-            touched = np.asarray([s0], dtype=np.int64)
-            if self._journal is not None:
-                self._journal.append((touched, tags[touched], hit, None))
-            tags[s0] = f0
-            nhits = int(np.count_nonzero(hit))
-            self.emc_hits += nhits
-            self.emc_misses += k - nhits
+            self._pending = (hit, s0, f0, None, None)
             emc_addr = self._emc_base + s0 * EMC_ENTRY_BYTES
             emc_addrs = np.full(k, emc_addr, dtype=np.int64)
             plan.add_batch(emc_addrs, 1, pkts=pkts, rank=1)
-            if k > nhits:
+            if not hit[0]:
                 entry = self._mega_base \
                     + (f0 % self.megaflow_capacity) * MEGAFLOW_ENTRY_BYTES
                 entries = np.asarray([entry], dtype=np.int64)
@@ -223,21 +148,10 @@ class FlowTables:
         prev[first] = tags[so[first]]
         hit = np.empty(k, dtype=bool)
         hit[order] = prev == fo
-        # Final tag of each touched slot is its last packet's flow; index
-        # each slot once so the fancy assignment is well defined.
         last = np.empty(k, dtype=bool)
-        last[:-1] = so[1:] != so[:-1]
+        last[:-1] = first[1:]
         last[-1] = True
-        touched = so[last]
-        if self._journal is not None:
-            # Fancy-index read is a copy, so this is a true pre-image;
-            # a cut reads the slot order's arrays, never written again.
-            self._journal.append((touched, tags[touched], hit,
-                                  (order, so, prev, first)))
-        tags[touched] = fo[last]
-        nhits = int(np.count_nonzero(hit))
-        self.emc_hits += nhits
-        self.emc_misses += k - nhits
+        self._pending = (hit, so, fo, order, last)
         emc_addrs = self._emc_base + slots * EMC_ENTRY_BYTES
         plan.add_batch(emc_addrs, 1, pkts=pkts, rank=1)
         missed = np.nonzero(~hit)[0]
@@ -253,6 +167,29 @@ class FlowTables:
             plan.add_batch(emc_addrs[missed], 1, pkts=mpkts, rank=5,
                            write=True)
         return hit, np.where(hit, EMC_HIT_CYCLES, MEGAFLOW_CYCLES)
+
+    def keep(self, n: int) -> None:
+        """Apply the first ``n`` lookups of the last :meth:`lookup_chunk`
+        to the EMC, as if :meth:`probe` had made only those: each slot
+        they touch takes the flow of its last kept lookup, and their
+        hits and misses are counted."""
+        hit, so, fo, order, last = self._pending
+        self._pending = None
+        if not n:
+            return
+        if order is None:
+            self._emc_tags[so] = fo
+        else:
+            # A slot's lookups ascend in slot order, so its kept ones
+            # lead its run: the last kept one ends the run or precedes
+            # a cut one.  Each slot is indexed once, so the fancy
+            # assignment is well defined.
+            end = order < n
+            end[:-1] &= last[:-1] | ~end[1:]
+            self._emc_tags[so[end]] = fo[end]
+        nhits = int(np.count_nonzero(hit[:n]))
+        self.emc_hits += nhits
+        self.emc_misses += n - nhits
 
     @property
     def emc_hit_rate(self) -> float:

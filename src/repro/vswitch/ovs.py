@@ -54,14 +54,13 @@ class OvsDataplane(RingConsumer):
         for index, dests in self.routes.items():
             if not dests:
                 raise ValueError(f"route {index} has no destinations")
+            # A vector chunk plans its posts before any of its consumes
+            # apply, so a ring it polls must not take its posts.
             if any(dest is ring for dest in dests for ring in rings):
                 raise ValueError(f"route {index} leads back into a ring "
                                  f"the switch polls")
         self._emc_entries = emc_entries
         self.tables: "FlowTables | None" = None
-        # Destination ring id of each packet of the vector chunk in
-        # flight: a cut reads it.
-        self._dest = None
         # Destination rings deduplicated (routes may share a ring), with
         # per-source-ring id vectors for array routing.
         self._dest_rings: "list[DescRing]" = []
@@ -100,13 +99,11 @@ class OvsDataplane(RingConsumer):
             addr += 64
         return OVS_INSTRUCTIONS, cycles + fixed
 
-    def plan_chunk(self, plan: VectorPlan, port: CorePort, pkts, sizes,
-                   flows, addrs, arrivals, rings, now):
-        k = pkts.shape[0]
-        hit, lookup_fixed = self.tables.lookup_chunk(plan, flows, pkts)
-        fixed = OVS_CYCLES + lookup_fixed
-        nlines = -(-sizes // 64)
-        dest = self._dest = np.empty(k, dtype=np.int64)
+    def _dest_ids(self, flows: "np.ndarray",
+                  rings: "np.ndarray | None") -> "np.ndarray":
+        """Each packet's destination: its index in ``_dest_rings``, from
+        its flow and source ring (None with one polled ring)."""
+        dest = np.empty(flows.shape[0], dtype=np.int64)
         if rings is None:
             ids = self._route_ids[0]
             dest[:] = ids[0] if ids.shape[0] == 1 \
@@ -119,9 +116,20 @@ class OvsDataplane(RingConsumer):
                 ids = self._route_ids[index]
                 dest[mask] = ids[0] if ids.shape[0] == 1 \
                     else ids[flows[mask] % ids.shape[0]]
+        return dest
+
+    def plan_chunk(self, plan: VectorPlan, port: CorePort, pkts, sizes,
+                   flows, addrs, arrivals, rings, now):
+        k = pkts.shape[0]
+        hit, lookup_fixed = self.tables.lookup_chunk(plan, flows, pkts)
+        fixed = OVS_CYCLES + lookup_fixed
+        nlines = -(-sizes // 64)
+        dest = self._dest_ids(flows, rings)
         # Forward per destination ring: a ring's state depends only on
-        # the posts it receives, and those happen in chunk order here,
-        # so drops and buffer addresses match the per-packet path.
+        # the posts it receives, in chunk order, so the buffer addresses
+        # of its next posts (:meth:`DescRing.post_addrs`) and where it
+        # starts dropping match the per-packet path; :meth:`_keep` posts
+        # the admitted packets.
         # Each packet lands on exactly one ring, so when nothing drops
         # and line counts are uniform the per-ring copy stages collapse
         # into one whole-chunk rank-6 stage — the per-packet line
@@ -134,8 +142,7 @@ class OvsDataplane(RingConsumer):
             where = np.nonzero(dest == ring_id)[0]
             if not where.shape[0]:
                 continue
-            out_addrs = ring.post_batch(sizes[where], flows[where],
-                                        arrivals[where])
+            out_addrs = ring.post_addrs(where.shape[0])
             accepted = out_addrs.shape[0]
             if accepted < where.shape[0]:
                 dropped = True
@@ -158,26 +165,22 @@ class OvsDataplane(RingConsumer):
                                mlp=BUFFER_MLP)
         return OVS_INSTRUCTIONS, fixed
 
-    # -- speculation support ---------------------------------------------
-    # Beyond the base checkpoint, a speculative OVS chunk mutates the EMC
-    # (journaled inside FlowTables) and the destination virtio rings,
-    # whose counters are the forwarding counters.
-    def _spec_state(self):
-        self.tables.snapshot()
-        return (super()._spec_state(),
-                [ring.state() for ring in self._dest_rings])
-
-    def _spec_cut(self, state, n: int) -> None:
-        polled, marks = state
-        super()._spec_cut(polled, n)
-        self.tables.cut(n)
-        posted = np.bincount(self._dest[:n],
-                             minlength=len(self._dest_rings)).tolist()
-        for ring, mark, count in zip(self._dest_rings, marks, posted):
-            ring.cut(mark, posted=count)
-
-    def _spec_commit(self) -> None:
-        self.tables.commit()
+    def _keep(self, backlog, start: int, n: int) -> None:
+        """Beyond the rings it polls, a kept packet updates the EMC and
+        is posted into its destination ring, whose counters are the
+        forwarding counters."""
+        super()._keep(backlog, start, n)
+        self.tables.keep(n)
+        sl = slice(start, start + n)
+        sizes = backlog.sizes[sl]
+        flows = backlog.flows[sl]
+        arrivals = backlog.arrivals[sl]
+        dest = self._dest_ids(flows, None if backlog.ring_idx is None
+                              else backlog.ring_idx[sl])
+        for ring_id, ring in enumerate(self._dest_rings):
+            where = np.nonzero(dest == ring_id)[0]
+            if where.shape[0]:
+                ring.post_batch(sizes[where], flows[where], arrivals[where])
 
     def transmit(self, port: CorePort, record: PacketRecord) -> None:
         """Forwarding replaces Tx; nothing leaves via the switch here."""

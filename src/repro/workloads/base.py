@@ -314,31 +314,22 @@ class CorePort:
 
 
 def seq_accumulate(initial: float, values: "np.ndarray") -> float:
-    """Left-to-right sum of ``values`` onto ``initial``.
+    """Left-to-right sum of float64 ``values`` onto ``initial``.
 
     ``np.cumsum`` is ``np.add.accumulate``: it must produce every
     intermediate prefix, so it applies the additions strictly
     sequentially and reproduces a scalar ``acc += v`` loop bit-for-bit
     for *any* float64 input — negative values, infinities, and NaNs
     included (``np.sum`` pairs terms and rounds differently, which is
-    why it cannot be used here).  Earlier versions gated the cumsum on
-    an all-non-negative pre-scan; the sign check was one extra kernel
-    pass and never bought anything, so mixed-sign streams now take the
-    same fast path.  Non-float64 inputs fall back to the explicit
-    left-to-right loop, the defining semantics.
+    why it cannot be used here).
     """
     n = values.shape[0]
     if n == 0:
         return float(initial)
-    if values.dtype == np.float64:
-        tmp = np.empty(n + 1)
-        tmp[0] = initial
-        tmp[1:] = values
-        return float(np.cumsum(tmp, out=tmp)[-1])
-    acc = float(initial)
-    for v in values.tolist():
-        acc += v
-    return acc
+    tmp = np.empty(n + 1)
+    tmp[0] = initial
+    tmp[1:] = values
+    return float(np.cumsum(tmp, out=tmp)[-1])
 
 
 class EngineStats:
@@ -449,12 +440,13 @@ class VectorPlan:
     per packet id, all sharing a (write, mlp, device) profile and a
     stage ``rank``.  Materialization orders lines by packet id, then by
     stage (rank, then insertion order), then by segment order within
-    the stage, then by stride — exactly the per-packet interleave the
+    the stage, then by line — exactly the per-packet interleave the
     scalar loop (buffer lines, app stages in order, transmit) would
     issue, so :meth:`CorePort.run_plan` sees the line stream the scalar
     loop would have issued access by access.
 
-    Ranks are small non-negative ints below :data:`VectorPlan.MAX_RANK`.
+    Every plan line is a 64 B cache line.  Ranks are small non-negative
+    ints below :data:`VectorPlan.MAX_RANK`.
 
     Plans are reusable: call :meth:`reset` between chunks instead of
     constructing a fresh plan.  Materialization writes the addresses
@@ -470,9 +462,9 @@ class VectorPlan:
       fixed line count — the shape of every steady-state drain chunk —
       each packet's line block is the same.  One template per stage
       structure records, per block line, the stage it reads (``s_pat``)
-      and its stride offset (``off_pat``), plus the static
-      ``write``/``mlp_inv``/``device``/``pkt`` arrays tiled for a packet
-      capacity that grows geometrically.  A chunk gathers its stage
+      and its offset from that stage's base (``off_pat``), plus the
+      static ``write``/``mlp_inv``/``device``/``pkt`` arrays tiled for a
+      packet capacity that grows geometrically.  A chunk gathers its stage
       bases as a (k, stages) matrix, takes ``s_pat`` along the stage
       axis into the scratch, adds ``off_pat``, and returns prefix views
       of the static arrays: three kernels, whatever ``k`` is.
@@ -483,9 +475,9 @@ class VectorPlan:
       of the sorted counts; per-line flags are gathered through a
       per-line stage index.
 
-    The template and arange-step caches are LRU-bounded
-    (:data:`TEMPLATE_CACHE_CAP` / :data:`STEP_CACHE_CAP`); a template's
-    size is bounded by its structure and the largest chunk it served.
+    The template cache is LRU-bounded (:data:`TEMPLATE_CACHE_CAP`); a
+    template's size is bounded by its structure and the largest chunk
+    it served.
     """
 
     MAX_RANK = 128
@@ -493,17 +485,13 @@ class VectorPlan:
     #: Max cached stage templates per plan (LRU-evicted).
     TEMPLATE_CACHE_CAP = 64
 
-    #: Max cached ``arange(count) * stride`` vectors per plan.
-    STEP_CACHE_CAP = 256
-
-    __slots__ = ("_parts", "_cap", "_steps", "_templates", "_addr")
+    __slots__ = ("_parts", "_cap", "_templates", "_addr")
 
     def __init__(self) -> None:
-        # (rank, bases, counts, stride, write, mlp_inv, device, pkts,
-        #  iota) — iota flags pkts recognized as arange(len(pkts)).
+        # (rank, bases, counts, write, mlp_inv, device, pkts, iota) —
+        # iota flags pkts recognized as arange(len(pkts)).
         self._parts: "list[tuple]" = []
         self._cap = 0
-        self._steps: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._templates: "OrderedDict[tuple, _StageTemplate]" = \
             OrderedDict()
 
@@ -512,10 +500,11 @@ class VectorPlan:
         self._parts.clear()
 
     def add_batch(self, bases, counts, *, pkts, rank: int,
-                  stride: int = 64, write: bool = False, mlp: float = 1.0,
+                  write: bool = False, mlp: float = 1.0,
                   device: bool = False) -> None:
-        """Append one stage: per packet ``pkts[i]``, ``counts[i]`` lines
-        starting at ``bases[i]``.  ``counts`` may be a scalar.
+        """Append one stage: per packet ``pkts[i]``, ``counts[i]``
+        consecutive lines starting at ``bases[i]``.  ``counts`` may be a
+        scalar.
 
         Packet ids may come in any order and repeat; a packet's
         segments within one stage keep their order here."""
@@ -528,9 +517,8 @@ class VectorPlan:
             pkts.base is PKT_IOTA and pkts.flags.c_contiguous
             and pkts.shape[0] > 0 and int(pkts[0]) == 0)
         self._parts.append((rank, np.asarray(bases, dtype=np.int64),
-                            counts, stride, write,
-                            0.0 if device else 1.0 / mlp, device,
-                            pkts, iota))
+                            counts, write, 0.0 if device else 1.0 / mlp,
+                            device, pkts, iota))
 
     def _reserve(self, total: int) -> None:
         if total <= self._cap:
@@ -539,31 +527,17 @@ class VectorPlan:
         self._addr = np.empty(cap, dtype=np.int64)
         self._cap = cap
 
-    def _step(self, count: int, stride: int) -> "np.ndarray":
-        """Cached ``arange(count) * stride`` for fixed-count stages."""
-        steps = self._steps
-        key = (count, stride)
-        step = steps.get(key)
-        if step is None:
-            step = np.arange(count, dtype=np.int64) * stride
-            steps[key] = step
-            if len(steps) > self.STEP_CACHE_CAP:
-                steps.popitem(last=False)
-        else:
-            steps.move_to_end(key)
-        return step
-
     def _template_key(self) -> "tuple[tuple | None, int]":
         """``(key, k)`` when every stage is a scalar-count stage over the
         same ``k`` identity packet ids, else ``(None, 0)``.
 
-        The key is the stage structure — ranks, counts, strides and
-        flag profiles; base addresses and ``k`` stay out of it, so every
+        The key is the stage structure — ranks, counts and flag
+        profiles; base addresses and ``k`` stay out of it, so every
         chunk size shares one template.  Building it scans no array.
         """
         entries = []
         k = -1
-        for rank, bases, counts, stride, write, mlp_inv, device, pkts, \
+        for rank, bases, counts, write, mlp_inv, device, pkts, \
                 iota in self._parts:
             if not iota or isinstance(counts, np.ndarray):
                 return None, 0
@@ -572,21 +546,21 @@ class VectorPlan:
                 k = m
             elif m != k:
                 return None, 0
-            entries.append((rank, counts, stride, write, mlp_inv, device))
+            entries.append((rank, counts, write, mlp_inv, device))
         return tuple(entries), k
 
     def _build_template(self) -> "_StageTemplate | None":
         """The template for a uniform stage list (see the class
         docstring), or None when every stage is empty.  Its block is
         ordered by stage (rank, insertion), each stage's lines by
-        stride; ``s_pat`` names each block line's column in the (k,
+        address; ``s_pat`` names each block line's column in the (k,
         stages) base matrix, whose columns are the staged parts in
         insertion order."""
         parts = self._parts
         staged = [idx for idx, part in enumerate(parts) if part[2] > 0]
         if not staged:
             return None
-        has_dev = any(parts[idx][6] for idx in staged)
+        has_dev = any(parts[idx][5] for idx in staged)
         s_pat_l: "list[int]" = []
         off_l = []
         write_l: "list[bool]" = []
@@ -595,11 +569,11 @@ class VectorPlan:
         block = sorted(range(len(staged)),
                        key=lambda j: (parts[staged[j]][0], j))
         for j in block:
-            rank, bases, counts, stride, write, mlp_inv, device, pkts, \
+            rank, bases, counts, write, mlp_inv, device, pkts, \
                 _ = parts[staged[j]]
             c = int(counts)
             s_pat_l.extend([j] * c)
-            off_l.append(self._step(c, stride))
+            off_l.append(np.arange(c, dtype=np.int64) * 64)
             write_l.extend([write] * c)
             mlp_l.extend([mlp_inv] * c)
             dev_l.extend([device] * c)
@@ -648,7 +622,7 @@ class VectorPlan:
             if isinstance(counts, np.ndarray):
                 # A device stage decides whether the plan has device
                 # flags at all, so an all-zero one must not count.
-                if part[6] and not counts.any():
+                if part[5] and not counts.any():
                     continue
             elif counts <= 0:
                 continue
@@ -667,7 +641,7 @@ class VectorPlan:
             part[2] if isinstance(part[2], np.ndarray)
             else np.full(part[1].shape[0], part[2]) for part in staged])
         seg_base = np.concatenate([part[1] for part in staged])
-        seg_pkt = np.concatenate([part[7] for part in staged])
+        seg_pkt = np.concatenate([part[6] for part in staged])
         seg_stage = np.repeat(np.arange(nstages, dtype=np.int64),
                               [part[1].shape[0] for part in staged])
         # Stable: a packet's segments in one stage keep their order.
@@ -681,36 +655,30 @@ class VectorPlan:
         if total == 0:
             return None
         # Per line: its sorted segment, then everything by gather.  A
-        # line's address is base + (i - first_line) * stride, folded
-        # into one per-segment origin plus i * stride.
+        # line's address is base + (i - first_line) * 64, folded into
+        # one per-segment origin plus i * 64.
         seg = np.repeat(np.arange(order.shape[0], dtype=np.int64), cnt)
-        stage = np.take(seg_stage, order)
-        line_stage = np.take(stage, seg)
-        strides = np.asarray([part[3] for part in staged], dtype=np.int64)
-        stride = int(strides[0]) if bool((strides == strides[0]).all()) \
-            else None
+        line_stage = np.take(np.take(seg_stage, order), seg)
         origin = np.subtract(ends, cnt)
-        np.multiply(origin, stride if stride is not None
-                    else np.take(strides, stage), out=origin)
+        np.multiply(origin, 64, out=origin)
         np.subtract(np.take(seg_base, order), origin, out=origin)
         self._reserve(total)
         addrs = self._addr[:total]
         np.take(origin, seg, out=addrs, mode="clip")
         step = np.arange(total, dtype=np.int64)
-        np.multiply(step, stride if stride is not None
-                    else np.take(strides, line_stage), out=step)
+        np.multiply(step, 64, out=step)
         np.add(addrs, step, out=addrs)
-        write = np.take(np.asarray([part[4] for part in staged],
+        write = np.take(np.asarray([part[3] for part in staged],
                                    dtype=bool), line_stage)
-        mlp_inv = np.take(np.asarray([part[5] for part in staged]),
+        mlp_inv = np.take(np.asarray([part[4] for part in staged]),
                           line_stage)
         dev = None
-        if any(part[6] for part in staged):
-            dev = np.take(np.asarray([part[6] for part in staged],
+        if any(part[5] for part in staged):
+            dev = np.take(np.asarray([part[5] for part in staged],
                                      dtype=bool), line_stage)
             stats.kernel_launches += 1
         pkt = np.take(np.take(seg_pkt, order), seg)
-        stats.kernel_launches += 18
+        stats.kernel_launches += 16
         return addrs, write, mlp_inv, dev, pkt
 
     def materialize(self):
@@ -747,8 +715,9 @@ class _StageTemplate:
     """One uniform stage structure's per-packet line block (see
     :class:`VectorPlan`): ``part_idx`` lists the staged parts with
     lines, ``s_pat`` and ``off_pat`` give each block line's base-matrix
-    column and stride offset, and the static per-line arrays are tiled
-    for a capacity of ``pkt.shape[0] // len(s_pat)`` packets."""
+    column and byte offset from that base, and the static per-line
+    arrays are tiled for a capacity of ``pkt.shape[0] // len(s_pat)``
+    packets."""
 
     __slots__ = ("part_idx", "s_pat", "off_pat", "write", "mlp_inv",
                  "device", "pkt")
@@ -916,18 +885,6 @@ class Workload(ABC):
     # exact), so speculation only changes how many items execute per
     # NumPy batch.
 
-    def _spec_state(self):
-        """Workload state a chunk's ``execute`` mutates beyond the LLC,
-        the port's counters and the memory controller (default: none)."""
-        return None
-
-    def _spec_cut(self, state, n: int) -> None:
-        """Cut the extra state to the chunk's first ``n`` items, from
-        :meth:`_spec_state`'s snapshot taken before the chunk."""
-
-    def _spec_commit(self) -> None:
-        """Discard any extra journal after a committed speculation."""
-
     def _spec_size(self, budget_left: float) -> int:
         """Run-ahead chunk size: the EMA-predicted number of items that
         fit ``budget_left``, shrunk by :data:`SPEC_HEADROOM`."""
@@ -986,38 +943,35 @@ class Workload(ABC):
         """Execute ``k`` items and keep the prefix the scalar loop admits.
 
         ``execute(k)`` runs the caller's next ``k`` items as one LLC
-        batch on ``port`` and returns their result; it may mutate only
-        the LLC, ``port``'s reference and miss counters, the memory
-        controller's byte counters, and what :meth:`_spec_state`
-        snapshots.  ``admit(result)`` returns how many leading items
-        ``n`` (at least one) the scalar loop would have run.  When ``n <
-        k`` the chunk is cut: :meth:`CorePort.cut` undoes the batch from
-        packet slot ``slot(n)`` on (default ``n``), and
-        :meth:`_spec_cut` cuts the workload state.  A one-item chunk is
-        always admitted, so it runs unjournaled.  Returns ``(n,
-        result)``; the first ``n`` items of ``result`` are the admitted
-        prefix's, exactly what executing ``n`` items alone returns.
-        Records every executed chunk, cut and wasted item in
-        :data:`ENGINE_STATS`.
+        batch on ``port`` and returns their result; it may change only
+        the LLC, ``port``'s reference and miss counters and the memory
+        controller's byte counters, which is what a cut undoes.  Every
+        other effect of the items (rings, tables, statistics) the caller
+        applies afterwards, for the admitted prefix only.
+        ``admit(result)`` returns how many leading items ``n`` (at least
+        one) the scalar loop would have run.  When ``n < k`` the chunk
+        is cut: :meth:`CorePort.cut` undoes the batch from packet slot
+        ``slot(n)`` on (default ``n``).  A one-item chunk is always
+        admitted, so it runs unjournaled.  Returns ``(n, result)``; the
+        first ``n`` items of ``result`` are the admitted prefix's,
+        exactly what executing ``n`` items alone returns.  Records every
+        executed chunk, cut and wasted item in :data:`ENGINE_STATS`.
         """
         estats = ENGINE_STATS
         estats.record_chunk(k)
         if k > 1:
             llc = port._llc
             llc.snapshot()
-            state = self._spec_state()
             estats.spec_chunks += 1
             result = execute(k)
             n = admit(result)
             if n < k:
                 port.cut(n if slot is None else slot(n))
-                self._spec_cut(state, n)
                 estats.rollbacks += 1
                 estats.wasted_packets += k - n
                 k = n
             else:
                 llc.commit()
-                self._spec_commit()
         else:
             result = execute(k)
         estats.packets += k

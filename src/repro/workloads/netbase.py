@@ -77,11 +77,8 @@ class RingConsumer(Workload):
         self._stall_index = 0
         #: 1-in-N latency sampling to bound memory.
         self.latency_sample_stride = 7
-        # Vector-drain scratch: one plan reused chunk after chunk, and
-        # the source ring of each packet of the chunk in flight (None
-        # with one ring), which a cut reads.
+        # Vector-drain scratch: one plan reused chunk after chunk.
         self._vplan = VectorPlan()
-        self._chunk_rings = None
 
     def begin_quantum(self, now: float) -> None:
         super().begin_quantum(now)
@@ -126,12 +123,15 @@ class RingConsumer(Workload):
         ``pkts`` is ``arange(k)``; ``rings`` is the per-packet source ring
         index, or None when the workload polls a single ring.  Append the
         chunk's app accesses to ``plan`` in the order :meth:`packet_cost`
-        issues them (buffer reads are already staged at rank 0), apply
-        the same state updates, and return ``(instructions_per_packet,
-        fixed_cycles)`` with ``fixed_cycles`` a per-packet float array —
-        the memory-access cycles are attributed later by the plan
-        execution.  A chunk may span several cores, so instructions are
-        per packet: each core is credited for its own packets.
+        issues them (buffer reads are already staged at rank 0), and
+        return ``(instructions_per_packet, fixed_cycles)`` with
+        ``fixed_cycles`` a per-packet float array — the memory-access
+        cycles are attributed later by the plan execution.  A chunk may
+        span several cores, so instructions are per packet: each core is
+        credited for its own packets.  Planning changes no state: the
+        drain keeps only the chunk's admitted prefix, and a subclass
+        whose packets change more than the LLC applies that in
+        :meth:`_keep`.
         """
         raise NotImplementedError
 
@@ -223,48 +223,22 @@ class RingConsumer(Workload):
                 sample=self.stats.ops % self.latency_sample_stride == 0)
         port.charge(instructions, used)
 
-    # -- speculation support ---------------------------------------------
-    # A speculative chunk consumes ring slots; the LLC, core counters and
-    # memory traffic are covered by :meth:`Workload._run_ahead` itself,
-    # and the drain's own counters and ring cursor move only for
-    # admitted packets.  Subclasses whose ``plan_chunk`` mutates more
-    # extend these hooks; see OvsDataplane for the EMC/destination-ring
-    # example.
-    def _spec_state(self):
-        return [ring.state() for ring in self.rings]
-
-    def _spec_cut(self, state, n: int) -> None:
-        rings = self._chunk_rings
-        consumed = [n] if rings is None else np.bincount(
-            rings[:n], minlength=len(self.rings)).tolist()
-        for ring, mark, count in zip(self.rings, state, consumed):
-            ring.cut(mark, consumed=count)
-
+    # -- run-ahead chunks --------------------------------------------------
+    # A chunk's execution changes only the LLC, the executing port's
+    # counters and memory traffic, which :meth:`Workload._run_ahead`
+    # cuts back itself; the chunk's ring effects, the drain's counters
+    # and its ring cursor are applied afterwards, for the admitted
+    # packets only (:meth:`_keep`).
     def _exec_chunk(self, port: CorePort, backlog: "_Backlog", start: int,
                     k: int, now: float) -> "tuple[float, np.ndarray]":
-        """Consume, plan, and execute packets ``[start, start + k)`` of
-        the stream's pop order on ``port``; returns ``(instructions per
-        packet, service)`` with ``service`` the per-packet charged
-        cycles.  Caller accounting (``used``, stats, sampling, the
-        drain's counters) stays outside, so a cut only has to undo what
-        this executed.
+        """Plan and execute packets ``[start, start + k)`` of the
+        stream's pop order on ``port``, without consuming them; returns
+        ``(instructions per packet, service)`` with ``service`` the
+        per-packet charged cycles.
         """
-        rings = self.rings
-        nrings = len(rings)
         sl = slice(start, start + k)
-        # Consume before planning, as the scalar loop consumes a packet
-        # before its app stage runs (matters only if an app stage posts
-        # back into a polled ring).
-        if nrings == 1:
-            rings[0].consume_batch(k)
-            chunk_rings = None
-        else:
-            chunk_rings = backlog.ring_idx[sl]
-            for r, cnt in enumerate(np.bincount(chunk_rings,
-                                                minlength=nrings)):
-                if cnt:
-                    rings[r].consume_batch(int(cnt))
-        self._chunk_rings = chunk_rings
+        chunk_rings = None if backlog.ring_idx is None \
+            else backlog.ring_idx[sl]
         pkts = _PKT_ARANGE[:k]
         nl = backlog.nlines[sl]
         first = int(nl[0])
@@ -282,6 +256,24 @@ class RingConsumer(Workload):
                                  counts)
         service = port.run_plan(plan, k) + fixed
         return instr, service
+
+    def _keep(self, backlog: "_Backlog", start: int, n: int) -> None:
+        """Apply packets ``[start, start + n)`` of the pop order, a
+        chunk's admitted prefix, to the rings and the drain: consume
+        them from the polled rings, move the round-robin cursor past the
+        last one, and count their Tx bytes."""
+        rings = self.rings
+        sl = slice(start, start + n)
+        if backlog.ring_idx is None:
+            rings[0].consume_batch(n)
+        else:
+            chunk_rings = backlog.ring_idx[sl]
+            for r, cnt in enumerate(np.bincount(
+                    chunk_rings, minlength=len(rings)).tolist()):
+                if cnt:
+                    rings[r].consume_batch(cnt)
+            self._ring_cursor = (int(chunk_rings[-1]) + 1) % len(rings)
+        self.tx_bytes += self.tx_bytes_of(backlog.sizes[sl])
 
     def _run_stream(self, ports: "list[CorePort]", budget_cycles: float,
                     now: float) -> None:
@@ -317,7 +309,6 @@ class RingConsumer(Workload):
         """
         backlog = _Backlog(self.rings, self._ring_cursor, now,
                            self.core_freq_hz * self.time_scale)
-        nrings = len(self.rings)
         last = len(ports) - 1
         core = 0
         port = ports[0]
@@ -352,11 +343,8 @@ class RingConsumer(Workload):
                 CHUNK_PACKETS, total - start)
             backlog.cover(start + k, start)
             k, (instr, service) = self._run_ahead(port, k, execute, admit)
+            self._keep(backlog, start, k)
             service = service[:k]
-            self.tx_bytes += self.tx_bytes_of(backlog.sizes[start:start + k])
-            if nrings > 1:
-                self._ring_cursor = (int(backlog.ring_idx[start + k - 1])
-                                     + 1) % nrings
             # Charge each core the chunk reached its own packets; the
             # executing port moves the later cores' LLC counts over
             # (after any cut, which only undoes the executing port's).

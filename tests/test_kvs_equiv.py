@@ -78,14 +78,15 @@ class TestKvsVectorEqualsScalar:
         prefix, and still match the scalar loop."""
         monkeypatch.setattr(base, "SPEC_HEADROOM", 2.5)
         rollbacks: "collections.Counter[type]" = collections.Counter()
-        cut = Workload._spec_cut
+        run_ahead = Workload._run_ahead
 
-        def counting(self, state, n):
-            rollbacks[type(self)] += 1
-            return cut(self, state, n)
+        def counting(self, port, k, *args, **kwargs):
+            n, result = run_ahead(self, port, k, *args, **kwargs)
+            if n < k:
+                rollbacks[type(self)] += 1
+            return n, result
 
-        # Ring drains override the hook; RocksDB and X-Mem inherit it.
-        monkeypatch.setattr(Workload, "_spec_cut", counting)
+        monkeypatch.setattr(Workload, "_run_ahead", counting)
         ENGINE_STATS.reset()
         vec = _run("vector", "A", 3)
         assert rollbacks[RocksDb] > 0

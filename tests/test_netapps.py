@@ -223,8 +223,8 @@ class TestOvs:
             OvsDataplane("ovs", [make_ring(platform)], routes={})
 
     def test_route_into_polled_ring_rejected(self, platform):
-        """A cut chunk undoes a polled ring's consumes and a destination
-        ring's posts separately, so one ring cannot be both."""
+        """A vector chunk plans its posts before any of its consumes
+        apply, so a ring the switch polls cannot also take its posts."""
         nic_rings = [make_ring(platform) for _ in range(2)]
         with pytest.raises(ValueError):
             OvsDataplane("ovs", nic_rings, routes={0: nic_rings[1],

@@ -3,8 +3,9 @@
 The run-ahead engine (:meth:`repro.workloads.base.Workload._run_ahead`,
 shared by the ring, RocksDB and X-Mem drains) admits chunks on
 *predicted* cost and cuts any overshooting chunk back to its admitted
-prefix with the LLC's copy-on-write journal, the port's last-batch
-record and the workloads' own cut hooks.
+prefix with the LLC's copy-on-write journal and the port's last-batch
+record; a ring drain applies its rings, EMC and virtio posts only for
+the admitted prefix, afterwards.
 These tests attack that machinery from four sides:
 
 * **journal fuzz** — randomized mixed mutation streams against
@@ -12,16 +13,18 @@ These tests attack that machinery from four sides:
   ``rollback()``, asserting the full structure-of-arrays state (tags,
   LRU stamps, dirty bits, owners), the occupancy accounting and every
   cumulative stat counter come back bit-exact;
-* **cut twins** — ``rollback(keep=c)`` of the LLC, and the cuts of a
-  core port, a descriptor ring and the EMC, must each equal a twin that
-  only ever ran the accesses, packets or lookups up to the cut;
+* **cut twins** — ``rollback(keep=c)`` of the LLC and the cut of a
+  core port, and a kept prefix of a chunk's ring posts, ring consumes
+  and EMC lookups, must each equal a twin that only ever ran the
+  accesses, packets or lookups up to the cut;
 * **commit twin** — the journal must be *pure overhead*: a committed
   speculative run ends in the same state as an unjournaled twin;
 * **forced mispredictions** — end-to-end runs with
   ``SPEC_HEADROOM`` cranked up so the run-ahead engine overshoots its
   quantum budget constantly (the pathological spiky-cost case: an
-  X-Mem thrasher beside the I/O app, plus the fig. 8 OVS chain), then
-  field-for-field record equality against the scalar reference.
+  X-Mem thrasher beside the I/O app, plus the fig. 8 OVS chain, also
+  behind virtio rings small enough to drop), then field-for-field
+  record equality against the scalar reference.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import pytest
 
 from repro.cache.llc import DDIO_OWNER, EMPTY, CacheGeometry, SlicedLLC
 from repro.core import ControlPlane, ControllerDaemon, IATParams, IATPolicy
+from repro.experiments import common
 from repro.experiments.common import leaky_dma_scenario
 from repro.net.traffic import TrafficSpec
 from repro.pci.ring import DescRing
@@ -41,8 +45,10 @@ from repro.sim.engine import Simulation
 from repro.sim.platform import Platform
 from repro.tenants.tenant import Priority, Tenant
 from repro.vswitch.flowtable import FlowTables
+from repro.vswitch.ovs import OvsDataplane
 from repro.workloads import base
-from repro.workloads.base import ENGINE_STATS, VectorPlan
+from repro.workloads.base import ENGINE_STATS, VectorPlan, Workload
+from repro.workloads.netbase import _Backlog
 from repro.workloads.testpmd import TestPmd
 from repro.workloads.xmem import XMem
 
@@ -449,7 +455,7 @@ class TestCorePortCut:
 
 
 # ---------------------------------------------------------------------------
-# Descriptor rings: a cut ring equals one that saw only the prefix
+# Descriptor rings: a chunk plans its posts, then keeps a prefix
 # ---------------------------------------------------------------------------
 def _ring_fields(ring: DescRing) -> tuple:
     return (ring._head, ring._rd, ring._count, ring.enqueued,
@@ -468,29 +474,65 @@ class TestRingCut:
     @pytest.mark.parametrize("queued", [4, 27])
     @pytest.mark.parametrize("n", [0, 3, 11, 20])
     def test_post_cut_equals_prefix(self, queued, n):
-        """Posts past the ring's space drop, as in ``post_batch``."""
+        """A chunk reads a burst's buffer addresses with ``post_addrs``,
+        which leaves the ring as it was and equals what ``post_batch``
+        of the whole burst accepts, a prefix once the ring fills.
+        Posting only the kept ``n`` packets then returns a prefix of
+        those addresses and ends the ring as per-packet posts of the
+        ``n`` do."""
         sizes = np.arange(20) + 64
         flows = np.arange(20) * 7
         arrivals = np.arange(20) * 0.5
-        spec, twin = self._ring(queued), self._ring(queued)
-        mark = spec.state()
-        spec.post_batch(sizes, flows, arrivals)
-        spec.cut(mark, posted=n)
-        twin.post_batch(sizes[:n], flows[:n], arrivals[:n])
+        spec, twin, whole = (self._ring(queued) for _ in range(3))
+        before = _ring_fields(spec)
+        planned = spec.post_addrs(20)
+        assert _ring_fields(spec) == before
+        np.testing.assert_array_equal(
+            whole.post_batch(sizes, flows, arrivals), planned)
+        if queued == 27:
+            assert planned.shape[0] < 20, "the ring was expected to fill"
+        kept = spec.post_batch(sizes[:n], flows[:n], arrivals[:n])
+        assert kept.shape[0] == min(n, planned.shape[0])
+        np.testing.assert_array_equal(kept, planned[:kept.shape[0]])
+        for i in range(n):
+            out = twin.post(int(sizes[i]), int(flows[i]), float(arrivals[i]))
+            assert (out is None) == (i >= kept.shape[0])
         assert _ring_fields(spec) == _ring_fields(twin)
 
     @pytest.mark.parametrize("n", [0, 1, 9])
     def test_consume_cut_equals_prefix(self, n):
-        spec, twin = self._ring(27), self._ring(27)
-        mark = spec.state()
-        spec.consume_batch(9)
-        spec.cut(mark, consumed=n)
-        twin.consume_batch(n)
-        assert _ring_fields(spec) == _ring_fields(twin)
+        """``RingConsumer._keep`` applies a chunk's kept packets of a
+        three-ring backlog, a first chunk of 3 and then one of ``n``:
+        each ring, the round-robin cursor and the Tx bytes end as the
+        scalar loop's pops of the same packets leave them."""
+        def drain() -> TestPmd:
+            rings = [DescRing(16, base_addr=(1 + r) << 20)
+                     for r in range(3)]
+            for r, queued in enumerate((5, 2, 7)):
+                for i in range(queued):
+                    rings[r].post(64 + 8 * i + r, flow_id=i, now=0.1 * i)
+            pmd = TestPmd("pmd", rings)
+            pmd._ring_cursor = 1
+            return pmd
+
+        spec, twin = drain(), drain()
+        backlog = _Backlog(spec.rings, spec._ring_cursor, 1.0, 1.0)
+        start = 0
+        for size in (3, n):
+            if size:
+                backlog.cover(start + size, start)
+                spec._keep(backlog, start, size)
+                start += size
+        popped = [twin._next_packet() for _ in range(start)]
+        twin.tx_bytes += sum(record.size for record in popped)
+        for got, want in zip(spec.rings, twin.rings):
+            assert _ring_fields(got) == _ring_fields(want)
+        assert spec._ring_cursor == twin._ring_cursor
+        assert spec.tx_bytes == twin.tx_bytes
 
 
 # ---------------------------------------------------------------------------
-# FlowTables (EMC) journal
+# FlowTables (EMC): a chunk's lookups, then its kept prefix
 # ---------------------------------------------------------------------------
 class _NullPort:
     """Satisfies the lookup path's port surface with unit-cost accesses."""
@@ -500,112 +542,96 @@ class _NullPort:
 
 
 class TestFlowTablesJournal:
+    """``lookup_chunk`` leaves the EMC as it was; ``keep(n)`` then makes
+    it what a twin that looked up only the chunk's first ``n`` flows
+    holds, by ``lookup_chunk`` and by the scalar ``lookup`` alike."""
+
     def _tables(self) -> FlowTables:
         return FlowTables(1 << 30, emc_entries=64)
 
-    def test_scalar_lookup_rollback(self):
-        tables = self._tables()
-        port = _NullPort()
-        for flow in range(40):
-            tables.lookup(port, flow * 3)
-        tags = tables._emc_tags.copy()
-        counts = (tables.emc_hits, tables.emc_misses)
-        tables.snapshot()
-        for flow in range(200, 260):  # collide + install new tags
-            tables.lookup(port, flow)
-        assert not np.array_equal(tables._emc_tags, tags)
-        tables.rollback()
-        assert np.array_equal(tables._emc_tags, tags)
-        assert (tables.emc_hits, tables.emc_misses) == counts
+    @staticmethod
+    def _emc(tables: FlowTables) -> tuple:
+        return (tables._emc_tags.tolist(), tables.emc_hits,
+                tables.emc_misses)
 
     @pytest.mark.parametrize("n", [0, 1, 37, 80])
     @pytest.mark.parametrize("single_flow", [False, True])
     def test_chunk_cut_equals_prefix_twin(self, n, single_flow):
-        """An EMC cut at lookup ``n`` keeps the tags and hit/miss counts
-        of a twin that looked up only the first ``n`` flows."""
         rng = np.random.default_rng(31)
-        spec, twin = self._tables(), self._tables()
+        spec, twin, scalar = (self._tables() for _ in range(3))
         warm = rng.integers(0, 500, size=120)
-        spec.lookup_chunk(VectorPlan(), warm, np.arange(120))
-        twin.lookup_chunk(VectorPlan(), warm, np.arange(120))
+        for tables in (spec, twin):
+            tables.lookup_chunk(VectorPlan(), warm, np.arange(120))
+            tables.keep(120)
+        for flow in warm.tolist():
+            scalar.lookup(_NullPort(), flow)
+        assert self._emc(spec) == self._emc(scalar)
         flows = np.full(80, warm[5]) if single_flow \
             else rng.integers(0, 500, size=80)
-        spec.snapshot()
-        spec.lookup_chunk(VectorPlan(), flows, np.arange(80))
-        spec.cut(n)
+        before = self._emc(spec)
+        hit, _ = spec.lookup_chunk(VectorPlan(), flows, np.arange(80))
+        assert self._emc(spec) == before
+        spec.keep(n)
         if n:
             twin.lookup_chunk(VectorPlan(), flows[:n], np.arange(n))
-        assert np.array_equal(spec._emc_tags, twin._emc_tags)
-        assert (spec.emc_hits, spec.emc_misses) == (twin.emc_hits,
-                                                   twin.emc_misses)
+            twin.keep(n)
+        hits = [scalar.lookup(_NullPort(), flow).emc_hit
+                for flow in flows[:n].tolist()]
+        assert hit[:n].tolist() == hits
+        assert self._emc(spec) == self._emc(twin) == self._emc(scalar)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cut_across_lookups_equals_prefix_twin(self, seed):
-        """A cut anywhere in a snapshot of several lookups — colliding
-        chunks, single-flow chunks and scalar probes — keeps what a twin
-        that ran only the kept lookups holds."""
+        """Colliding chunks, single-flow chunks and scalar probes, each
+        chunk kept at a random prefix: every chunk's kept hits and the
+        EMC after it match a twin that made only the kept lookups, one
+        scalar ``lookup`` at a time."""
         rng = np.random.default_rng(seed)
         for _ in range(25):
             spec, twin = self._tables(), self._tables()
-            warm = rng.integers(0, 300, size=100)
-            for tables in (spec, twin):
-                tables.lookup_chunk(VectorPlan(), warm, np.arange(100))
-            calls = []
-            for _ in range(rng.integers(1, 4)):
+            for flow in rng.integers(0, 300, size=100).tolist():
+                spec.lookup(_NullPort(), flow)
+                twin.lookup(_NullPort(), flow)
+            for _ in range(rng.integers(1, 5)):
                 kind = int(rng.integers(3))
                 if kind == 2:
-                    calls.append(int(rng.integers(0, 300)))
-                else:
-                    m = int(rng.integers(1, 90))
-                    calls.append(rng.integers(0, 300, size=m) if kind
-                                 else np.full(m, rng.integers(0, 300)))
-            n = int(rng.integers(0, sum(np.size(c) for c in calls) + 1))
-            spec.snapshot()
-            for flows in calls:
-                if isinstance(flows, int):
-                    spec.lookup(_NullPort(), flows)
-                else:
-                    spec.lookup_chunk(VectorPlan(), flows,
-                                      np.arange(flows.shape[0]))
-            spec.cut(n)
-            left = n
-            for flows in calls:
-                if not left:
-                    break
-                if isinstance(flows, int):
-                    twin.lookup(_NullPort(), flows)
-                    left -= 1
-                else:
-                    flows = flows[:left]
-                    twin.lookup_chunk(VectorPlan(), flows,
-                                      np.arange(flows.shape[0]))
-                    left -= flows.shape[0]
-            assert np.array_equal(spec._emc_tags, twin._emc_tags)
-            assert (spec.emc_hits, spec.emc_misses) == (twin.emc_hits,
-                                                       twin.emc_misses)
+                    flow = int(rng.integers(0, 300))
+                    assert spec.lookup(_NullPort(), flow) == \
+                        twin.lookup(_NullPort(), flow)
+                    continue
+                m = int(rng.integers(1, 90))
+                flows = rng.integers(0, 300, size=m) if kind \
+                    else np.full(m, rng.integers(0, 300))
+                n = int(rng.integers(0, m + 1))
+                hit, _ = spec.lookup_chunk(VectorPlan(), flows,
+                                           np.arange(m))
+                spec.keep(n)
+                assert hit[:n].tolist() == [
+                    twin.lookup(_NullPort(), flow).emc_hit
+                    for flow in flows[:n].tolist()]
+                assert self._emc(spec) == self._emc(twin)
 
     def test_chunk_lookup_rollback_and_commit_twin(self):
+        """A chunk kept at 0 leaves the EMC and its counters as they
+        were; the same chunk kept whole equals a twin that looked its
+        flows up one at a time."""
         rng = np.random.default_rng(23)
         spec, plain = self._tables(), self._tables()
         warm = rng.integers(0, 500, size=120)
         spec.lookup_chunk(VectorPlan(), warm, np.arange(120))
-        plain.lookup_chunk(VectorPlan(), warm, np.arange(120))
-        tags = spec._emc_tags.copy()
-        counts = (spec.emc_hits, spec.emc_misses)
+        spec.keep(120)
+        for flow in warm.tolist():
+            plain.lookup(_NullPort(), flow)
+        before = self._emc(spec)
         flows = rng.integers(0, 500, size=80)
-        spec.snapshot()
         spec.lookup_chunk(VectorPlan(), flows, np.arange(80))
-        spec.rollback()
-        assert np.array_equal(spec._emc_tags, tags)
-        assert (spec.emc_hits, spec.emc_misses) == counts
-        # Replay under a journal, commit: identical to the plain twin.
-        spec.snapshot()
+        spec.keep(0)
+        assert self._emc(spec) == before
         spec.lookup_chunk(VectorPlan(), flows, np.arange(80))
-        spec.commit()
-        plain.lookup_chunk(VectorPlan(), flows, np.arange(80))
-        assert np.array_equal(spec._emc_tags, plain._emc_tags)
-        assert (spec.emc_hits, spec.emc_misses) == (plain.emc_hits,
-                                                   plain.emc_misses)
+        spec.keep(80)
+        for flow in flows.tolist():
+            plain.lookup(_NullPort(), flow)
+        assert self._emc(spec) == self._emc(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +689,21 @@ def _run_flows(exec_mode: str, seed: int) -> list:
     return _records(scen.sim.run(0.4))
 
 
+def _run_small_virtio(exec_mode: str,
+                      containers: int) -> "tuple[list, int]":
+    """Fig. 8's OVS chain, 512 B over 16 flows, behind virtio rings too
+    small for OVS's bursts (with four containers each NIC port spreads
+    its flows over two); returns the records and OVS's output drops."""
+    scen = leaky_dma_scenario(packet_size=512, n_flows=16,
+                              n_containers=containers,
+                              spec=dataclasses.replace(ARRAY_TINY,
+                                                       cores=10),
+                              seed=8)
+    scen.sim.exec_mode = exec_mode
+    records = _records(scen.sim.run(0.4))
+    return records, scen.workloads["ovs"].output_drops
+
+
 class TestForcedMisprediction:
     @pytest.mark.parametrize("seed", [8, 21])
     def test_overshoot_rollback_matches_scalar(self, monkeypatch, seed):
@@ -687,6 +728,41 @@ class TestForcedMisprediction:
         assert (ENGINE_STATS.exec_packets
                 == ENGINE_STATS.packets + ENGINE_STATS.wasted_packets)
         assert vec == _run_flows("scalar", 8)
+
+    @pytest.mark.parametrize("containers", [2, 4])
+    def test_cut_chunks_drop_at_small_virtio_ring(self, monkeypatch,
+                                                  containers):
+        """A chunk plans its copies into a virtio ring from the ring's
+        state before the chunk, so a cut chunk whose planned posts ran
+        past the ring's space must post only its kept packets: the
+        drops and every record then match the scalar loop."""
+        monkeypatch.setattr(base, "SPEC_HEADROOM", 2.5)
+        monkeypatch.setattr(common, "VIRTIO_ENTRIES", 32)
+        short = []
+        cut_drops = 0
+        post_addrs = DescRing.post_addrs
+        run_ahead = Workload._run_ahead
+
+        def watching(ring, m):
+            addrs = post_addrs(ring, m)
+            short.append(addrs.shape[0] < m)
+            return addrs
+
+        def counting(self, port, k, *args, **kwargs):
+            nonlocal cut_drops
+            short.clear()
+            n, result = run_ahead(self, port, k, *args, **kwargs)
+            if isinstance(self, OvsDataplane) and n < k and any(short):
+                cut_drops += 1
+            return n, result
+
+        monkeypatch.setattr(DescRing, "post_addrs", watching)
+        monkeypatch.setattr(Workload, "_run_ahead", counting)
+        vec = _run_small_virtio("vector", containers)
+        assert cut_drops > 0, \
+            "no cut OVS chunk was planned to drop at a virtio ring"
+        assert vec[1] > 0, "OVS was expected to drop at its virtio rings"
+        assert vec == _run_small_virtio("scalar", containers)
 
     def test_xmem_mix_cost_spikes_match_scalar(self, monkeypatch):
         monkeypatch.setattr(base, "SPEC_HEADROOM", 2.0)

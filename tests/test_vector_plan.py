@@ -6,11 +6,11 @@ paths — a cached per-structure template for uniform identity-packet
 stage lists, and an uncached segment sort for everything else.  A
 brute-force reference materializer written straight from the ordering
 contract (packets ascending, then stages by (rank, insertion), then
-each stage's segments for that packet in order, then lines by stride)
-is the oracle for both: a seeded fuzz checks every output array, dtypes
-included.  The remaining tests pin the template and step caches'
-bounds, the eviction-correctness contract (an evicted template rebuilds
-bit-identically), and the hand-maintained
+each stage's segments for that packet in order, then a segment's 64 B
+lines in address order) is the oracle for both: a seeded fuzz checks
+every output array, dtypes included.  The remaining tests pin the
+template cache's bound, the eviction-correctness contract (an evicted
+template rebuilds bit-identically), and the hand-maintained
 ``EngineStats.kernel_launches`` accounting that the CI
 ``--launches-ceiling`` gate reads.
 """
@@ -24,16 +24,16 @@ import repro.workloads.base as base
 from repro.workloads.base import ENGINE_STATS, PKT_IOTA, VectorPlan
 
 
-def _stage_chunk(plan: VectorPlan, k: int, *, stride: int = 64) -> None:
+def _stage_chunk(plan: VectorPlan, k: int, *, rank: int = 6) -> None:
     """Stage a representative steady-state chunk: three uniform iota
-    stages (buffer write, app read, forward write) over ``k`` packets."""
+    stages (buffer write, app read, forward write at ``rank``) over
+    ``k`` packets."""
     pkts = PKT_IOTA[:k]
     base_addrs = np.arange(k, dtype=np.int64) * 4096
-    plan.add_batch(base_addrs, 2, pkts=pkts, rank=0, stride=stride,
+    plan.add_batch(base_addrs, 2, pkts=pkts, rank=0, write=True)
+    plan.add_batch(base_addrs + 64, 1, pkts=pkts, rank=1)
+    plan.add_batch(base_addrs + (1 << 20), 3, pkts=pkts, rank=rank,
                    write=True)
-    plan.add_batch(base_addrs + 64, 1, pkts=pkts, rank=1, stride=stride)
-    plan.add_batch(base_addrs + (1 << 20), 3, pkts=pkts, rank=6,
-                   stride=stride, write=True)
 
 
 def _stage_keyed(plan: VectorPlan, k: int) -> None:
@@ -89,20 +89,19 @@ class _Recorder:
         self.plan = plan
         self.stages: "list[dict]" = []
 
-    def add(self, bases, counts, *, pkts, rank, stride=64, write=False,
-            mlp=1.0, device=False) -> None:
+    def add(self, bases, counts, *, pkts, rank, write=False, mlp=1.0,
+            device=False) -> None:
         self.plan.add_batch(bases, counts, pkts=pkts, rank=rank,
-                            stride=stride, write=write, mlp=mlp,
-                            device=device)
+                            write=write, mlp=mlp, device=device)
         self.stages.append(dict(bases=bases, counts=counts, pkts=pkts,
-                                rank=rank, stride=stride, write=write,
-                                mlp=mlp, device=device))
+                                rank=rank, write=write, mlp=mlp,
+                                device=device))
 
 
 def _reference(stages: "list[dict]"):
     """The ordering contract, one line at a time: packets ascending,
     then stages by (rank, insertion), then each stage's segments for
-    that packet in order, then lines by stride."""
+    that packet in order, then a segment's 64 B lines in order."""
     order = sorted(range(len(stages)), key=lambda j: (stages[j]["rank"], j))
     packets = sorted({int(p) for st in stages for p in st["pkts"]})
     lines = []
@@ -114,7 +113,7 @@ def _reference(stages: "list[dict]"):
                 if int(q) != p:
                     continue
                 for line in range(int(counts[i])):
-                    lines.append((int(st["bases"][i]) + line * st["stride"],
+                    lines.append((int(st["bases"][i]) + line * 64,
                                   st["write"],
                                   0.0 if st["device"] else 1.0 / st["mlp"],
                                   st["device"], p))
@@ -133,7 +132,6 @@ def _random_stage(rec: _Recorder, rng, k: int, *, uniform: bool) -> None:
     ``PKT_IOTA[:k]`` with a scalar count (template-eligible); the rest
     draw ragged counts with zeros, subsets, unsorted ids and repeats."""
     rank = int(rng.integers(0, VectorPlan.MAX_RANK))
-    stride = int(rng.choice([64, 64, 128]))
     write = bool(rng.integers(0, 2))
     device = bool(rng.integers(0, 4) == 0)
     mlp = float(rng.choice([1.0, 2.0, 8.0]))
@@ -154,8 +152,8 @@ def _random_stage(rec: _Recorder, rng, k: int, *, uniform: bool) -> None:
         counts = (rng.integers(0, 4, size=m) if rng.integers(0, 2)
                   else int(rng.integers(0, 4)))
     bases = rng.integers(0, 1 << 30, size=len(pkts)) * 64
-    rec.add(bases, counts, pkts=pkts, rank=rank, stride=stride,
-            write=write, mlp=mlp, device=device)
+    rec.add(bases, counts, pkts=pkts, rank=rank, write=write, mlp=mlp,
+            device=device)
 
 
 class TestMaterializeOracle:
@@ -222,27 +220,6 @@ class TestMaterializeOracle:
 
 
 class TestCacheBounds:
-    def test_step_cache_is_lru_bounded(self):
-        plan = VectorPlan()
-        n = VectorPlan.STEP_CACHE_CAP + 40
-        for count in range(1, n + 1):
-            plan._step(count, 64)
-        assert len(plan._steps) == VectorPlan.STEP_CACHE_CAP
-        # Least-recently-used keys (the smallest counts) were evicted;
-        # the most recent survive.
-        assert (1, 64) not in plan._steps
-        assert (n, 64) in plan._steps
-        # A hit refreshes recency instead of duplicating the entry.
-        plan._step(n, 64)
-        assert len(plan._steps) == VectorPlan.STEP_CACHE_CAP
-
-    def test_step_cache_distinct_strides_are_distinct_keys(self):
-        plan = VectorPlan()
-        a = plan._step(8, 64)
-        b = plan._step(8, 128)
-        assert not np.array_equal(a, b)
-        assert len(plan._steps) == 2
-
     def test_template_bytes_flat_under_variable_chunk_sizes(self):
         """Every chunk size shares one template, sized by the largest
         chunk it served: once that one has run, the cached bytes stay
@@ -267,13 +244,13 @@ class TestCacheBounds:
             assert plan.materialize() is not None
         assert not plan._templates
 
-    def test_template_cache_bounded_under_variable_strides(self):
+    def test_template_cache_bounded_under_variable_ranks(self):
         plan = VectorPlan()
         for i in range(VectorPlan.TEMPLATE_CACHE_CAP + 20):
             plan.reset()
-            _stage_chunk(plan, 16, stride=64 * (i + 1))
+            _stage_chunk(plan, 16, rank=2 + i)
             assert plan.materialize() is not None
-        assert len(plan._templates) <= VectorPlan.TEMPLATE_CACHE_CAP
+        assert len(plan._templates) == VectorPlan.TEMPLATE_CACHE_CAP
 
     def test_evicted_template_rebuilds_identically(self):
         plan = VectorPlan()
@@ -283,7 +260,7 @@ class TestCacheBounds:
         # Thrash the template cache well past its bound...
         for i in range(VectorPlan.TEMPLATE_CACHE_CAP + 50):
             plan.reset()
-            _stage_chunk(plan, 1 + i % 90, stride=128 * (1 + i))
+            _stage_chunk(plan, 1 + i % 90, rank=7 + i)
             assert plan.materialize() is not None
         assert len(plan._templates) == VectorPlan.TEMPLATE_CACHE_CAP
         # ...then the original chunk must rebuild bit-identically.
