@@ -18,8 +18,8 @@ Seven subcommands:
   ``docs/experiments.md``) unless ``--no-cache`` is given.
   ``--duration``/``--warmup`` override the harness's measurement window
   where it supports one.  ``--trace-out`` records every computed sweep
-  point as a per-worker trace shard and merges them into one Perfetto
-  file — tracing no longer forces serial execution.
+  point under its own tracer, in whichever process runs it, and merges
+  the events the points return into one Perfetto file.
 * ``repro suite [--fast] [--jobs N] [--trace-out FILE]`` — run every
   figure back to back through one shared worker pool.
 * ``repro trace <id> [--fast] [--out FILE] [--format perfetto|jsonl]
@@ -51,9 +51,7 @@ import argparse
 import inspect
 import re
 import sys
-import tempfile
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from .core import available_policies
@@ -145,31 +143,21 @@ def sorted_figures() -> "list[str]":
     return sorted(FIGURES, key=_natural_key)
 
 
-def _make_runner(args, trace_dir: "str | None" = None) -> ParallelRunner:
-    """A runner configured from the shared sweep CLI flags."""
+def _make_runner(args) -> ParallelRunner:
+    """A runner configured from the shared sweep CLI flags, tracing
+    every computed point under ``--trace-out``."""
     cache = None
     if not getattr(args, "no_cache", False):
         cache = ResultCache(getattr(args, "cache_dir", None))
     trace = None
-    if trace_dir is not None:
-        trace = TraceFanout(trace_dir,
-                            sample=getattr(args, "trace_sample", None))
+    if getattr(args, "trace_out", None):
+        trace = TraceFanout(sample=getattr(args, "trace_sample", None))
     return ParallelRunner(jobs=args.jobs, cache=cache,
                           echo=sys.stderr.isatty(), trace=trace)
 
 
-def _traced_runner(args, stack: ExitStack) -> ParallelRunner:
-    """A runner honouring ``--trace-out``: shards land in a temporary
-    directory that outlives the runs just long enough to merge."""
-    trace_dir = None
-    if getattr(args, "trace_out", None):
-        trace_dir = stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="repro-trace-"))
-    return stack.enter_context(_make_runner(args, trace_dir))
-
-
 def _finish_trace(runner: ParallelRunner, args) -> None:
-    """Merge the run's trace shards into ``--trace-out`` and report."""
+    """Merge the run's traced points into ``--trace-out`` and report."""
     out = getattr(args, "trace_out", None)
     if not out:
         return
@@ -182,8 +170,6 @@ def _finish_trace(runner: ParallelRunner, args) -> None:
             f"{summary['events']} events -> {out}")
     if summary["dropped"]:
         line += f" ({summary['dropped']} dropped)"
-    if summary["incomplete"]:
-        line += f" [{summary['incomplete']} incomplete shards]"
     print(line)
 
 
@@ -249,8 +235,7 @@ def _cmd_compare(args) -> int:
         kwargs["duration"] = args.duration
     if args.warmup is not None:
         kwargs["warmup"] = args.warmup
-    with ExitStack() as stack:
-        runner = _traced_runner(args, stack)
+    with _make_runner(args) as runner:
         try:
             result = compare.run(policies=policies, scenarios=scenarios,
                                  seeds=seeds, runner=runner, **kwargs)
@@ -273,8 +258,7 @@ def _cmd_figure(args) -> int:
         print(f"unknown figure {args.id!r}; try 'repro figures'",
               file=sys.stderr)
         return 2
-    with ExitStack() as stack:
-        runner = _traced_runner(args, stack)
+    with _make_runner(args) as runner:
         print(_run_entry(entry, fast=args.fast, runner=runner,
                          duration=args.duration, warmup=args.warmup))
         _finish_trace(runner, args)
@@ -283,8 +267,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_suite(args) -> int:
     start = time.perf_counter()
-    with ExitStack() as stack:
-        runner = _traced_runner(args, stack)
+    with _make_runner(args) as runner:
         for name in sorted_figures():
             entry = FIGURES[name]
             print(f"=== {name} — {entry.description} ===")
@@ -500,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--warmup", type=float, default=None, metavar="S",
                        help="override the warmup window (seconds)")
         p.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="record every computed sweep point as a "
-                            "trace shard (works with --jobs N) and "
-                            "merge them into one Perfetto file here")
+                       help="trace every computed sweep point "
+                            "(works with --jobs N) and merge the events "
+                            "they return into one Perfetto file here")
         p.add_argument("--trace-sample", type=int, default=None,
                        metavar="N",
                        help="with --trace-out: trace 1-in-N quanta per "

@@ -13,16 +13,17 @@ produce bit-identical result lists: every point function builds its own
 explicitly-seeded simulation from its arguments alone, and pickling the
 result back from a worker preserves float bits exactly.
 
-Tracing composes with parallelism through *trace shards*: give the
-runner a :class:`TraceFanout` and every computed point — in-process or
-in a worker — records into its own tracer and writes one shard file
-(meta + heartbeats + events, see :mod:`repro.obs.merge`); the parent
-merges all shards into a single Perfetto document afterwards
-(:meth:`ParallelRunner.write_merged_trace`).  An *in-process* enabled
-tracer (``repro trace``) still forces serial execution — workers can't
-feed the parent's tracer — but that is now the fallback, not the only
-path.  Shard runs skip cache **reads** (a cached point would record no
-events) while still populating the cache for later runs.
+Tracing composes with parallelism: give the runner a
+:class:`TraceFanout` and every computed point — in-process or in a
+worker — records into its own tracer and returns that tracer's events
+with its result, over the same path every result takes.  The parent
+keeps each point's events as a :class:`~repro.obs.merge.TraceShard`,
+indexed and labelled in declared point order, and merges them into one
+Perfetto document afterwards (:meth:`ParallelRunner.write_merged_trace`).
+An *in-process* enabled tracer (``repro trace``) still forces serial
+execution — workers can't feed the parent's tracer.  Traced runs skip
+cache **reads** (a cached point would record no events) while still
+populating the cache for later runs.
 
 The executor is created lazily and kept for the runner's lifetime, so
 one runner can drive many sweeps — ``repro suite`` pushes every figure
@@ -34,12 +35,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass
-from time import perf_counter
 
 from ..obs import current_tracer
-from ..obs.merge import ShardWriter, write_merged
+from ..obs.merge import TraceShard, write_merged
 from ..obs.tracer import Tracer, tracing
 from .cache import ResultCache, code_fingerprint, point_key
 from .progress import SweepProgress
@@ -52,79 +54,43 @@ __all__ = ["ParallelRunner", "TraceFanout", "run_sweep"]
 _MAX_CHUNK = 32
 
 
-def _call_point(func, params: dict):
-    """Module-level worker entry point (picklable by reference).
-
-    Returns ``(result, compute_seconds)`` — the duration is measured in
-    the worker so the parent's ETA reflects compute time, not queueing.
-    """
-    start = perf_counter()
-    value = func(**params)
-    return value, perf_counter() - start
-
-
-def _call_chunk(func, params_list: "list[dict]") -> list:
-    """Run several points in one worker task.
-
-    Submitting chunks instead of single points amortizes the per-task
-    pickling and queue round-trips that made fine-grained fan-out lose
-    to the serial loop on short points.
-    """
-    return [_call_point(func, params) for params in params_list]
-
-
 @dataclass
 class TraceFanout:
-    """Per-point trace-shard recording for sweep runs.
+    """Per-point tracing for sweep runs.
 
-    ``dir``       directory the shard files are written into;
     ``sample``    1-in-N quantum sampling for each point's tracer
-                  (``None`` = full fidelity);
-    ``seed``      sampling seed (shared by every point, so identical
-                  configs sample identical quanta);
-    ``capacity``  per-point event bound (``None`` = unbounded; overflow
-                  is counted in the shard's ``done`` heartbeat).
+                  (``None`` = full fidelity).
     """
 
-    dir: str
     sample: "int | None" = None
-    seed: int = 0
-    capacity: "int | None" = None
 
 
-def _call_point_shard(func, params: dict, shard: dict):
-    """Worker entry for one traced point: run ``func`` under a fresh
-    tracer and write the events as a shard file (see
-    :mod:`repro.obs.merge`).  Works identically in-process and in a
-    pool worker — each point gets its own tracer either way."""
-    writer = ShardWriter(shard["path"], index=shard["index"],
-                         label=shard["label"], sweep=shard["sweep"],
-                         params=shard["params"], sample=shard["sample"],
-                         seed=shard["seed"])
-    writer.heartbeat("start")
-    tracer = Tracer(capacity=shard["capacity"], sample=shard["sample"],
-                    seed=shard["seed"])
-    start = perf_counter()
-    try:
-        with tracing(tracer):
+def _call_chunk(func, params_list: "list[dict]",
+                trace: "TraceFanout | None" = None) -> list:
+    """Run points in order, in-process or as one pool task.
+
+    Returns ``(value, seconds, shard)`` per point.  ``seconds`` is
+    measured where the point runs, so the parent's ETA reflects compute
+    time, not queueing.  With ``trace`` each point runs under a fresh
+    tracer and ``shard`` is ``(epoch, events, dropped)``: the Unix time
+    the tracer was created, its retained events and its dropped count.
+    Without it the point runs under whatever tracer is installed and
+    ``shard`` is ``None``.  Submitting chunks instead of single points
+    amortizes the per-task pickling and queue round-trips that made
+    fine-grained fan-out lose to the serial loop on short points.
+    """
+    out = []
+    for params in params_list:
+        tracer = None if trace is None else Tracer(sample=trace.sample)
+        epoch = time.time()
+        start = time.perf_counter()
+        with tracing(tracer) if tracer is not None else nullcontext():
             value = func(**params)
-    except BaseException:
-        writer.heartbeat("error")
-        writer.close()
-        raise
-    seconds = perf_counter() - start
-    events = tracer.events()
-    writer.write_events(events)
-    writer.heartbeat("done", events=len(events), dropped=tracer.dropped,
-                     wall_s=seconds)
-    writer.close()
-    return value, seconds
-
-
-def _call_chunk_shard(func, items: "list[tuple[dict, dict]]") -> list:
-    """Chunked variant of :func:`_call_point_shard`."""
-    return [_call_point_shard(func, params, shard)
-            for params, shard in items]
+        seconds = time.perf_counter() - start
+        shard = None if tracer is None else \
+            (epoch, tracer.events(), tracer.dropped)
+        out.append((value, seconds, shard))
+    return out
 
 
 class ParallelRunner:
@@ -137,7 +103,7 @@ class ParallelRunner:
                   to recompute everything.
     ``echo``      keep a progress/ETA line updated on stderr.
     ``trace``     a :class:`TraceFanout` to record every computed point
-                  as a trace shard (merged afterwards with
+                  under its own tracer (merged afterwards with
                   :meth:`write_merged_trace`), or ``None``.
     """
 
@@ -152,8 +118,7 @@ class ParallelRunner:
         self.echo = echo
         self.trace = trace
         self._executor: "ProcessPoolExecutor | None" = None
-        self._shards: "list[str]" = []
-        self._shard_seq = 0
+        self._shards: "list[TraceShard]" = []
 
     # ------------------------------------------------------------------
     def effective_jobs(self) -> int:
@@ -191,11 +156,12 @@ class ParallelRunner:
         total = len(points)
         progress = SweepProgress(spec.name, total, echo=self.echo)
         results: "list[object]" = [None] * total
+        shards: "list[tuple | None]" = [None] * total
         todo: "list[int]" = []
         keys: "list[str] | None" = None
 
-        # Shard-tracing runs skip cache reads (a cache hit records no
-        # events) but still populate the cache in _finish.
+        # Traced runs skip cache reads (a cache hit records no events)
+        # but still populate the cache in _finish.
         if self.cache is not None:
             keys = [point_key(spec, p) for p in points]
         if self.cache is not None and self.trace is None:
@@ -209,18 +175,10 @@ class ParallelRunner:
         else:
             todo = list(range(total))
 
-        shards = self._plan_shards(spec, todo)
         jobs = self.effective_jobs()
         if len(todo) <= 1 or jobs == 1:
-            for i in todo:
-                if shards is not None:
-                    value, seconds = _call_point_shard(
-                        spec.func, points[i].params, shards[i])
-                else:
-                    value, seconds = _call_point(spec.func,
-                                                 points[i].params)
-                self._finish(spec, i, keys, results, progress,
-                             value, seconds)
+            done = (([i], _call_chunk(spec.func, [points[i].params],
+                                      self.trace)) for i in todo)
         else:
             pool = self._pool(jobs)
             # Contiguous chunks, ~4 waves per worker: large enough to
@@ -228,51 +186,35 @@ class ParallelRunner:
             size = max(1, min(_MAX_CHUNK, -(-len(todo) // (jobs * 4))))
             chunks = [todo[at:at + size]
                       for at in range(0, len(todo), size)]
-            if shards is not None:
-                futures = {pool.submit(
-                    _call_chunk_shard, spec.func,
-                    [(points[i].params, shards[i]) for i in chunk]):
-                    chunk for chunk in chunks}
-            else:
-                futures = {pool.submit(
-                    _call_chunk, spec.func,
-                    [points[i].params for i in chunk]):
-                    chunk for chunk in chunks}
-            for future in as_completed(futures):
-                chunk = futures[future]
-                for i, (value, seconds) in zip(chunk, future.result()):
-                    self._finish(spec, i, keys, results, progress,
-                                 value, seconds)
+            futures = {pool.submit(
+                _call_chunk, spec.func, [points[i].params for i in chunk],
+                self.trace): chunk for chunk in chunks}
+            done = ((futures[future], future.result())
+                    for future in as_completed(futures))
+        for chunk, outcomes in done:
+            for i, (value, seconds, shard) in zip(chunk, outcomes):
+                shards[i] = shard
+                self._finish(spec, i, keys, results, progress,
+                             value, seconds)
         progress.finish()
+        if self.trace is not None:
+            for i in todo:
+                self._keep_shard(spec, i, *shards[i])
         return results
 
-    def _plan_shards(self, spec: SweepSpec,
-                     todo: "list[int]") -> "dict[int, dict] | None":
-        """Assign one shard file (with a globally unique index) per
-        computed point; records the paths for the final merge."""
-        fanout = self.trace
-        if fanout is None or not todo:
-            return None
-        os.makedirs(fanout.dir, exist_ok=True)
-        shards: "dict[int, dict]" = {}
-        for i in todo:
-            index = self._shard_seq
-            self._shard_seq = index + 1
-            params = spec.points[i].params
-            label = ",".join(f"{k}={v}" for k, v in sorted(params.items())
-                             if v is not None)
-            path = os.path.join(fanout.dir,
-                                f"{spec.name}-{index:04d}.jsonl")
-            shards[i] = {"path": path, "index": index,
-                         "label": f"{spec.name}[{label}]",
-                         "sweep": spec.name, "params": spec.points[i].key(),
-                         "sample": fanout.sample, "seed": fanout.seed,
-                         "capacity": fanout.capacity}
-            self._shards.append(path)
-        return shards
+    def _keep_shard(self, spec: SweepSpec, i: int, epoch: float,
+                    events: list, dropped: int) -> None:
+        """Keep point ``i``'s events for the merge, under the next
+        index across every sweep this runner traced."""
+        params = spec.points[i].params
+        label = ",".join(f"{k}={v}" for k, v in sorted(params.items())
+                         if v is not None)
+        self._shards.append(TraceShard(
+            index=len(self._shards), label=f"{spec.name}[{label}]",
+            epoch=epoch, events=events, dropped=dropped))
 
     def write_merged_trace(self, out) -> "dict | None":
-        """Merge every shard recorded so far (across all sweeps this
+        """Merge every point traced so far (across all sweeps this
         runner ran) into one Perfetto document at ``out``; returns the
         merge summary, or ``None`` if nothing was traced."""
         if not self._shards:

@@ -23,9 +23,10 @@ Built for always-on production telemetry:
 * **metrics** — :mod:`repro.obs.metrics` keeps counters/gauges/
   histograms (per-tenant IPC, DDIO hit rate, drop rate, quantum wall
   time) with Prometheus-text and JSON exposition;
-* **cross-process** — sweep workers record per-point trace shards that
-  :mod:`repro.obs.merge` merges into one Perfetto file
-  (``repro figure --jobs N --trace-out``).
+* **cross-process** — traced sweep points, in-process or in workers,
+  return their events with their results, and :mod:`repro.obs.merge`
+  merges them into one Perfetto file (``repro figure --jobs N
+  --trace-out``).
 
 Export: a streaming JSONL sink, and Chrome/Perfetto ``trace_event``
 JSON built from ``tracer.events()`` by :func:`perfetto_document` (open
@@ -43,14 +44,13 @@ from . import merge, metrics, views
 from .metrics import REGISTRY, MetricsRegistry
 from .sinks import (JsonlSink, event_from_dict, event_to_dict,
                     perfetto_document)
-from .tracer import (NULL_TRACER, NullTracer, TraceEvent, Tracer,
-                     current_tracer, install_tracer, tracing)
+from .tracer import (NULL_TRACER, TraceEvent, Tracer, current_tracer,
+                     install_tracer, tracing)
 from .views import SampledStreamError
 
 __all__ = [
-    "JsonlSink", "MetricsRegistry", "NULL_TRACER", "NullTracer",
-    "REGISTRY", "SampledStreamError", "TraceEvent", "Tracer",
-    "current_tracer", "event_from_dict", "event_to_dict",
-    "install_tracer", "merge", "metrics", "perfetto_document", "tracing",
-    "views",
+    "JsonlSink", "MetricsRegistry", "NULL_TRACER", "REGISTRY",
+    "SampledStreamError", "TraceEvent", "Tracer", "current_tracer",
+    "event_from_dict", "event_to_dict", "install_tracer", "merge",
+    "metrics", "perfetto_document", "tracing", "views",
 ]

@@ -201,15 +201,6 @@ class Tracer:
         self._push("X", category, name, dur, args,
                    wall=max(0.0, self._wall() - dur))
 
-    @contextmanager
-    def span(self, category: str, name: str, **args):
-        """Context manager measuring a wall-clock span."""
-        start = self.clock()
-        try:
-            yield self
-        finally:
-            self.complete(category, name, self.clock() - start, **args)
-
     # -- stream access -----------------------------------------------------
     def events(self) -> "list[TraceEvent]":
         """The retained events, oldest first."""
@@ -247,47 +238,10 @@ class Tracer:
         return {key: value / total for key, value in seconds.items()}
 
 
-class _NullSpan:
-    """Reusable no-op context manager for :class:`NullTracer` spans."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer(Tracer):
-    """The disabled tracer: every hook is a no-op.
-
-    Installed by default so instrumented code can always call
-    ``current_tracer()`` without a None check.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def begin_quantum(self, index) -> bool:
-        return False
-
-    def instant(self, category, name, **args) -> None:  # pragma: no cover
-        pass
-
-    def counter(self, category, name, **values) -> None:  # pragma: no cover
-        pass
-
-    def complete(self, category, name, dur, **args) -> None:
-        pass
-
-    def span(self, category, name, **args):
-        return _NULL_SPAN
-
-
-#: Shared disabled tracer (the default current tracer).
-NULL_TRACER = NullTracer()
+#: Shared disabled tracer (the default current tracer): every hook
+#: returns at once, so instrumented code can always call
+#: ``current_tracer()`` without a None check.
+NULL_TRACER = Tracer(enabled=False)
 
 _current: Tracer = NULL_TRACER
 

@@ -343,14 +343,15 @@ class EngineStats:
     kernel-launch count of those same drains' plan, execute and cut
     stages.  Each chunk executes once: an overshooting chunk is cut to
     its admitted prefix, which counts one rollback and wastes the
-    ``k - n`` items of its suffix, so ``exec_packets == packets +
-    wasted_packets``.  A high rollback rate means many cheap cuts, not
-    replays.  The engine samples per-quantum deltas into the
-    tracer and the metrics registry, ``repro trace`` prints the totals
-    at exit, and the perf benchmarks read the means directly.  Like
-    ``repro.obs.metrics.REGISTRY`` this is process-global state shared
-    by every simulation in the process; simulation *results* never read
-    it, so it cannot perturb determinism.
+    ``k - n`` items of its suffix; ``packets``, the items admitted, is
+    derived as ``exec_packets - wasted_packets``.  A high rollback rate
+    means many cheap cuts, not replays.  The engine samples per-quantum
+    deltas into the tracer and the metrics registry, ``repro trace``
+    prints the totals at exit, and the perf benchmarks read the means
+    directly.  Like ``repro.obs.metrics.REGISTRY`` this is
+    process-global state shared by every simulation in the process;
+    simulation *results* never read it, so it cannot perturb
+    determinism.
     """
 
     #: Upper bucket bounds (items per chunk) of the size histogram.  The
@@ -359,16 +360,14 @@ class EngineStats:
     SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
                     4096)
 
-    __slots__ = ("chunks", "packets", "exec_packets", "spec_chunks",
-                 "rollbacks", "wasted_packets", "kernel_launches",
-                 "size_buckets")
+    __slots__ = ("chunks", "exec_packets", "spec_chunks", "rollbacks",
+                 "wasted_packets", "kernel_launches", "size_buckets")
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
         self.chunks = 0           # chunk executions
-        self.packets = 0          # items admitted and committed
         self.exec_packets = 0     # items executed (cut suffixes included)
         self.spec_chunks = 0      # chunks executed under a snapshot
         self.rollbacks = 0        # overshooting chunks cut to a prefix
@@ -384,6 +383,11 @@ class EngineStats:
         buckets[min((k - 1).bit_length(), len(buckets) - 1)] += 1
 
     # -- derived views ---------------------------------------------------
+    @property
+    def packets(self) -> int:
+        """Items admitted and committed."""
+        return self.exec_packets - self.wasted_packets
+
     def mean_chunk(self) -> float:
         return self.exec_packets / self.chunks if self.chunks else 0.0
 
@@ -974,7 +978,6 @@ class Workload(ABC):
                 llc.commit()
         else:
             result = execute(k)
-        estats.packets += k
         return k, result
 
     # -- helpers ---------------------------------------------------------

@@ -129,6 +129,23 @@ class TestFigureFast:
                      "--jobs", "1"]) == 0
         assert "Fig. 15" in capsys.readouterr().out
 
+    def test_trace_out_merges_every_point_from_workers(self, tmp_path,
+                                                       capsys):
+        import json
+        out = tmp_path / "fig15.json"
+        assert main(["figure", "fig15", "--fast", "--jobs", "2",
+                     "--no-cache", "--trace-out", str(out)]) == 0
+        assert "trace: merged 4 shards" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        events = doc["traceEvents"]
+        assert {e["pid"] for e in events} == set(range(1, 9))
+        labels = doc["otherData"]["shard_labels"]
+        assert len(labels) == len(set(labels)) == 4
+        names = sorted(e["args"]["name"] for e in events
+                       if e["name"] == "process_name")
+        assert names == sorted(f"{label} {domain}" for label in labels
+                               for domain in ("sim-time", "wall-time"))
+
 
 class TestFigureRegistry:
     def test_every_entry_well_formed(self):

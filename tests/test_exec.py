@@ -201,10 +201,10 @@ class TestParallelRunner:
         cold = ParallelRunner(jobs=1, cache=cache).run(self.SPEC)
         warm_cache = ResultCache(str(tmp_path))
 
-        def bomb(func, params):
+        def bomb(*args):
             raise AssertionError("cache hit must not execute the point")
 
-        monkeypatch.setattr("repro.exec.runner._call_point", bomb)
+        monkeypatch.setattr("repro.exec.runner._call_chunk", bomb)
         warm = ParallelRunner(jobs=4, cache=warm_cache).run(self.SPEC)
         assert warm == cold
         assert warm_cache.hits == len(self.SPEC)

@@ -57,10 +57,10 @@ def test_cache_round_trip_replays_without_simulating(tmp_path,
 
     warm_cache = ResultCache(str(tmp_path))
 
-    def bomb(func, params):
+    def bomb(*args):
         raise AssertionError("warm cache must not run the simulation")
 
-    monkeypatch.setattr("repro.exec.runner._call_point", bomb)
+    monkeypatch.setattr("repro.exec.runner._call_chunk", bomb)
     with ParallelRunner(jobs=4, cache=warm_cache) as runner:
         warm = runner.run(spec)
     assert warm_cache.hits == len(spec)

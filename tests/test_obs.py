@@ -23,8 +23,7 @@ from repro.experiments.common import (latent_contender_scenario,
 from repro.obs import (NULL_TRACER, JsonlSink, Tracer, current_tracer,
                        event_from_dict, event_to_dict, install_tracer,
                        perfetto_document, tracing, views)
-from repro.obs.merge import (ShardWriter, TraceShard, merged_document,
-                             read_shard, write_merged)
+from repro.obs.merge import TraceShard, merged_document, write_merged
 from repro.obs.sinks import SIM_PID, WALL_PID
 from repro.obs.tracer import _sample_hash
 from repro.obs.views import SampledStreamError
@@ -44,28 +43,21 @@ class TestTracer:
         assert all(e.ts == 1.5 for e in events)
         assert events[2].dur == 0.25
 
-    def test_span_measures_wall_time(self):
-        tracer = Tracer()
-        with tracer.span("dma", "burst", vf="vf0"):
-            time.sleep(0.01)
-        (event,) = tracer.events()
-        assert event.phase == "X" and event.dur >= 0.01
-        assert event.args == {"vf": "vf0"}
-
     def test_disabled_tracer_emits_nothing(self):
         tracer = Tracer(enabled=False)
         tracer.instant("a", "b")
         tracer.counter("a", "b", x=1)
         tracer.complete("a", "b", 0.1)
-        with tracer.span("a", "b"):
-            pass
         assert tracer.events() == []
 
     def test_null_tracer_is_default_and_inert(self):
         assert current_tracer() is NULL_TRACER
         assert not NULL_TRACER.enabled
-        with NULL_TRACER.span("a", "b"):
-            pass  # must be usable without error
+        assert not NULL_TRACER.begin_quantum(0)
+        NULL_TRACER.instant("a", "b")
+        NULL_TRACER.counter("a", "b", x=1)
+        NULL_TRACER.complete("a", "b", 0.1)
+        assert NULL_TRACER.events() == []
 
     def test_install_and_restore(self):
         tracer = Tracer()
@@ -582,33 +574,11 @@ def make_shard_events(n, wall0=0.0):
 
 
 class TestMerge:
-    def test_shard_roundtrip(self, tmp_path):
-        path = tmp_path / "shard-0.jsonl"
-        writer = ShardWriter(str(path), index=3, label="fig8[x=1]",
-                             sweep="fig8", params="[('x', 1)]",
-                             sample=None, seed=0)
-        writer.heartbeat("start")
-        events = make_shard_events(4)
-        writer.write_events(events)
-        writer.heartbeat("done", events=len(events), dropped=0,
-                         wall_s=0.5)
-        writer.close()
-        shard = read_shard(str(path))
-        assert shard.index == 3 and shard.label == "fig8[x=1]"
-        assert shard.meta["schema"] == "repro-trace-shard/1"
-        assert shard.epoch_unix > 0
-        assert not shard.sampled
-        assert [h["status"] for h in shard.heartbeats] == ["start", "done"]
-        assert shard.heartbeats[-1]["wall_s"] == 0.5
-        assert shard.events == events
-
     def two_shards(self):
         return [
-            TraceShard(meta={"index": 0, "label": "p0",
-                             "epoch_unix": 100.0},
+            TraceShard(index=0, label="p0", epoch=100.0,
                        events=make_shard_events(2)),
-            TraceShard(meta={"index": 1, "label": "p1",
-                             "epoch_unix": 100.5},
+            TraceShard(index=1, label="p1", epoch=100.5,
                        events=make_shard_events(2)),
         ]
 
@@ -641,39 +611,20 @@ class TestMerge:
     def test_single_shard_degenerates_to_classic_layout(self):
         events = make_shard_events(2)
         doc = merged_document(
-            [TraceShard(meta={"index": 0, "label": ""}, events=events)])
+            [TraceShard(index=0, label="", epoch=0.0, events=events)])
         classic = perfetto_document(events)
         assert doc["traceEvents"] == classic["traceEvents"]
 
     def test_write_merged_summary(self, tmp_path):
-        paths = []
-        for k in range(2):
-            path = tmp_path / f"shard-{k}.jsonl"
-            writer = ShardWriter(str(path), index=k, label=f"p{k}",
-                                 sweep="s", params="", sample=None,
-                                 seed=0)
-            writer.heartbeat("start")
-            events = make_shard_events(3)
-            writer.write_events(events)
-            writer.heartbeat("done", events=len(events), dropped=k,
-                             wall_s=0.1)
-            writer.close()
-            paths.append(str(path))
+        shards = [TraceShard(index=k, label=f"p{k}", epoch=100.0 + k,
+                             events=make_shard_events(3), dropped=k)
+                  for k in range(2)]
         out = tmp_path / "merged.json"
-        summary = write_merged(paths, str(out))
-        assert summary == {"shards": 2, "events": 8, "dropped": 1,
-                           "incomplete": 0}
+        summary = write_merged(shards, str(out))
+        assert summary == {"shards": 2, "events": 8, "dropped": 1}
         doc = json.loads(out.read_text())
+        assert doc == json.loads(json.dumps(merged_document(shards)))
         assert doc["otherData"]["producer"] == "repro.obs.merge"
-        assert doc["traceEvents"]
-
-    def test_incomplete_shard_is_counted(self, tmp_path):
-        path = tmp_path / "shard-0.jsonl"
-        writer = ShardWriter(str(path), index=0, label="p0", sweep="s")
-        writer.heartbeat("start")  # no "done": the worker died
-        writer.close()
-        summary = write_merged([str(path)], str(tmp_path / "out.json"))
-        assert summary["incomplete"] == 1
 
 
 def shard_point(n):
@@ -684,14 +635,19 @@ def shard_point(n):
     return n * 2
 
 
+def failing_point(n):
+    """Module-level sweep point that traces one event, then fails."""
+    current_tracer().instant("point", "tick", i=0)
+    raise ValueError(f"point {n} failed")
+
+
 class TestRunnerShards:
     def run_sweep(self, tmp_path, jobs):
         from repro.exec.runner import ParallelRunner, TraceFanout
         from repro.exec.sweep import SweepSpec
         spec = SweepSpec.from_points("shardtest", shard_point,
                                      [{"n": n} for n in (2, 3, 4, 5)])
-        fanout = TraceFanout(str(tmp_path / "shards"))
-        with ParallelRunner(jobs=jobs, trace=fanout) as runner:
+        with ParallelRunner(jobs=jobs, trace=TraceFanout()) as runner:
             results = runner.run(spec)
             out = tmp_path / "merged.json"
             summary = runner.write_merged_trace(str(out))
@@ -701,12 +657,71 @@ class TestRunnerShards:
     def test_traced_sweep_produces_merged_document(self, tmp_path, jobs):
         results, summary, out = self.run_sweep(tmp_path, jobs)
         assert results == [4, 6, 8, 10]
-        assert summary["shards"] == 4
-        assert summary["events"] == 2 + 3 + 4 + 5
-        assert summary["dropped"] == 0 and summary["incomplete"] == 0
+        assert summary == {"shards": 4, "events": 2 + 3 + 4 + 5,
+                           "dropped": 0}
+        # The merge is the only file a traced sweep writes.
+        assert [p.name for p in tmp_path.iterdir()] == ["merged.json"]
         doc = json.loads(out.read_text())
-        # 4 shards x 2 time domains, pids 1..8.
+        # Shards are labelled in declared point order, whatever order
+        # the workers finish in; 4 shards x 2 time domains, pids 1..8.
+        assert doc["otherData"]["shard_labels"] == [
+            f"shardtest[n={n}]" for n in (2, 3, 4, 5)]
         assert {e["pid"] for e in doc["traceEvents"]} == set(range(1, 9))
+        # Each point's events arrive whole, on its own sim-time pid.
+        ticks = {}
+        for event in doc["traceEvents"]:
+            if event["ph"] == "i":
+                ticks.setdefault(event["pid"], []).append(
+                    event["args"]["i"])
+        assert ticks == {2 * k + 1: list(range(n))
+                         for k, n in enumerate((2, 3, 4, 5))}
+
+    def test_sampled_points_carry_the_mode_marker(self, tmp_path):
+        """``TraceFanout(sample=N)`` gives every point a sampled tracer:
+        no quantum opens outside an engine, so each shard holds only
+        its ``obs/mode`` marker."""
+        from repro.exec.runner import ParallelRunner, TraceFanout
+        from repro.exec.sweep import SweepSpec
+        spec = SweepSpec.from_points("shardtest", shard_point,
+                                     [{"n": n} for n in (2, 3)])
+        out = tmp_path / "merged.json"
+        with ParallelRunner(jobs=2,
+                            trace=TraceFanout(sample=4)) as runner:
+            runner.run(spec)
+            assert runner.write_merged_trace(str(out))["events"] == 2
+        doc = json.loads(out.read_text())
+        marks = [(e["pid"], e["cat"], e["name"], e["args"])
+                 for e in doc["traceEvents"] if e["ph"] == "i"]
+        assert marks == [(pid, "obs", "mode", {"sample": 4, "seed": 0})
+                         for pid in (1, 3)]
+
+    def test_indices_continue_across_sweeps(self, tmp_path):
+        from repro.exec.runner import ParallelRunner, TraceFanout
+        from repro.exec.sweep import SweepSpec
+        first = SweepSpec.from_points("a", shard_point,
+                                      [{"n": 1}, {"n": 2}])
+        second = SweepSpec.from_points("b", shard_point, [{"n": 3}])
+        with ParallelRunner(jobs=2, trace=TraceFanout()) as runner:
+            runner.run(first)
+            runner.run(second)
+            runner.write_merged_trace(str(tmp_path / "merged.json"))
+        doc = json.loads((tmp_path / "merged.json").read_text())
+        assert doc["otherData"]["shard_labels"] == ["a[n=1]", "a[n=2]",
+                                                    "b[n=3]"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_point_propagates(self, tmp_path, jobs):
+        from repro.exec.runner import ParallelRunner, TraceFanout
+        from repro.exec.sweep import SweepSpec
+        spec = SweepSpec.from_points("failtest", failing_point,
+                                     [{"n": n} for n in range(4)])
+        with ParallelRunner(jobs=jobs, trace=TraceFanout()) as runner:
+            with pytest.raises(ValueError, match="failed"):
+                runner.run(spec)
+            out = tmp_path / "merged.json"
+            assert runner.write_merged_trace(str(out)) is None
+        assert not out.exists()
+        assert current_tracer() is NULL_TRACER
 
     def test_trace_skips_cache_reads_but_writes(self, tmp_path):
         from repro.exec.cache import ResultCache
@@ -717,8 +732,8 @@ class TestRunnerShards:
                                      [{"n": 2}, {"n": 3}])
         with ParallelRunner(jobs=1, cache=cache) as runner:
             runner.run(spec)  # populate the cache
-        fanout = TraceFanout(str(tmp_path / "shards"))
-        with ParallelRunner(jobs=1, cache=cache, trace=fanout) as runner:
+        with ParallelRunner(jobs=1, cache=cache,
+                            trace=TraceFanout()) as runner:
             results = runner.run(spec)
             summary = runner.write_merged_trace(
                 str(tmp_path / "merged.json"))
